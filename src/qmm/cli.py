@@ -5,11 +5,13 @@ shape {"command", "config", "results", "pass"}; identical configuration and
 seeds produce byte-identical output.  All randomness flows from ``--seed``
 through Python's Mersenne-Twister ``random.Random``, so specialized runs are
 replayable.  Exit codes: 0 pass, 1 verified false, 2 usage error, 3
-inconclusive specialization.
+inconclusive specialization.  Only bad command-line input is a usage error:
+numbers out of range are rejected before any work, and an internal defect
+propagates as a traceback instead of being reported as exit 2.
 
 The environment variable QMM_CACHE_DIR, when set, persists the per-degree
 ideal bases between runs (versioned JSON keyed by n, mode, degree and the
-specialization; mismatching keys are rebuilt).
+specialization; a file whose key or checksum does not match is rebuilt).
 """
 
 from __future__ import annotations
@@ -28,11 +30,34 @@ from .macmahon import (
 )
 from .param_ring import ParamMode
 from .quantum_spaces import QuantumSpace
-from .right_quantum import IdealOracle, QMatrix, qdet
+from .right_quantum import IdealOracle, QMatrix, qdet, specialization_draws
+
+MAX_N = 16  # z-letters are stored one per byte, and there are n^2 of them
 
 
 class UsageError(ValueError):
-    pass
+    """Bad command-line input; the only error reported as exit code 2."""
+
+
+def _check_ranges(args) -> None:
+    if not 1 <= args.n <= MAX_N:
+        raise UsageError(f"--n must be between 1 and {MAX_N} (z-letters are stored one per byte)")
+    if getattr(args, "degree", 0) < 0:
+        raise UsageError("--degree must be >= 0")
+    if getattr(args, "ell", None) is not None and args.ell < 1:
+        raise UsageError("--ell must be >= 1")
+    if getattr(args, "random", None) is not None and args.random < 1:
+        raise UsageError("--random must be >= 1")
+
+
+def _check_draws(args, mode: ParamMode) -> None:
+    """A specialized run needs --seeds >= 1 draws of distinct primes, one per
+    parameter; reject what cannot be drawn before any work starts."""
+    if args.mode == "specialize" and mode.kind != "numeric":
+        try:
+            specialization_draws(mode, args.seeds, args.seed)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
 
 def _parse_q_assignment(n: int, text: str) -> dict:
@@ -62,6 +87,7 @@ def _make_mode(args) -> ParamMode:
 
 
 def _make_oracle(args, mode: ParamMode) -> IdealOracle:
+    _check_draws(args, mode)
     return IdealOracle(
         args.n, mode, exact=(args.mode == "exact"), seed=args.seed, draws=args.seeds
     )
@@ -97,24 +123,26 @@ def _emit(args, report: dict) -> None:
 # commands
 
 
-def cmd_verify(args) -> int:
-    mode = _make_mode(args)
-    space = QuantumSpace(args.n, mode)
-    oracle = _make_oracle(args, mode)
-    outcome = verify_master(space, args.degree, oracle)
+def _identity(args, mode: ParamMode, verify, pretty: str) -> int:
+    """Run verify_master or verify_twisted and report it."""
+    outcome = verify(QuantumSpace(args.n, mode), args.degree, _make_oracle(args, mode))
     report = {
-        "command": "verify",
+        "command": args.command,
         "config": _config_dict(args, mode),
         "results": outcome["results"],
         "pass": outcome["pass"],
-        "pretty": [
-            "degree {degree}: residual_terms={residual_terms_before_reduction} "
-            "oracle={oracle_mode} pass={pass}".format(**r)
-            for r in outcome["results"]
-        ],
+        "pretty": [pretty.format(**r) for r in outcome["results"]],
     }
     _emit(args, report)
     return 0 if outcome["pass"] else 1
+
+
+def cmd_verify(args) -> int:
+    return _identity(
+        args, _make_mode(args), verify_master,
+        "degree {degree}: residual_terms={residual_terms_before_reduction} "
+        "oracle={oracle_mode} pass={pass}",
+    )
 
 
 def cmd_qdet(args) -> int:
@@ -142,6 +170,7 @@ def cmd_koszul(args) -> int:
     ells = [args.ell] if args.ell is not None else list(range(1, args.degree + 1))
     if not ells:
         raise UsageError("give --ell or a positive --degree to sweep")
+    _check_draws(args, mode)
     results = []
     all_exact = True
     inconclusive = False
@@ -180,23 +209,11 @@ def cmd_koszul(args) -> int:
 def cmd_twisted(args) -> int:
     if args.params != "single":
         raise UsageError("the twisted identity runs in one-parameter mode only")
-    mode = ParamMode.single()
-    space = QuantumSpace(args.n, mode)
-    oracle = _make_oracle(args, mode)
-    outcome = verify_twisted(space, args.degree, oracle)
-    report = {
-        "command": "twisted",
-        "config": _config_dict(args, mode),
-        "results": outcome["results"],
-        "pass": outcome["pass"],
-        "pretty": [
-            "degree {degree}: residual_terms={residual_terms_before_reduction} "
-            "weights_match={twist_weights_match_torus} pass={pass}".format(**r)
-            for r in outcome["results"]
-        ],
-    }
-    _emit(args, report)
-    return 0 if outcome["pass"] else 1
+    return _identity(
+        args, ParamMode.single(), verify_twisted,
+        "degree {degree}: residual_terms={residual_terms_before_reduction} "
+        "weights_match={twist_weights_match_torus} pass={pass}",
+    )
 
 
 def _parse_matrix_file(path: str) -> list:
@@ -211,6 +228,8 @@ def _parse_matrix_file(path: str) -> list:
         raise UsageError(f"matrix entries must be rationals: {exc}") from exc
     if not matrix or any(len(row) != len(matrix) for row in matrix):
         raise UsageError("matrix must be square and nonempty")
+    if len(matrix) > MAX_N:
+        raise UsageError(f"matrix must be at most {MAX_N}x{MAX_N}")
     return matrix
 
 
@@ -321,11 +340,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_ranges(args)
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

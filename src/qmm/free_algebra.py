@@ -32,6 +32,9 @@ class Alphabet:
         self.kind = kind
         self.n = n
         self.size = n if kind == "x" else n * n
+        if self.size > 256:
+            raise ValueError(f"{kind} alphabet for n={n} has {self.size} letters; words store "
+                             "one letter per byte, so at most 256 (n <= 16 for z)")
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and (self.kind, self.n) == (other.kind, other.n)
@@ -205,16 +208,6 @@ class NCPoly:
         if isinstance(other, (ParamScalar, int)):
             return self.scale(other)
         return NotImplemented
-
-    def map_coefficients(self, fn, mode: ParamMode | None = None) -> "NCPoly":
-        """Apply a scalar map to every coefficient, dropping any that become zero."""
-        mode = mode if mode is not None else self.mode
-        terms = {}
-        for w, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                terms[w] = v
-        return NCPoly(self.alphabet, mode, terms)
 
     def __eq__(self, other):
         return (

@@ -28,13 +28,7 @@ from itertools import combinations
 from .free_algebra import NCPoly
 from .param_ring import ParamMode, ParamScalar
 from .quantum_spaces import QuantumSpace
-from .right_quantum import (
-    IdealOracle,
-    IntEchelon,
-    SymbolicEchelon,
-    _strip_int,
-    specialization_draws,
-)
+from .right_quantum import IdealOracle, new_echelon, specialization_draws, to_vector
 
 
 class WedgeDecompositionError(RuntimeError):
@@ -191,29 +185,14 @@ class ExactnessReport:
         }
 
 
-def _symbolic_rank(matrix, mode: ParamMode) -> int:
-    basis = SymbolicEchelon(mode)
+def _rank(matrix, assignment) -> int:
+    """Rank of a scalar matrix, over the Laurent ring for ``assignment``
+    None, else over Q at that specialization."""
+    basis = new_echelon(assignment)
     for row in matrix:
-        vec = {k: v for k, v in enumerate(row) if not v.is_zero()}
+        vec = to_vector(enumerate(row), assignment)
         if vec:
             basis.insert(vec)
-    return basis.rank
-
-
-def _specialized_rank(matrix, assignment) -> int:
-    basis = IntEchelon()
-    for row in matrix:
-        values = {}
-        for k, v in enumerate(row):
-            val = v.specialize(assignment)
-            if val:
-                values[k] = val
-        if not values:
-            continue
-        denom = math.lcm(*(v.denominator for v in values.values()))
-        vec = {k: int(v * denom) for k, v in values.items()}
-        _strip_int(vec)
-        basis.insert(vec)
     return basis.rank
 
 
@@ -231,26 +210,21 @@ def check_exactness(
     """
     dims = complex.dims
     mode = complex.mode
-    if exact or mode.kind == "numeric":
-        ranks = [_symbolic_rank(complex.maps[i], mode) if mode.kind != "numeric"
-                 else _specialized_rank(complex.maps[i], {})
-                 for i in range(1, complex.ell + 1)]
-        mode_str = "exact"
-        seed_used = None
+    if mode.kind == "numeric":
+        assignments, mode_str, seed_used = [{}], "exact", None
+    elif exact:
+        assignments, mode_str, seed_used = [None], "exact", None
     else:
-        per_draw = []
-        for assignment in specialization_draws(mode, draws, seed):
-            per_draw.append(
-                [_specialized_rank(complex.maps[i], assignment) for i in range(1, complex.ell + 1)]
-            )
-        if any(r != per_draw[0] for r in per_draw[1:]):
-            return ExactnessReport(
-                complex.n, complex.ell, dims, None, None,
-                f"specialize(draws={draws})", seed, conclusive=False,
-            )
-        ranks = per_draw[0]
-        mode_str = f"specialize(draws={draws})"
-        seed_used = seed
+        assignments = specialization_draws(mode, draws, seed)
+        mode_str, seed_used = f"specialize(draws={draws})", seed
+    per_draw = [
+        [_rank(complex.maps[i], a) for i in range(1, complex.ell + 1)] for a in assignments
+    ]
+    if any(r != per_draw[0] for r in per_draw[1:]):
+        return ExactnessReport(
+            complex.n, complex.ell, dims, None, None, mode_str, seed_used, conclusive=False
+        )
+    ranks = per_draw[0]
     bordered = [0] + ranks + [0]
     homology = [dims[i] - bordered[i] - bordered[i + 1] for i in range(complex.ell + 1)]
     return ExactnessReport(

@@ -41,34 +41,44 @@ class CharacterSeries:
     body: TruncSeries
 
 
-def bos_series(space: QuantumSpace, bound: int) -> CharacterSeries:
-    """Degree-l coefficient: the sum of G(m) over all |m| = l."""
+def _bos(space: QuantumSpace, bound: int, weight) -> TruncSeries:
+    """Degree-l coefficient: the sum of weight(m) * G(m) over all |m| = l."""
     coeffs = []
     for l in range(bound + 1):
         acc = NCPoly.zero(space.z, space.mode)
         for m in space.affine_basis(l):
-            acc = acc + g_coefficient(space, m)
+            acc = acc + g_coefficient(space, m).scale(weight(m))
         coeffs.append(acc)
-    return CharacterSeries("bos", TruncSeries(space.z, space.mode, bound, coeffs))
+    return TruncSeries(space.z, space.mode, bound, coeffs)
+
+
+def _ferm(space: QuantumSpace, bound: int, weight) -> TruncSeries:
+    """Degree-m coefficient: (-1)^m times the sum of weight(J) times the
+    quantum minor on J over all m-element subsets J; zero above degree n."""
+    Z = QMatrix.generic(space.n, space.mode)
+    coeffs = []
+    for m in range(bound + 1):
+        acc = NCPoly.zero(space.z, space.mode)
+        for J in combinations(range(1, space.n + 1), m):
+            minor = NCPoly.one(space.z, space.mode) if m == 0 else qdet(Z, J)
+            acc = acc + minor.scale(weight(J))
+        coeffs.append(-acc if m % 2 else acc)
+    return TruncSeries(space.z, space.mode, bound, coeffs)
+
+
+def _untwisted(_) -> int:
+    return 1
+
+
+def bos_series(space: QuantumSpace, bound: int) -> CharacterSeries:
+    """Degree-l coefficient: the sum of G(m) over all |m| = l."""
+    return CharacterSeries("bos", _bos(space, bound, _untwisted))
 
 
 def ferm_series(space: QuantumSpace, bound: int) -> CharacterSeries:
     """Degree-m coefficient: (-1)^m times the sum of quantum minors over all
     m-element subsets; zero above degree n."""
-    Z = QMatrix.generic(space.n, space.mode)
-    coeffs = []
-    for m in range(bound + 1):
-        acc = NCPoly.zero(space.z, space.mode)
-        if m <= space.n:
-            for J in combinations(range(1, space.n + 1), m):
-                if m == 0:
-                    acc = acc + NCPoly.one(space.z, space.mode)
-                else:
-                    acc = acc + qdet(Z, J)
-            if m % 2:
-                acc = -acc
-        coeffs.append(acc)
-    return CharacterSeries("ferm", TruncSeries(space.z, space.mode, bound, coeffs))
+    return CharacterSeries("ferm", _ferm(space, bound, _untwisted))
 
 
 # ---------------------------------------------------------------------------
@@ -90,22 +100,43 @@ def verify_master(space: QuantumSpace, degree: int, oracle: IdealOracle) -> dict
     must lie in the relation ideal.  Each per-degree entry records how many
     words survive the free-level cancellation before any reduction runs.
     """
+    return _verify(space, degree, oracle, twisted=False)
+
+
+def _verify(space: QuantumSpace, degree: int, oracle: IdealOracle, twisted: bool) -> dict:
+    """The residual loop shared by the plain and the twisted identity.
+
+    Twisted, each degree also checks that the twisted coefficients are the
+    images of the plain ones under the special torus point, and passes only
+    if they are.
+    """
+    if twisted and space.mode.kind != "single":
+        raise ValueError("the twisted identity is stated in one-parameter mode")
     bos = bos_series(space, degree).body
     ferm = ferm_series(space, degree).body
+    if twisted:
+        tau = special_torus(space.n, space.mode)
+        plain_bos, plain_ferm = bos, ferm
+        bos = twisted_bos_series(space, degree).body
+        ferm = twisted_ferm_series(space, degree).body
     prod = bos * ferm
     results = []
     for k in range(degree + 1):
         residual = prod[k]
         if k == 0:
             residual = residual - NCPoly.one(space.z, space.mode)
-        results.append(
-            {
-                "degree": k,
-                "residual_terms_before_reduction": residual.support_size(),
-                "oracle_mode": _oracle_mode(oracle),
-                "pass": oracle.contains(residual),
-            }
-        )
+        entry = {
+            "degree": k,
+            "residual_terms_before_reduction": residual.support_size(),
+            "oracle_mode": _oracle_mode(oracle),
+        }
+        weights_match = True
+        if twisted:
+            weights_match = entry["twist_weights_match_torus"] = (
+                torus_act(tau, plain_bos[k]) == bos[k] and torus_act(tau, plain_ferm[k]) == ferm[k]
+            )
+        entry["pass"] = weights_match and oracle.contains(residual)
+        results.append(entry)
     return {"results": results, "pass": all(r["pass"] for r in results)}
 
 
@@ -195,68 +226,26 @@ def ferm_twist_exponent(n: int, subset) -> int:
     return len(subset) * (n + 1) - 2 * sum(subset)
 
 
-def twisted_bos_series(space: QuantumSpace, bound: int) -> CharacterSeries:
+def _twist(space: QuantumSpace, exponent):
+    """The twist weight key -> q^exponent(n, key) of the one-parameter mode."""
     if space.mode.kind != "single":
         raise ValueError("the twisted series are one-parameter objects")
     q = space.mode.q(1, 2)
-    coeffs = []
-    for l in range(bound + 1):
-        acc = NCPoly.zero(space.z, space.mode)
-        for m in space.affine_basis(l):
-            weight = q ** bos_twist_exponent(space.n, m)
-            acc = acc + g_coefficient(space, m).scale(weight)
-        coeffs.append(acc)
-    return CharacterSeries("bos_twisted", TruncSeries(space.z, space.mode, bound, coeffs))
+    return lambda key: q ** exponent(space.n, key)
+
+
+def twisted_bos_series(space: QuantumSpace, bound: int) -> CharacterSeries:
+    return CharacterSeries("bos_twisted", _bos(space, bound, _twist(space, bos_twist_exponent)))
 
 
 def twisted_ferm_series(space: QuantumSpace, bound: int) -> CharacterSeries:
-    if space.mode.kind != "single":
-        raise ValueError("the twisted series are one-parameter objects")
-    q = space.mode.q(1, 2)
-    Z = QMatrix.generic(space.n, space.mode)
-    coeffs = []
-    for m in range(bound + 1):
-        acc = NCPoly.zero(space.z, space.mode)
-        if m <= space.n:
-            for J in combinations(range(1, space.n + 1), m):
-                weight = q ** ferm_twist_exponent(space.n, J)
-                minor = NCPoly.one(space.z, space.mode) if m == 0 else qdet(Z, J)
-                acc = acc + minor.scale(weight)
-            if m % 2:
-                acc = -acc
-        coeffs.append(acc)
-    return CharacterSeries("ferm_twisted", TruncSeries(space.z, space.mode, bound, coeffs))
+    return CharacterSeries("ferm_twisted", _ferm(space, bound, _twist(space, ferm_twist_exponent)))
 
 
 def verify_twisted(space: QuantumSpace, degree: int, oracle: IdealOracle) -> dict:
     """Check the twisted identity Bos~ * Ferm~ = 1 modulo the ideal, and that
     its weights are exactly the torus eigenvalues at the special point."""
-    if space.mode.kind != "single":
-        raise ValueError("the twisted identity is stated in one-parameter mode")
-    tbos = twisted_bos_series(space, degree).body
-    tferm = twisted_ferm_series(space, degree).body
-    tau = special_torus(space.n, space.mode)
-    bos = bos_series(space, degree).body
-    ferm = ferm_series(space, degree).body
-    prod = tbos * tferm
-    results = []
-    for k in range(degree + 1):
-        residual = prod[k]
-        if k == 0:
-            residual = residual - NCPoly.one(space.z, space.mode)
-        weights_match = (
-            torus_act(tau, bos[k]) == tbos[k] and torus_act(tau, ferm[k]) == tferm[k]
-        )
-        results.append(
-            {
-                "degree": k,
-                "residual_terms_before_reduction": residual.support_size(),
-                "oracle_mode": _oracle_mode(oracle),
-                "twist_weights_match_torus": weights_match,
-                "pass": weights_match and oracle.contains(residual),
-            }
-        )
-    return {"results": results, "pass": all(r["pass"] for r in results)}
+    return _verify(space, degree, oracle, twisted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +302,8 @@ def classical_check(entries, degree: int) -> bool:
     entries = [[Fraction(e) for e in row] for row in entries]
     if any(len(row) != n for row in entries):
         raise ValueError("need a square matrix")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     mode = ParamMode.numeric(n, {(i, j): Fraction(1) for i in range(1, n + 1) for j in range(i + 1, n + 1)})
     space = QuantumSpace(n, mode)
     gsums = []

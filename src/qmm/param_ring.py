@@ -175,6 +175,9 @@ class ParamScalar:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.mode.nvars: 1}
 

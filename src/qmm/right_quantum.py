@@ -19,14 +19,16 @@ accelerations keep this desk-scale:
   upper indices by lower index) is confluent and projects both the query and
   the spanning rows onto column-sorted words, killing every column row
   outright;
-* by default the parameters are specialized to random distinct odd primes and
-  the elimination runs over exact rationals (integer rows with content
-  stripping); membership is declared only when every draw agrees.  The
-  ``exact`` flag switches to fraction-free elimination over the Laurent ring
-  itself, feasible at small n and degree and used as ground truth.
+* one sparse fraction-free echelon core does the elimination.  By default
+  the parameters are specialized to random distinct odd primes, each row is
+  cleared of denominators, and the core runs over Z; membership is declared
+  only when every draw agrees.  The ``exact`` flag keeps the Laurent
+  coefficients and runs the same core over the Laurent ring itself, feasible
+  at small n and degree and used as ground truth.
 
 Bases are cached per (mode, degree, specialization) and, when QMM_CACHE_DIR
-is set, persisted as versioned JSON.
+is set, persisted as versioned JSON with a checksum of the rows; a file whose
+key or checksum does not match is rebuilt.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import json
 import math
 import os
 import threading
-from bisect import insort
+from bisect import bisect_left, insort
 from fractions import Fraction
 from hashlib import sha256
 from itertools import permutations, product
@@ -48,7 +50,7 @@ from .quantum_spaces import QuantumSpace
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                59, 61, 67, 71, 73, 79, 83, 89, 97)
 
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 _CACHE_ENV = "QMM_CACHE_DIR"
 
 
@@ -127,118 +129,7 @@ def _strip_int(vec: dict) -> None:
             vec[k] //= g
 
 
-class IntEchelon:
-    """Sparse row-reduced spanning set over Z (same Q-row-space).
-
-    Rows are primitive integer vectors keyed by their pivot (smallest word
-    index); combination is fraction-free with periodic content stripping.
-    """
-
-    __slots__ = ("pivots", "rows")
-
-    def __init__(self):
-        self.pivots: list[int] = []
-        self.rows: dict[int, dict[int, int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def _combine(self, vec: dict[int, int], row: dict[int, int], pivot: int) -> None:
-        a, b = vec[pivot], row[pivot]
-        g = math.gcd(a, b)
-        fa, fb = b // g, a // g
-        if fa != 1:
-            for k in vec:
-                vec[k] *= fa
-        for k, rv in row.items():
-            nv = vec.get(k, 0) - fb * rv
-            if nv:
-                vec[k] = nv
-            else:
-                vec.pop(k, None)
-
-    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        """Remainder of vec modulo the row space (up to a nonzero scalar)."""
-        if not vec:
-            return vec
-        steps = 0
-        start = 0
-        lo = min(vec)
-        while start < len(self.pivots) and self.pivots[start] < lo:
-            start += 1
-        for idx in range(start, len(self.pivots)):
-            p = self.pivots[idx]
-            if p in vec:
-                self._combine(vec, self.rows[p], p)
-                steps += 1
-                if steps % 16 == 0:
-                    _strip_int(vec)
-        _strip_int(vec)
-        return vec
-
-    def contains(self, vec: dict[int, int]) -> bool:
-        return not self.reduce(dict(vec))
-
-    def reduce_rational(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Exact remainder with unscaled coordinates (rational arithmetic)."""
-        for p in self.pivots:
-            c = vec.get(p)
-            if not c:
-                vec.pop(p, None)
-                continue
-            row = self.rows[p]
-            factor = Fraction(c, row[p])
-            for k, rv in row.items():
-                nv = vec.get(k, 0) - factor * rv
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-        return {k: v for k, v in vec.items() if v}
-
-    def insert(self, vec: dict[int, int]) -> bool:
-        vec = self.reduce(vec)
-        if not vec:
-            return False
-        pivot = min(vec)
-        if vec[pivot] < 0:
-            for k in vec:
-                vec[k] = -vec[k]
-        self.rows[pivot] = vec
-        insort(self.pivots, pivot)
-        return True
-
-    def finalize(self) -> None:
-        """Back-substitute to reduced echelon form: each pivot column appears
-        in its own row only.  Processing pivots in decreasing order keeps this
-        a single pass."""
-        for idx in range(len(self.pivots) - 1, -1, -1):
-            row = self.rows[self.pivots[idx]]
-            for q in self.pivots[idx + 1:]:
-                if q in row:
-                    self._combine(row, self.rows[q], q)
-            _strip_int(row)
-
-    # -- persistence ------------------------------------------------------------
-
-    def to_jsonable(self):
-        return [
-            [p, [[k, str(v)] for k, v in sorted(self.rows[p].items())]]
-            for p in self.pivots
-        ]
-
-    @classmethod
-    def from_jsonable(cls, data) -> "IntEchelon":
-        basis = cls()
-        for p, row in data:
-            basis.rows[p] = {k: int(v) for k, v in row}
-            basis.pivots.append(p)
-        basis.pivots.sort()
-        return basis
-
-
-def _strip_symbolic(mode: ParamMode, vec: dict) -> None:
+def _strip_symbolic(vec: dict) -> None:
     """Divide a symbolic row by its content: the integer gcd of all
     coefficients and the common monomial factor (a unit of the Laurent ring)."""
     g = 0
@@ -255,74 +146,80 @@ def _strip_symbolic(mode: ParamMode, vec: dict) -> None:
         return
     for k, s in vec.items():
         vec[k] = ParamScalar(
-            mode,
+            s.mode,
             {tuple(e - m for e, m in zip(exps, mins)): c // g for exps, c in s.terms.items()},
         )
 
 
-class SymbolicEchelon:
-    """Row-reduced spanning set over the Laurent ring itself.
+class _Echelon:
+    """Sparse fraction-free row echelon form over an integral domain.
 
-    Fraction-free: combining scales the working vector by the pivot
-    coefficient, which is harmless over a domain.  ``reduce`` therefore
-    returns the remainder together with the accumulated multiplier.
+    Rows are keyed by their pivot (smallest column index).  Eliminating a
+    pivot scales the working vector by a cofactor instead of dividing, so
+    only ring operations occur; content stripping keeps entries small.  A
+    subclass supplies the scalar hooks: ``_cofactors``, ``_strip`` and
+    ``_negative``.
     """
 
-    __slots__ = ("mode", "pivots", "rows")
+    __slots__ = ("pivots", "rows")
 
-    def __init__(self, mode: ParamMode):
-        self.mode = mode
+    def __init__(self):
         self.pivots: list[int] = []
-        self.rows: dict[int, dict[int, ParamScalar]] = {}
+        self.rows: dict = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, vec: dict, strip: bool = True) -> tuple[dict, ParamScalar]:
-        """Eliminate every pivot from vec; returns (remainder, multiplier).
+    def _eliminate(self, vec: dict, row: dict, pivot):
+        """vec <- fa * vec - fb * row, which clears vec[pivot]; returns fa."""
+        fa, fb = self._cofactors(vec[pivot], row[pivot])
+        if fa != 1:
+            for k in vec:
+                vec[k] = vec[k] * fa
+        for k, rv in row.items():
+            nv = vec.get(k)
+            nv = -(fb * rv) if nv is None else nv - fb * rv
+            if nv:
+                vec[k] = nv
+            else:
+                vec.pop(k, None)
+        return fa
 
-        With ``strip`` the remainder is divided by its content as it goes and
-        the multiplier is only meaningful up to content (enough for zero
-        tests); without it the exact invariant holds:
-        remainder = multiplier * vec - (row-space element).
+    def reduce(self, vec: dict, strip: bool = True) -> tuple:
+        """Eliminate every pivot from vec (in place); returns
+        (remainder, multiplier).
+
+        Without ``strip`` the exact invariant holds: multiplier * vec minus
+        the remainder lies in the row space.  With ``strip`` the remainder is
+        also divided by its content as it goes, which is enough for zero tests
+        and insertion; the multiplier is then None.
         """
-        multiplier = self.mode.one()
-        for p in self.pivots:
-            a = vec.get(p)
-            if a is None:
-                continue
-            if a.is_zero():
-                del vec[p]
-                continue
-            row = self.rows[p]
-            b = row[p]
-            multiplier = multiplier * b
-            for k in list(vec):
-                vec[k] = vec[k] * b
-            for k, rv in row.items():
-                nv = vec.get(k)
-                nv = -(a * rv) if nv is None else nv - a * rv
-                if nv.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nv
+        multiplier = None if strip else 1
+        if vec:
+            steps = 0
+            for p in self.pivots[bisect_left(self.pivots, min(vec)):]:
+                if p in vec:
+                    fa = self._eliminate(vec, self.rows[p], p)
+                    if not strip:
+                        multiplier = multiplier * fa
+                    else:
+                        steps += 1
+                        if steps % 16 == 0:
+                            self._strip(vec)
             if strip:
-                _strip_symbolic(self.mode, vec)
+                self._strip(vec)
         return vec, multiplier
 
     def contains(self, vec: dict) -> bool:
-        remainder, _ = self.reduce(dict(vec))
-        return not remainder
+        return not self.reduce(dict(vec))[0]
 
     def insert(self, vec: dict) -> bool:
         vec, _ = self.reduce(vec)
         if not vec:
             return False
-        _strip_symbolic(self.mode, vec)
         pivot = min(vec)
-        lead_exp = min(vec[pivot].terms)
-        if vec[pivot].terms[lead_exp] < 0:
+        if self._negative(vec[pivot]):
             for k in vec:
                 vec[k] = -vec[k]
         self.rows[pivot] = vec
@@ -330,50 +227,95 @@ class SymbolicEchelon:
         return True
 
     def finalize(self) -> None:
-        """Back-substitute to reduced echelon form (see IntEchelon.finalize)."""
+        """Back-substitute to reduced echelon form: each pivot column appears
+        in its own row only.  Processing pivots in decreasing order keeps this
+        a single pass."""
         for idx in range(len(self.pivots) - 1, -1, -1):
-            p = self.pivots[idx]
-            row = self.rows[p]
+            row = self.rows[self.pivots[idx]]
             for q in self.pivots[idx + 1:]:
-                a = row.get(q)
-                if a is None:
-                    continue
-                other = self.rows[q]
-                b = other[q]
-                for k in list(row):
-                    row[k] = row[k] * b
-                for k, rv in other.items():
-                    nv = row.get(k)
-                    nv = -(a * rv) if nv is None else nv - a * rv
-                    if nv.is_zero():
-                        row.pop(k, None)
-                    else:
-                        row[k] = nv
-            _strip_symbolic(self.mode, row)
+                if q in row:
+                    self._eliminate(row, self.rows[q], q)
+            self._strip(row)
 
     def to_jsonable(self):
         return [
-            [p, [[k, v.to_jsonable()] for k, v in sorted(self.rows[p].items())]]
+            [p, [[k, str(v) if isinstance(v, int) else v.to_jsonable()]
+                 for k, v in sorted(self.rows[p].items())]]
             for p in self.pivots
         ]
 
-    @classmethod
-    def from_jsonable(cls, mode: ParamMode, data) -> "SymbolicEchelon":
-        basis = cls(mode)
-        for p, row in data:
-            basis.rows[p] = {k: _scalar_from_jsonable(mode, v) for k, v in row}
-            basis.pivots.append(p)
-        basis.pivots.sort()
-        return basis
+
+class IntEchelon(_Echelon):
+    """Rows over Z: primitive integer vectors with a positive pivot entry
+    (the same row space over Q)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _cofactors(a: int, b: int):
+        g = math.gcd(a, b)
+        return b // g, a // g
+
+    _strip = staticmethod(_strip_int)
+
+    @staticmethod
+    def _negative(c: int) -> bool:
+        return c < 0
+
+    # the benchmark tracer wraps these per class, looking in the class body
+    insert = _Echelon.insert
+    finalize = _Echelon.finalize
 
 
-def _scalar_from_jsonable(mode: ParamMode, records) -> ParamScalar:
-    terms = {}
-    for rec in records:
-        coeff = Fraction(rec["coeff"])
-        coeff = int(coeff) if coeff.denominator == 1 else coeff
-        terms[tuple(rec["exponents"])] = coeff
-    return ParamScalar(mode, terms)
+class SymbolicEchelon(_Echelon):
+    """Rows over the Laurent ring itself, divided by their integer and
+    monomial content, with a positive lowest term in the pivot entry."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _cofactors(a: ParamScalar, b: ParamScalar):
+        return b, a
+
+    _strip = staticmethod(_strip_symbolic)
+
+    @staticmethod
+    def _negative(c: ParamScalar) -> bool:
+        return c.terms[min(c.terms)] < 0
+
+    # the benchmark tracer wraps these per class, looking in the class body
+    insert = _Echelon.insert
+    finalize = _Echelon.finalize
+
+
+def new_echelon(assignment):
+    """An empty echelon for vectors made by ``to_vector`` with the same
+    assignment: over the Laurent ring for None, over Z for a dict."""
+    return SymbolicEchelon() if assignment is None else IntEchelon()
+
+
+def to_vector(pairs, assignment) -> dict:
+    """The coefficient vector of (index, scalar) pairs, zeros dropped.
+
+    With ``assignment`` None the Laurent coefficients are kept as they are.
+    With a dict (empty in numeric mode) they are specialized, and the
+    rationals are scaled by one common denominator and divided by their
+    integer content; that uniform scaling changes no zero test and no row
+    space over Q.
+    """
+    if assignment is None:
+        return {k: c for k, c in pairs if c}
+    values = {}
+    for k, c in pairs:
+        val = c.specialize(assignment)
+        if val:
+            values[k] = val
+    if not values:
+        return values
+    denom = math.lcm(*(v.denominator for v in values.values()))
+    vec = {k: int(v * denom) for k, v in values.items()}
+    _strip_int(vec)
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +326,18 @@ def specialization_draws(mode: ParamMode, count: int, seed: int) -> list[dict]:
     """``count`` independent assignments of distinct odd primes in [3, 97] to
     the parameters, drawn from Python's Mersenne-Twister ``random.Random``
     seeded with ``seed``.  Reports quoting (seed, count) are replayable."""
+    if count < 1:
+        raise ValueError("specialized mode needs at least one draw")
+    if mode.nvars > len(ODD_PRIMES):
+        raise ValueError(
+            f"specialization draws distinct odd primes, and there are only "
+            f"{len(ODD_PRIMES)} of them for the {mode.nvars} parameters of {mode!r}; "
+            f"use --mode exact or --params single"
+        )
     rng = Random(seed)
     draws = []
     for _ in range(count):
-        primes = rng.sample(ODD_PRIMES, len(mode.variables))
+        primes = rng.sample(ODD_PRIMES, mode.nvars)
         draws.append({label: Fraction(p) for label, p in zip(mode.variables, primes)})
     return draws
 
@@ -402,6 +352,9 @@ class IdealOracle:
     One oracle fixes the decision policy (exact-symbolic, or agreement across
     ``draws`` rational specializations derived from ``seed``); per-degree
     bases are built lazily, cached in memory, and optionally persisted.
+    ``assignments`` holds one ``to_vector`` assignment per basis a query must
+    pass: ``[None]`` over the Laurent ring, ``[{}]`` in numeric mode (no
+    symbols left, so a single exact run), else the specialization draws.
     """
 
     _memory_cache: dict = {}
@@ -412,23 +365,27 @@ class IdealOracle:
         self.n = n
         self.mode = mode
         self.z = Alphabet("z", n)
-        # numeric mode has no symbols left: membership is a single exact run
         self.exact = bool(exact) or mode.kind == "numeric"
         self.seed = seed
-        if not self.exact and draws < 1:
-            raise ValueError("specialized mode needs at least one draw")
-        self.assignments = [] if self.exact else specialization_draws(mode, draws, seed)
+        if mode.kind == "numeric":
+            self.assignments = [{}]
+        elif self.exact:
+            self.assignments = [None]
+        else:
+            self.assignments = specialization_draws(mode, draws, seed)
         self.relations = build_relations(n, mode)
 
     # -- basis construction ------------------------------------------------------
 
-    def _key(self, degree: int, draw: int | None):
-        assignment = None if draw is None else tuple(
-            (str(k), str(v)) for k, v in sorted(self.assignments[draw].items())
-        )
+    def _key(self, degree: int, draw: int):
+        assignment = self.assignments[draw]
+        if assignment is not None:
+            assignment = tuple((str(k), str(v)) for k, v in sorted(assignment.items()))
         return (_CACHE_VERSION, self.n, self.mode.cache_key(), degree, assignment)
 
-    def basis(self, degree: int, draw: int | None):
+    def basis(self, degree: int, draw: int):
+        """The finalized echelon basis of the degree-``degree`` ideal
+        component under ``assignments[draw]``."""
         key = self._key(degree, draw)
         with self._lock:
             cached = self._memory_cache.get(key)
@@ -443,22 +400,16 @@ class IdealOracle:
                 return cached
             basis = _load_persistent(self.mode, key)
             if basis is None:
-                basis = self._build(degree, draw)
+                basis = self._build(degree, self.assignments[draw])
                 _save_persistent(key, basis)
             with self._lock:
                 self._memory_cache[key] = basis
                 self._build_locks.pop(key, None)
         return basis
 
-    def _build(self, degree: int, draw: int | None):
+    def _build(self, degree: int, assignment):
         size = self.z.size
-        assignment = None if draw is None else self.assignments[draw]
-        if assignment is None and self.mode.kind != "numeric":
-            basis = SymbolicEchelon(self.mode)
-            convert = self._symbolic_vector
-        else:
-            basis = IntEchelon()
-            convert = lambda p: self._int_vector(p, assignment)
+        basis = new_echelon(assignment)
         for left_len in range(degree - 1):
             right_len = degree - 2 - left_len
             for u in product(range(size), repeat=left_len):
@@ -471,38 +422,15 @@ class IdealOracle:
                             self.mode,
                             {ub + w + vb: c for w, c in rel.terms.items()},
                         )
-                        vec = convert(column_reduce(row))
+                        vec = to_vector(self._indexed(column_reduce(row)), assignment)
                         if vec:
                             basis.insert(vec)
         basis.finalize()
         return basis
 
-    def _symbolic_vector(self, p: NCPoly) -> dict:
+    def _indexed(self, p: NCPoly) -> list:
         size = self.z.size
-        return {word_rank(w, size): c for w, c in p.terms.items()}
-
-    def _int_vector(self, p: NCPoly, assignment) -> dict:
-        size = self.z.size
-        values = {}
-        for w, c in p.terms.items():
-            val = c.specialize(assignment) if assignment is not None else c.specialize({})
-            if val:
-                values[word_rank(w, size)] = val
-        if not values:
-            return {}
-        denom = math.lcm(*(v.denominator for v in values.values()))
-        vec = {k: int(v * denom) for k, v in values.items()}
-        _strip_int(vec)
-        return vec
-
-    def _rational_vector(self, p: NCPoly, assignment) -> dict:
-        size = self.z.size
-        out = {}
-        for w, c in p.terms.items():
-            val = c.specialize(assignment) if assignment is not None else c.specialize({})
-            if val:
-                out[word_rank(w, size)] = val
-        return out
+        return [(word_rank(w, size), c) for w, c in p.terms.items()]
 
     # -- membership -----------------------------------------------------------------
 
@@ -527,13 +455,10 @@ class IdealOracle:
         p = column_reduce(p)
         if p.is_zero():
             return True
-        if self.exact:
-            if self.mode.kind == "numeric":
-                return self.basis(d, None).contains(self._int_vector(p, None))
-            return self.basis(d, None).contains(self._symbolic_vector(p))
+        pairs = self._indexed(p)
         return all(
-            self.basis(d, i).contains(self._int_vector(p, self.assignments[i]))
-            for i in range(len(self.assignments))
+            self.basis(d, i).contains(to_vector(pairs, a))
+            for i, a in enumerate(self.assignments)
         )
 
     def contains_tensor(self, tp: "TensorPoly") -> bool:
@@ -556,60 +481,39 @@ class IdealOracle:
         tp = tp.column_reduce()
         if tp.is_zero():
             return True
-        if self.exact and self.mode.kind != "numeric":
-            return self._contains_tensor_symbolic(tp, d)
-        draws = [None] if self.mode.kind == "numeric" else range(len(self.assignments))
-        return all(self._contains_tensor_specialized(tp, d, i) for i in draws)
-
-    def _contains_tensor_specialized(self, tp: "TensorPoly", d: int, draw) -> bool:
-        basis = self.basis(d, draw)
-        assignment = None if draw is None else self.assignments[draw]
         size = self.z.size
-        columns: dict[int, dict[int, Fraction]] = {}
-        for (wl, wr), c in tp.terms.items():
-            val = c.specialize(assignment) if assignment is not None else c.specialize({})
-            if val:
-                columns.setdefault(word_rank(wr, size), {})[word_rank(wl, size)] = val
-        rows: dict[int, dict[int, Fraction]] = {}
-        for ridx, col in columns.items():
-            for lidx, val in basis.reduce_rational(col).items():
-                rows.setdefault(lidx, {})[ridx] = val
-        for rvec in rows.values():
-            denom = math.lcm(*(v.denominator for v in rvec.values()))
-            vec = {k: int(v * denom) for k, v in rvec.items()}
-            _strip_int(vec)
-            if not basis.contains(vec):
-                return False
-        return True
+        pairs = [
+            ((word_rank(wr, size), word_rank(wl, size)), c) for (wl, wr), c in tp.terms.items()
+        ]
+        return all(
+            _tensor_member(self.basis(d, i), to_vector(pairs, a))
+            for i, a in enumerate(self.assignments)
+        )
 
-    def _contains_tensor_symbolic(self, tp: "TensorPoly", d: int) -> bool:
-        basis = self.basis(d, None)
-        size = self.z.size
-        columns: dict[int, dict[int, ParamScalar]] = {}
-        for (wl, wr), c in tp.terms.items():
-            columns.setdefault(word_rank(wr, size), {})[word_rank(wl, size)] = c
-        remainders = {}
-        multipliers = {}
-        for ridx, col in columns.items():
-            rem, mult = basis.reduce(col, strip=False)
-            if rem:
-                remainders[ridx] = rem
-                multipliers[ridx] = mult
-        # undo the per-column fraction-free scaling: multiply column r by
-        # prod(multipliers)/multipliers[r], a ring element, before testing rows
-        rows: dict[int, dict[int, ParamScalar]] = {}
-        for ridx, rem in remainders.items():
-            scale = self.mode.one()
-            for other, m in multipliers.items():
-                if other != ridx:
-                    scale = scale * m
-            for lidx, val in rem.items():
-                rows.setdefault(lidx, {})[ridx] = val * scale
-        for rvec in rows.values():
-            _strip_symbolic(self.mode, rvec)
-            if not basis.contains(rvec):
-                return False
-        return True
+
+def _tensor_member(basis, vec: dict) -> bool:
+    """``contains_tensor`` for one basis; ``vec`` maps (right index, left
+    index) to a coefficient."""
+    columns: dict = {}
+    for (ridx, lidx), c in vec.items():
+        columns.setdefault(ridx, {})[lidx] = c
+    reduced = {}
+    for ridx, col in columns.items():
+        rem, mult = basis.reduce(col, strip=False)
+        if rem:
+            reduced[ridx] = rem, mult
+    # reduce() scaled column r by its multiplier m_r; scaling it further by
+    # the other columns' multipliers gives every column the common factor
+    # prod(m), so the rows below are the true left coordinates times prod(m)
+    rows: dict = {}
+    for ridx, (rem, _) in reduced.items():
+        scale = 1
+        for other, (_, mult) in reduced.items():
+            if other != ridx:
+                scale = scale * mult
+        for lidx, c in rem.items():
+            rows.setdefault(lidx, {})[ridx] = c * scale
+    return all(basis.contains(rvec) for rvec in rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +528,13 @@ def _cache_path(key) -> str | None:
     return os.path.join(directory, f"qmm_basis_v{_CACHE_VERSION}_{digest}.json")
 
 
+def _rows_digest(rows) -> str:
+    return sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
 def _load_persistent(mode: ParamMode, key):
+    """The persisted basis for ``key``, or None when there is none or the
+    file fails its key or checksum check (the caller then rebuilds)."""
     path = _cache_path(key)
     if path is None or not os.path.exists(path):
         return None
@@ -633,11 +543,22 @@ def _load_persistent(mode: ParamMode, key):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    if data.get("key") != _jsonable_key(key):
+    if not isinstance(data, dict) or data.get("key") != repr(key):
         return None
-    if data.get("symbolic"):
-        return SymbolicEchelon.from_jsonable(mode, data["rows"])
-    return IntEchelon.from_jsonable(data["rows"])
+    if data.get("sha256") != _rows_digest(data.get("rows")):
+        return None
+    symbolic = data.get("symbolic")
+    basis = new_echelon(None if symbolic else {})
+    for p, row in data["rows"]:
+        # symbolic modes have integer coefficients
+        basis.rows[p] = {
+            k: ParamScalar(mode, {tuple(t["exponents"]): int(t["coeff"]) for t in v})
+            if symbolic else int(v)
+            for k, v in row
+        }
+        basis.pivots.append(p)
+    basis.pivots.sort()
+    return basis
 
 
 def _save_persistent(key, basis) -> None:
@@ -645,25 +566,18 @@ def _save_persistent(key, basis) -> None:
     if path is None:
         return
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    rows = basis.to_jsonable()
     payload = {
         "version": _CACHE_VERSION,
-        "key": _jsonable_key(key),
+        "key": repr(key),
         "symbolic": isinstance(basis, SymbolicEchelon),
-        "rows": basis.to_jsonable(),
+        "rows": rows,
+        "sha256": _rows_digest(rows),
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     os.replace(tmp, path)
-
-
-def _jsonable_key(key):
-    def walk(obj):
-        if isinstance(obj, tuple):
-            return [walk(x) for x in obj]
-        return obj
-
-    return walk(key)
 
 
 # ---------------------------------------------------------------------------

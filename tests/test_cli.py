@@ -4,6 +4,8 @@ import io
 import json
 from contextlib import redirect_stdout, redirect_stderr
 
+import pytest
+
 from qmm.cli import main
 
 
@@ -171,3 +173,47 @@ def test_specialize_requires_at_least_one_seed():
     code, _, err = run(["verify", "--n", "2", "--degree", "2", "--seeds", "0"])
     assert code == 2
     assert "draw" in err
+
+
+def test_negative_classical_degree_is_usage_error():
+    code, out, err = run(["classical", "--random", "2", "--degree", "-1", "--output", "json"])
+    assert code == 2
+    assert out == "" and "degree" in err
+
+
+def test_nonpositive_random_count_is_usage_error():
+    code, out, err = run(["classical", "--random", "0", "--n", "2", "--output", "json"])
+    assert code == 2
+    assert out == "" and "random" in err
+
+
+def test_too_many_parameters_to_specialize_is_usage_error():
+    # n = 8 has 28 parameters, more than the 24 odd primes the draws use
+    code, out, err = run(["verify", "--n", "8", "--degree", "2"])
+    assert code == 2
+    assert out == ""
+    assert "24" in err and "--mode exact" in err and "--params single" in err
+
+
+def test_n_beyond_byte_letters_is_usage_error():
+    code, out, err = run(["verify", "--n", "17", "--params", "single", "--degree", "2"])
+    assert code == 2
+    assert out == "" and "16" in err
+
+
+def test_koszul_specialize_requires_at_least_one_seed():
+    code, _, err = run(["koszul", "--n", "2", "--ell", "2", "--seeds", "0"])
+    assert code == 2
+    assert "draw" in err
+
+
+def test_internal_defect_is_not_a_usage_error(monkeypatch):
+    from qmm.param_ring import ModeMismatchError
+
+    def broken(*args, **kwargs):
+        raise ModeMismatchError("scalars over different parameter modes")
+
+    # main must not report it as exit 2: it propagates with its traceback
+    monkeypatch.setattr("qmm.cli.verify_master", broken)
+    with pytest.raises(ModeMismatchError):
+        main(["verify", "--n", "2", "--degree", "2"])

@@ -53,6 +53,12 @@ def test_alphabet_mismatch_rejected():
         a * b
 
 
+def test_alphabet_rejects_more_letters_than_bytes():
+    assert Alphabet("z", 16).size == 256
+    with pytest.raises(ValueError, match="n <= 16"):
+        Alphabet("z", 17)
+
+
 def test_coefficient_of():
     mode = ParamMode.multi(2)
     p = x_poly(2, mode, ([1, 2], 1), ([2, 1], 2))

@@ -320,6 +320,11 @@ def test_classical_rejects_non_square_matrix():
         classical_check([[1, 0, 0], [0, 1, 0]], 3)
 
 
+def test_classical_rejects_negative_degree():
+    with pytest.raises(ValueError, match="degree"):
+        classical_check([[1, 0], [0, 1]], -1)
+
+
 def test_classical_random_rationals():
     rng = Random(2024)
     for n in (2, 3):

@@ -1,5 +1,6 @@
 """Relations of the right-quantum algebra and the ideal membership oracle."""
 
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -24,6 +25,7 @@ from qmm import (
     specialization_draws,
 )
 from qmm.free_algebra import word_rank
+from qmm.right_quantum import IntEchelon, SymbolicEchelon, to_vector
 
 
 def brute_member(p, n, mode, assignment):
@@ -300,12 +302,65 @@ def test_determinant_is_group_like():
     assert IdealOracle(2, mode, exact=True).contains_tensor(lhs)
 
 
-def test_non_group_like_control():
+@pytest.mark.parametrize("exact", [True, False])
+def test_non_group_like_control(exact):
     mode = ParamMode.multi(2)
     sp = QuantumSpace(2, mode)
     p = sp.z_gen(1, 1) * sp.z_gen(2, 2)
     lhs = comultiply(p) - TensorPoly.outer(p, p)
-    assert not IdealOracle(2, mode, exact=True).contains_tensor(lhs)
+    assert not IdealOracle(2, mode, exact=exact, seed=4, draws=3).contains_tensor(lhs)
+
+    mode = ParamMode.multi(3)
+    sp = QuantumSpace(3, mode)
+    oracle = IdealOracle(3, mode, exact=exact, seed=4, draws=3)
+    det = qdet(QMatrix.generic(3, mode))
+    group_like = comultiply(det) - TensorPoly.outer(det, det)
+    assert oracle.contains_tensor(group_like)
+    # z11 z22 z33 is column-sorted and maps to a nonzero product under the
+    # diagonal right-quantum matrices, so its tensor square survives
+    word = NCPoly.monomial(sp.z, mode, sp.z.z_word([(1, 1), (2, 2), (3, 3)]))
+    assert column_reduce(word) == word
+    assert not oracle.contains_tensor(group_like + TensorPoly.outer(word, word))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_tensor_membership_checks_every_row(exact):
+    # z11^3 (x) r is a member and comes first; z22^3 (x) z33^3 is not, and
+    # only a later surviving row carries it
+    mode = ParamMode.multi(3)
+    sp = QuantumSpace(3, mode)
+    oracle = IdealOracle(3, mode, exact=exact, seed=4, draws=3)
+    cube = [NCPoly.monomial(sp.z, mode, sp.z.z_word([(i, i)] * 3)) for i in (1, 2, 3)]
+    r = build_relations(3, mode)[9] * sp.z_gen(3, 3)
+    member = TensorPoly.outer(cube[0], r)
+    assert oracle.contains_tensor(member)
+    assert not oracle.contains_tensor(member + TensorPoly.outer(cube[1], cube[2]))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_reduce_without_strip_keeps_the_multiplier(exact):
+    # multiplier * vec - remainder must lie in the row space, and the
+    # remainder must avoid every pivot column
+    mode = ParamMode.multi(2)
+    sp = QuantumSpace(2, mode)
+    z = sp.z_gen
+    oracle = IdealOracle(2, mode, exact=exact, seed=8, draws=1)
+    basis = oracle.basis(3, 0)
+    assert isinstance(basis, SymbolicEchelon if exact else IntEchelon)
+    rels = build_relations(2, mode)
+    p = z(1, 1) * z(1, 1) * z(2, 2) + z(1, 1) * rels[2] + (z(1, 2) * z(2, 1) * z(2, 2)).scale(2)
+    vec = to_vector([(word_rank(w, 4), c) for w, c in column_reduce(p).terms.items()],
+                    oracle.assignments[0])
+    remainder, multiplier = basis.reduce(dict(vec), strip=False)
+    assert multiplier != 1
+    assert remainder and not set(remainder) & set(basis.pivots)
+    diff = {}
+    for k in set(vec) | set(remainder):
+        c = multiplier * vec[k] if k in vec else 0
+        c = c - remainder[k] if k in remainder else c
+        if c:
+            diff[k] = c
+    assert diff and basis.contains(diff)
 
 
 def test_is_right_quantum_all_q_one():
@@ -366,6 +421,17 @@ def test_basis_cache_roundtrip(tmp_path, monkeypatch):
     again = IdealOracle(2, mode, exact=False, seed=42, draws=1).basis(3, 0)
     assert again.pivots == first.pivots
     assert again.rows == first.rows
+
+    # an edited file fails its checksum and is rebuilt, never trusted
+    rel = build_relations(2, mode)[2]
+    assert oracle.contains(rel * rel)
+    (path,) = set(tmp_path.iterdir()) - set(files)
+    data = json.loads(path.read_text())
+    data["rows"] = data["rows"][:1]
+    path.write_text(json.dumps(data))
+    IdealOracle._memory_cache.clear()
+    assert IdealOracle(2, mode, exact=False, seed=42, draws=1).contains(rel * rel)
+    assert len(json.loads(path.read_text())["rows"]) > 1
 
 
 def test_concurrent_queries_share_one_basis():
