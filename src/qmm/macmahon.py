@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .free_algebra import NCPoly, TruncSeries
@@ -291,6 +292,20 @@ def _char_poly_of_identity_minus_tz(entries) -> list[Fraction]:
     return coeffs
 
 
+@lru_cache(maxsize=8)
+def _classical_g_coefficients(n: int, degree: int) -> tuple:
+    """For each l <= degree, the G(m) over |m| = l with every q_ij = 1.
+
+    They depend only on (n, degree), so every matrix checked at that size
+    shares them and pays only for their evaluation.
+    """
+    mode = ParamMode.numeric(n, {(i, j): Fraction(1) for i in range(1, n + 1) for j in range(i + 1, n + 1)})
+    space = QuantumSpace(n, mode)
+    return tuple(
+        tuple(g_coefficient(space, m) for m in space.affine_basis(l)) for l in range(degree + 1)
+    )
+
+
 def classical_check(entries, degree: int) -> bool:
     """MacMahon's original identity for a commutative rational matrix:
     sum_l (sum_{|m|=l} G(m)(Z)) t^l times det(I - tZ) is 1 + O(t^{degree+1}).
@@ -304,13 +319,11 @@ def classical_check(entries, degree: int) -> bool:
         raise ValueError("need a square matrix")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    mode = ParamMode.numeric(n, {(i, j): Fraction(1) for i in range(1, n + 1) for j in range(i + 1, n + 1)})
-    space = QuantumSpace(n, mode)
     gsums = []
-    for l in range(degree + 1):
+    for gs in _classical_g_coefficients(n, degree):
         total = Fraction(0)
-        for m in space.affine_basis(l):
-            total += evaluate_z_poly(g_coefficient(space, m), entries)
+        for g in gs:
+            total += evaluate_z_poly(g, entries)
         gsums.append(total)
     det = _char_poly_of_identity_minus_tz(entries)
     for k in range(degree + 1):

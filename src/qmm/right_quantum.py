@@ -9,26 +9,35 @@ and the cross relations
     q_ij z_i^k z_j^l - q_kl z_j^l z_i^k = z_j^k z_i^l - q_kl q_ij z_i^l z_j^k
                                               (i < j, k < l).
 
-B has no known confluent rewriting system, so "p = 0 in B" is decided one
-degree at a time by linear algebra: the degree-d component of the two-sided
-ideal is spanned by u*r*v over words u, v with |u| + |v| = d - 2, and
-membership is reduction against a row-reduced form of that span.  Two
-accelerations keep this desk-scale:
+B has no known confluent rewriting system, so "p = 0 in B" is decided by
+linear algebra: the ideal is spanned by u*r*v over words u, v and relations
+r, and membership is reduction against a row-reduced form of that span.
+Three facts keep this desk-scale:
 
+* every relation is homogeneous for the Z^n x Z^n grading of a word by its
+  block, the pair (lower-index counts, upper-index counts); this is the torus
+  action behind the twisted identity.  The ideal is therefore the direct sum
+  of its blocks, and p is a member exactly when each block component of p
+  is.  Only the blocks a query touches are built, each over its own words
+  (the distinct pairings of the arrangements of the lower multiset with the
+  arrangements of the upper multiset);
 * a greedy rewrite pass with the column relations (oriented to sort equal
-  upper indices by lower index) is confluent and projects both the query and
-  the spanning rows onto column-sorted words, killing every column row
-  outright;
+  upper indices by lower index) is confluent, keeps blocks, and projects both
+  the query and the spanning rows onto column-sorted words.  It kills every
+  u*r*v with a column relation r, so a block's rows are generated from the
+  cross relations alone: for each word w of the block and each position p
+  where w[p:p+2] is the leading word z_i^k z_j^l (i < j, k < l) of a cross
+  relation r, the row w[:p]*r*w[p+2:].  Each such u*r*v arises exactly once;
 * one sparse fraction-free echelon core does the elimination.  By default
   the parameters are specialized to random distinct odd primes, each row is
   cleared of denominators, and the core runs over Z; membership is declared
   only when every draw agrees.  The ``exact`` flag keeps the Laurent
-  coefficients and runs the same core over the Laurent ring itself, feasible
-  at small n and degree and used as ground truth.
+  coefficients and runs the same core over the Laurent ring itself, used as
+  ground truth.
 
-Bases are cached per (mode, degree, specialization) and, when QMM_CACHE_DIR
-is set, persisted as versioned JSON with a checksum of the rows; a file whose
-key or checksum does not match is rebuilt.
+Bases are cached per (mode, degree, specialization, block) and, when
+QMM_CACHE_DIR is set, persisted as versioned JSON with a checksum of the rows;
+a file whose key or checksum does not match is rebuilt.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ import threading
 from bisect import bisect_left, insort
 from fractions import Fraction
 from hashlib import sha256
-from itertools import permutations, product
+from itertools import permutations
 from random import Random
 
 from .free_algebra import Alphabet, NCPoly, Word, word_rank
@@ -50,7 +59,7 @@ from .quantum_spaces import QuantumSpace
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                59, 61, 67, 71, 73, 79, 83, 89, 97)
 
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 _CACHE_ENV = "QMM_CACHE_DIR"
 
 
@@ -112,6 +121,36 @@ def column_reduce(p: NCPoly) -> NCPoly:
         else:
             terms[key] = acc
     return NCPoly(p.alphabet, mode, terms)
+
+
+def word_block(word: Word, n: int) -> tuple:
+    """The block of a z-word: (lower-index counts, upper-index counts), a
+    pair of n-tuples.  Every relation of B is homogeneous for it."""
+    lower, upper = [0] * n, [0] * n
+    for letter in word:
+        lower[letter // n] += 1
+        upper[letter % n] += 1
+    return tuple(lower), tuple(upper)
+
+
+def _arrangements(counts: tuple):
+    """Every sequence holding counts[i] copies of i, each exactly once, in
+    lexicographic order."""
+    if not any(counts):
+        yield ()
+        return
+    for i, c in enumerate(counts):
+        if c:
+            rest = counts[:i] + (c - 1,) + counts[i + 1:]
+            for tail in _arrangements(rest):
+                yield (i,) + tail
+
+
+def block_words(n: int, block: tuple) -> list[Word]:
+    """The words of a block, each once."""
+    lower, upper = block
+    uppers = list(_arrangements(upper))
+    return [bytes(i * n + j for i, j in zip(lo, up)) for lo in _arrangements(lower) for up in uppers]
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +275,9 @@ class _Echelon:
                 if q in row:
                     self._eliminate(row, self.rows[q], q)
             self._strip(row)
+            # a fresh dict: the table the row grew during elimination keeps
+            # its slack, and hundreds of block bases stay cached
+            self.rows[self.pivots[idx]] = {k: row[k] for k in row}
 
     def to_jsonable(self):
         return [
@@ -350,7 +392,7 @@ class IdealOracle:
     """Graded membership oracle for the two-sided relation ideal of B.
 
     One oracle fixes the decision policy (exact-symbolic, or agreement across
-    ``draws`` rational specializations derived from ``seed``); per-degree
+    ``draws`` rational specializations derived from ``seed``); per-block
     bases are built lazily, cached in memory, and optionally persisted.
     ``assignments`` holds one ``to_vector`` assignment per basis a query must
     pass: ``[None]`` over the Laurent ring, ``[{}]`` in numeric mode (no
@@ -373,20 +415,31 @@ class IdealOracle:
             self.assignments = [None]
         else:
             self.assignments = specialization_draws(mode, draws, seed)
+        # built once per draw, so the hundreds of cached block keys share it
+        self._draw_keys = [
+            None if a is None else tuple((str(k), str(v)) for k, v in sorted(a.items()))
+            for a in self.assignments
+        ]
         self.relations = build_relations(n, mode)
+        # each cross relation by its leading word z_i^k z_j^l (i < j, k < l),
+        # the one term of any relation whose lower and upper indices both rise
+        self._cross = {
+            w: rel
+            for rel in self.relations
+            for w in rel.terms
+            if w[0] // n < w[1] // n and w[0] % n < w[1] % n
+        }
 
     # -- basis construction ------------------------------------------------------
 
-    def _key(self, degree: int, draw: int):
-        assignment = self.assignments[draw]
-        if assignment is not None:
-            assignment = tuple((str(k), str(v)) for k, v in sorted(assignment.items()))
-        return (_CACHE_VERSION, self.n, self.mode.cache_key(), degree, assignment)
+    def _key(self, degree: int, draw: int, block: tuple):
+        return (_CACHE_VERSION, self.n, self.mode.cache_key(), degree, self._draw_keys[draw], block)
 
-    def basis(self, degree: int, draw: int):
-        """The finalized echelon basis of the degree-``degree`` ideal
-        component under ``assignments[draw]``."""
-        key = self._key(degree, draw)
+    def basis(self, degree: int, draw: int, block: tuple):
+        """The finalized echelon basis of the ideal's component in ``block``
+        (a ``word_block`` key of total degree ``degree``) under
+        ``assignments[draw]``."""
+        key = self._key(degree, draw, block)
         with self._lock:
             cached = self._memory_cache.get(key)
             if cached is not None:
@@ -400,37 +453,28 @@ class IdealOracle:
                 return cached
             basis = _load_persistent(self.mode, key)
             if basis is None:
-                basis = self._build(degree, self.assignments[draw])
+                basis = self._build(degree, self.assignments[draw], block)
                 _save_persistent(key, basis)
             with self._lock:
                 self._memory_cache[key] = basis
                 self._build_locks.pop(key, None)
         return basis
 
-    def _build(self, degree: int, assignment):
+    def _build(self, degree: int, assignment, block: tuple):
         size = self.z.size
         basis = new_echelon(assignment)
-        for left_len in range(degree - 1):
-            right_len = degree - 2 - left_len
-            for u in product(range(size), repeat=left_len):
-                ub = bytes(u)
-                for rel in self.relations:
-                    for v in product(range(size), repeat=right_len):
-                        vb = bytes(v)
-                        row = NCPoly(
-                            self.z,
-                            self.mode,
-                            {ub + w + vb: c for w, c in rel.terms.items()},
-                        )
-                        vec = to_vector(self._indexed(column_reduce(row)), assignment)
-                        if vec:
-                            basis.insert(vec)
+        for word in block_words(self.n, block):
+            for pos in range(degree - 1):
+                rel = self._cross.get(word[pos:pos + 2])
+                if rel is None:
+                    continue
+                u, v = word[:pos], word[pos + 2:]
+                row = column_reduce(NCPoly(self.z, self.mode, {u + w + v: c for w, c in rel.terms.items()}))
+                vec = to_vector([(word_rank(w, size), c) for w, c in row.terms.items()], assignment)
+                if vec:
+                    basis.insert(vec)
         basis.finalize()
         return basis
-
-    def _indexed(self, p: NCPoly) -> list:
-        size = self.z.size
-        return [(word_rank(w, size), c) for w, c in p.terms.items()]
 
     # -- membership -----------------------------------------------------------------
 
@@ -445,19 +489,22 @@ class IdealOracle:
         return d
 
     def contains(self, p: NCPoly) -> bool:
-        """Whether p vanishes in B, i.e. lies in the degree-|p| component of
-        the relation ideal.  Nonzero inputs below degree 2 are never members."""
+        """Whether p vanishes in B, i.e. every block component of p lies in
+        that block of the relation ideal.  Nonzero inputs below degree 2 are
+        never members."""
         d = self._checked_degree(p)
         if p.is_zero():
             return True
         if d < 2:
             return False
         p = column_reduce(p)
-        if p.is_zero():
-            return True
-        pairs = self._indexed(p)
+        n, size = self.n, self.z.size
+        parts: dict = {}
+        for w, c in p.terms.items():
+            parts.setdefault(word_block(w, n), []).append((word_rank(w, size), c))
         return all(
-            self.basis(d, i).contains(to_vector(pairs, a))
+            self.basis(d, i, block).contains(to_vector(pairs, a))
+            for block, pairs in parts.items()
             for i, a in enumerate(self.assignments)
         )
 
@@ -465,10 +512,12 @@ class IdealOracle:
         """Membership in ideal(x)B + B(x)ideal for an element of B(x)B whose
         tensor legs are homogeneous of one common degree.
 
-        Reduce every right-word column by the ideal basis on the left leg;
-        what survives has left coordinates in a complement of the ideal, so
-        the whole element is a member iff each surviving left coordinate's
-        right vector is itself a member.
+        That subspace is the direct sum over (left block, right block) of
+        ideal_A (x) B_B + B_A (x) ideal_B, so each block-pair component is
+        checked on its own: reduce every right-word column by the left
+        block's basis; what survives has left coordinates in a complement of
+        the ideal, so the component is a member iff each surviving left
+        coordinate's right vector is a member of the right block.
         """
         if tp.is_zero():
             return True
@@ -479,27 +528,29 @@ class IdealOracle:
         if d < 2:
             return False
         tp = tp.column_reduce()
-        if tp.is_zero():
-            return True
-        size = self.z.size
-        pairs = [
-            ((word_rank(wr, size), word_rank(wl, size)), c) for (wl, wr), c in tp.terms.items()
-        ]
+        n, size = self.n, self.z.size
+        parts: dict = {}
+        for (wl, wr), c in tp.terms.items():
+            parts.setdefault((word_block(wl, n), word_block(wr, n)), []).append(
+                ((word_rank(wr, size), word_rank(wl, size)), c)
+            )
         return all(
-            _tensor_member(self.basis(d, i), to_vector(pairs, a))
+            _tensor_member(self.basis(d, i, left), self.basis(d, i, right), to_vector(pairs, a))
+            for (left, right), pairs in parts.items()
             for i, a in enumerate(self.assignments)
         )
 
 
-def _tensor_member(basis, vec: dict) -> bool:
-    """``contains_tensor`` for one basis; ``vec`` maps (right index, left
+def _tensor_member(left, right, vec: dict) -> bool:
+    """``contains_tensor`` for one block pair, with ``left`` and ``right``
+    the bases of the two legs' blocks; ``vec`` maps (right index, left
     index) to a coefficient."""
     columns: dict = {}
     for (ridx, lidx), c in vec.items():
         columns.setdefault(ridx, {})[lidx] = c
     reduced = {}
     for ridx, col in columns.items():
-        rem, mult = basis.reduce(col, strip=False)
+        rem, mult = left.reduce(col, strip=False)
         if rem:
             reduced[ridx] = rem, mult
     # reduce() scaled column r by its multiplier m_r; scaling it further by
@@ -513,7 +564,7 @@ def _tensor_member(basis, vec: dict) -> bool:
                 scale = scale * mult
         for lidx, c in rem.items():
             rows.setdefault(lidx, {})[ridx] = c * scale
-    return all(basis.contains(rvec) for rvec in rows.values())
+    return all(right.contains(rvec) for rvec in rows.values())
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,9 @@ def test_criterion_01_master_identity():
     ok &= verify_master(sp3, 4, IdealOracle(3, mode3, exact=False, seed=0, draws=3))["pass"]
 
     ok &= verify_master(sp2, 4, IdealOracle(2, mode2, exact=True))["pass"]
+    ok &= verify_master(sp3, 5, IdealOracle(3, mode3, exact=True))["pass"]
+    mode4 = ParamMode.multi(4)
+    ok &= verify_master(QuantumSpace(4, mode4), 4, IdealOracle(4, mode4, exact=True))["pass"]
 
     elapsed = time.monotonic() - start
     ok &= elapsed < 300
@@ -193,11 +196,13 @@ def test_criterion_11_performance_bounds():
     IdealOracle._memory_cache.clear()
     mode = ParamMode.multi(3)
     oracle = IdealOracle(3, mode, exact=False, seed=0, draws=3)
+    comps = [c for c in product(range(5), repeat=3) if sum(c) == 4]
+    blocks = [(lower, upper) for lower in comps for upper in comps]
     start = time.monotonic()
-    for draw in range(3):
-        oracle.basis(4, draw)
+    ranks = [sum(oracle.basis(4, draw, block).rank for block in blocks) for draw in range(3)]
     build_time = time.monotonic() - start
-    ok = build_time < 60
+    # every degree-4 block, and together the rank of the whole degree-4 ideal
+    ok = len(blocks) == 225 and ranks == [1818] * 3 and build_time < 60
 
     sp = QuantumSpace(3, mode)
     residual = (bos_series(sp, 4).body * ferm_series(sp, 4).body)[4]

@@ -25,7 +25,16 @@ from qmm import (
     specialization_draws,
 )
 from qmm.free_algebra import word_rank
-from qmm.right_quantum import IntEchelon, SymbolicEchelon, to_vector
+from qmm.right_quantum import IntEchelon, SymbolicEchelon, block_words, to_vector, word_block
+
+# the n=2 degree-3 block of z11 z11 z22: lower and upper counts both (2, 1)
+BLOCK_211 = ((2, 1), (2, 1))
+
+
+def blocks(n, degree):
+    """Every block of the given degree: pairs of n-part compositions."""
+    comps = [c for c in product(range(degree + 1), repeat=n) if sum(c) == degree]
+    return [(lower, upper) for lower in comps for upper in comps]
 
 
 def brute_member(p, n, mode, assignment):
@@ -345,10 +354,11 @@ def test_reduce_without_strip_keeps_the_multiplier(exact):
     sp = QuantumSpace(2, mode)
     z = sp.z_gen
     oracle = IdealOracle(2, mode, exact=exact, seed=8, draws=1)
-    basis = oracle.basis(3, 0)
+    basis = oracle.basis(3, 0, BLOCK_211)
     assert isinstance(basis, SymbolicEchelon if exact else IntEchelon)
     rels = build_relations(2, mode)
-    p = z(1, 1) * z(1, 1) * z(2, 2) + z(1, 1) * rels[2] + (z(1, 2) * z(2, 1) * z(2, 2)).scale(2)
+    p = z(1, 1) * z(1, 1) * z(2, 2) + z(1, 1) * rels[2] + (z(1, 2) * z(2, 1) * z(1, 1)).scale(2)
+    assert {word_block(w, 2) for w in p.terms} == {BLOCK_211}
     vec = to_vector([(word_rank(w, 4), c) for w, c in column_reduce(p).terms.items()],
                     oracle.assignments[0])
     remainder, multiplier = basis.reduce(dict(vec), strip=False)
@@ -402,7 +412,8 @@ def test_reduced_echelon_invariant():
     # every pivot column appears in exactly one basis row
     mode = ParamMode.multi(2)
     oracle = IdealOracle(2, mode, exact=False, seed=0, draws=1)
-    basis = oracle.basis(3, 0)
+    basis = oracle.basis(3, 0, BLOCK_211)
+    assert basis.rank > 1
     for p in basis.pivots:
         for other, row in basis.rows.items():
             if other != p:
@@ -414,11 +425,11 @@ def test_basis_cache_roundtrip(tmp_path, monkeypatch):
     mode = ParamMode.multi(2)
     IdealOracle._memory_cache.clear()
     oracle = IdealOracle(2, mode, exact=False, seed=42, draws=1)
-    first = oracle.basis(3, 0)
+    first = oracle.basis(3, 0, BLOCK_211)
     files = list(tmp_path.iterdir())
     assert files
     IdealOracle._memory_cache.clear()
-    again = IdealOracle(2, mode, exact=False, seed=42, draws=1).basis(3, 0)
+    again = IdealOracle(2, mode, exact=False, seed=42, draws=1).basis(3, 0, BLOCK_211)
     assert again.pivots == first.pivots
     assert again.rows == first.rows
 
@@ -453,3 +464,77 @@ def test_concurrent_queries_share_one_basis():
         t.join()
     assert results == [True] * 8
     assert not IdealOracle._build_locks
+
+
+def test_block_words_partition_each_degree():
+    for n, degree in ((2, 3), (3, 2)):
+        seen = []
+        for block in blocks(n, degree):
+            words = block_words(n, block)
+            assert len(words) == len(set(words))
+            assert all(word_block(w, n) == block for w in words)
+            seen += words
+        assert sorted(seen) == [bytes(w) for w in product(range(n * n), repeat=degree)]
+
+
+@pytest.mark.parametrize(
+    "n, degree, exact, rank",
+    [(2, 3, False, 8), (2, 4, False, 43), (2, 5, False, 196), (3, 3, False, 155),
+     (3, 4, False, 1818), (2, 4, True, 43), (3, 3, True, 155)],
+)
+def test_block_ranks_sum_to_the_global_rank(n, degree, exact, rank):
+    # the rank of the whole degree-d ideal, as eliminated over all n^(2d)
+    # words at once with every relation (column ones included) as generator
+    oracle = IdealOracle(n, ParamMode.multi(n), exact=exact, seed=0, draws=1)
+    assert sum(oracle.basis(degree, 0, block).rank for block in blocks(n, degree)) == rank
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_member_block_does_not_hide_another_block(exact):
+    mode = ParamMode.multi(3)
+    sp = QuantumSpace(3, mode)
+    oracle = IdealOracle(3, mode, exact=exact, seed=5, draws=3)
+    from qmm import bos_series, ferm_series
+
+    residual = (bos_series(sp, 3).body * ferm_series(sp, 3).body)[3]
+    assert oracle.contains(residual)
+    word = NCPoly.monomial(sp.z, mode, sp.z.z_word([(1, 2), (1, 2), (3, 3)]))
+    assert column_reduce(word) == word
+    (block,) = {word_block(w, 3) for w in word.terms}
+    assert block[0] != block[1]
+    assert block not in {word_block(w, 3) for w in residual.terms}
+    assert not oracle.contains(residual + word)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_member_block_pair_does_not_hide_another_pair(exact):
+    # a member spread over block pairs whose legs differ; its c (x) r part
+    # survives the left leg, so only the right block's basis clears it.  A
+    # non-member in a pair the member does not touch must still fail.
+    mode = ParamMode.multi(2)
+    sp = QuantumSpace(2, mode)
+    oracle = IdealOracle(2, mode, exact=exact, seed=6, draws=3)
+    rel = build_relations(2, mode)[2]
+    c = NCPoly.monomial(sp.z, mode, sp.z.z_word([(1, 1), (1, 2)]))
+    member = comultiply(rel) + TensorPoly.outer(c, rel)
+    pairs = {(word_block(wl, 2), word_block(wr, 2)) for wl, wr in member.terms}
+    assert any(left != right for left, right in pairs)
+    assert oracle.contains_tensor(member)
+    b = NCPoly.monomial(sp.z, mode, sp.z.z_word([(1, 1), (2, 1)]))
+    other = TensorPoly.outer(c, b)
+    assert other.column_reduce() == other
+    assert (word_block(*c.terms, 2), word_block(*b.terms, 2)) not in pairs
+    assert not oracle.contains_tensor(member + other)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_master_residual_touches_only_diagonal_blocks(exact):
+    from qmm import bos_series, ferm_series
+
+    mode = ParamMode.multi(3)
+    sp = QuantumSpace(3, mode)
+    residual = (bos_series(sp, 4).body * ferm_series(sp, 4).body)[4]
+    IdealOracle._memory_cache.clear()
+    assert IdealOracle(3, mode, exact=exact, seed=2, draws=3).contains(residual)
+    built = [key[-1] for key in IdealOracle._memory_cache]
+    assert built and all(lower == upper for lower, upper in built)
