@@ -31,7 +31,7 @@ from .macmahon import (
 )
 from .param_ring import ParamMode
 from .quantum_spaces import QuantumSpace
-from .right_quantum import IdealOracle, QMatrix, qdet, specialization_draws
+from .right_quantum import IdealOracle, QMatrix, qdet, verdict_rings
 
 MAX_N = 16  # z-letters are stored one per byte, and there are n^2 of them
 
@@ -54,11 +54,10 @@ def _check_ranges(args) -> None:
 def _check_draws(args, mode: ParamMode) -> None:
     """A specialized run needs --seeds >= 1 draws of distinct primes, one per
     parameter; reject what cannot be drawn before any work starts."""
-    if args.mode == "specialize" and mode.kind != "numeric":
-        try:
-            specialization_draws(mode, args.seeds, args.seed)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    try:
+        verdict_rings(mode, args.mode == "exact", args.seed, args.seeds)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_q_assignment(n: int, text: str) -> dict:

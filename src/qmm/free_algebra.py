@@ -9,10 +9,16 @@ follow the canonical order x_1 < ... < x_n and z_1^1 < z_1^2 < ... < z_n^n
 is exactly the canonical word order and ``(len(w), w)`` sorts degree-
 lexicographically.
 
-Everything here is a pure value; no operation mutates its inputs.
+``LinearCombination`` is the one linear-combination type: its arithmetic,
+alphabet/mode check and product loop serve both ``NCPoly`` (words) and
+``right_quantum.TensorPoly`` (pairs of words), which differ only in how a
+product joins two keys.  Everything here is a pure value; no operation
+mutates its inputs.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .param_ring import ModeMismatchError, ParamMode, ParamScalar
 
@@ -99,11 +105,12 @@ def word_rank(word: Word, size: int) -> int:
     return r
 
 
-class NCPoly:
-    """Finitely supported map from words to nonzero scalars.
+class LinearCombination:
+    """Finitely supported map from keys to nonzero scalars, over one alphabet
+    and one parameter mode.
 
-    The free-algebra element Sum_w terms[w] * w.  Zero coefficients are never
-    stored, so dict equality is algebra equality.
+    A subclass fixes the keys and ``_join``, the product of two keys.  Zero
+    coefficients are never stored, so dict equality is algebra equality.
     """
 
     __slots__ = ("alphabet", "mode", "terms")
@@ -113,11 +120,92 @@ class NCPoly:
         self.mode = mode
         self.terms = terms
 
-    # -- constructors -----------------------------------------------------------
-
     @classmethod
-    def zero(cls, alphabet: Alphabet, mode: ParamMode) -> "NCPoly":
+    def zero(cls, alphabet: Alphabet, mode: ParamMode):
         return cls(alphabet, mode, {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def support_size(self) -> int:
+        return len(self.terms)
+
+    def _check(self, other: "LinearCombination"):
+        if self.alphabet != other.alphabet:
+            raise ModeMismatchError("polynomials over different alphabets")
+        if self.mode != other.mode:
+            raise ModeMismatchError("polynomials over different parameter modes")
+
+    # -- arithmetic -----------------------------------------------------------------
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for w, c in other.terms.items():
+            s = terms.get(w)
+            s = c if s is None else s + c
+            if s.is_zero():
+                terms.pop(w, None)
+            else:
+                terms[w] = s
+        return type(self)(self.alphabet, self.mode, terms)
+
+    def __neg__(self):
+        return type(self)(self.alphabet, self.mode, {w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self.__add__(other.__neg__())
+
+    def scale(self, coeff):
+        coeff = self.mode.scalar(coeff) if not isinstance(coeff, ParamScalar) else coeff
+        if coeff.is_zero():
+            return type(self)(self.alphabet, self.mode, {})
+        if coeff.is_one():
+            return self
+        return type(self)(self.alphabet, self.mode, {w: c * coeff for w, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (ParamScalar, int)):
+            return self.scale(other)
+        self._check(other)
+        join = self._join
+        out: dict = {}
+        for wa, ca in self.terms.items():
+            for wb, cb in other.terms.items():
+                w = join(wa, wb)
+                c = ca * cb
+                s = out.get(w)
+                s = c if s is None else s + c
+                if s.is_zero():
+                    out.pop(w, None)
+                else:
+                    out[w] = s
+        return type(self)(self.alphabet, self.mode, out)
+
+    def __rmul__(self, other):
+        if isinstance(other, (ParamScalar, int)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.alphabet == other.alphabet
+            and self.mode == other.mode
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.alphabet, frozenset((w, hash(c)) for w, c in self.terms.items())))
+
+
+class NCPoly(LinearCombination):
+    """The free-algebra element Sum_w terms[w] * w; keys are words."""
+
+    __slots__ = ()
+
+    # a C function, so the product loop pays no Python-level call per term
+    _join = staticmethod(operator.concat)
 
     @classmethod
     def one(cls, alphabet: Alphabet, mode: ParamMode) -> "NCPoly":
@@ -129,14 +217,6 @@ class NCPoly:
         if coeff.is_zero():
             return cls(alphabet, mode, {})
         return cls(alphabet, mode, {bytes(word): coeff})
-
-    # -- structure ---------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support_size(self) -> int:
-        return len(self.terms)
 
     def homogeneous_degree(self):
         """Common word length of the support, or None if mixed (0 for the zero poly)."""
@@ -152,73 +232,6 @@ class NCPoly:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def _check(self, other: "NCPoly"):
-        if self.alphabet != other.alphabet:
-            raise ModeMismatchError("polynomials over different alphabets")
-        if self.mode != other.mode:
-            raise ModeMismatchError("polynomials over different parameter modes")
-
-    # -- arithmetic -----------------------------------------------------------------
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return NCPoly(self.alphabet, self.mode, terms)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(self.alphabet, self.mode, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self.__add__(other.__neg__())
-
-    def scale(self, coeff) -> "NCPoly":
-        coeff = self.mode.scalar(coeff) if not isinstance(coeff, ParamScalar) else coeff
-        if coeff.is_zero():
-            return NCPoly(self.alphabet, self.mode, {})
-        if coeff.is_one():
-            return self
-        return NCPoly(self.alphabet, self.mode, {w: c * coeff for w, c in self.terms.items()})
-
-    def __mul__(self, other) -> "NCPoly":
-        if isinstance(other, (ParamScalar, int)):
-            return self.scale(other)
-        self._check(other)
-        out: dict = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = wa + wb
-                c = ca * cb
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return NCPoly(self.alphabet, self.mode, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (ParamScalar, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NCPoly)
-            and self.alphabet == other.alphabet
-            and self.mode == other.mode
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet, frozenset((w, hash(c)) for w, c in self.terms.items())))
 
     # -- presentation ------------------------------------------------------------------
 

@@ -28,7 +28,7 @@ from itertools import combinations
 from .free_algebra import NCPoly
 from .param_ring import ParamMode, ParamScalar
 from .quantum_spaces import QuantumSpace
-from .right_quantum import IdealOracle, new_echelon, specialization_draws, to_vector
+from .right_quantum import IdealOracle, new_echelon, to_vector, verdict_rings
 
 
 class WedgeDecompositionError(RuntimeError):
@@ -122,19 +122,26 @@ def build_complex(n: int, ell: int, mode: ParamMode) -> KoszulComplex:
 
 
 def composites_vanish(complex: KoszulComplex) -> bool:
-    """d o d = 0 as an exact identity over the coefficient ring."""
+    """d o d = 0 as an exact identity over the coefficient ring.
+
+    The differentials are sparse, so each row of d_i meets only the nonzero
+    entries of the rows of d_{i-1} its own nonzero entries select.  The maps
+    are read as they stand, never from a cached copy.
+    """
+    zero = complex.mode.zero()
     for i in range(2, complex.ell + 1):
-        a, b = complex.maps[i], complex.maps[i - 1]
-        if not b or not b[0]:
-            continue
-        rows, mid, cols = len(a), len(b), len(b[0])
-        for r in range(rows):
-            for c in range(cols):
-                acc = complex.mode.zero()
-                for k in range(mid):
-                    acc = acc + a[r][k] * b[k][c]
-                if not acc.is_zero():
-                    return False
+        lower = [
+            [(c, x) for c, x in enumerate(row) if not x.is_zero()] for row in complex.maps[i - 1]
+        ]
+        for row in complex.maps[i]:
+            acc: dict = {}
+            for k, a in enumerate(row):
+                if a.is_zero():
+                    continue
+                for c, b in lower[k]:
+                    acc[c] = acc.get(c, zero) + a * b
+            if any(not v.is_zero() for v in acc.values()):
+                return False
     return True
 
 
@@ -209,14 +216,8 @@ def check_exactness(
     agree.
     """
     dims = complex.dims
-    mode = complex.mode
-    if mode.kind == "numeric":
-        assignments, mode_str, seed_used = [{}], "exact", None
-    elif exact:
-        assignments, mode_str, seed_used = [None], "exact", None
-    else:
-        assignments = specialization_draws(mode, draws, seed)
-        mode_str, seed_used = f"specialize(draws={draws})", seed
+    exact, assignments = verdict_rings(complex.mode, exact, seed, draws)
+    mode_str, seed_used = ("exact", None) if exact else (f"specialize(draws={draws})", seed)
     per_draw = [
         [_rank(complex.maps[i], a) for i in range(1, complex.ell + 1)] for a in assignments
     ]

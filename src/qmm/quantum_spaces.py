@@ -107,16 +107,11 @@ class QuantumSpace:
         and each swap of a descending adjacent pair x^l x^k (k < l) costs
         -q_kl^{-1}.  The result is supported on one strictly increasing word
         (or is zero)."""
-        letters = list(bytes(word))
+        letters = bytes(word)
         if len(set(letters)) != len(letters):
             return NCPoly.zero(self.x, self.mode)
-        coeff = self.mode.one()
-        for p in range(len(letters)):
-            for r in range(p + 1, len(letters)):
-                if letters[p] > letters[r]:
-                    k, l = letters[r] + 1, letters[p] + 1
-                    coeff = coeff * (-self.mode.q(k, l)).inv()
-        return NCPoly.monomial(self.x, self.mode, bytes(sorted(letters)), coeff)
+        weight = self._exterior_weight([c + 1 for c in letters])
+        return NCPoly.monomial(self.x, self.mode, bytes(sorted(letters)), weight)
 
     def exterior_relation_generators(self) -> list[NCPoly]:
         """The n squares and C(n,2) q-anticommutators spanning the degree-2
@@ -133,20 +128,23 @@ class QuantumSpace:
 
     # -- wedge basis -----------------------------------------------------------------
 
-    def inversion_weight(self, subset, pi) -> ParamScalar:
-        """w(pi) for pi a permutation of positions 0..m-1 of ``subset``.
+    def _exterior_weight(self, indices) -> ParamScalar:
+        """One factor (-q_ab)^{-1} per inversion of a sequence of distinct
+        indices, with a < b the two inverted values."""
+        w = self.mode.one()
+        for p, b in enumerate(indices):
+            for a in indices[p + 1:]:
+                if b > a:
+                    w = w * (-self.mode.q(a, b)).inv()
+        return w
 
-        One factor (-q_ab)^{-1} per inversion, with (a, b) the subset elements
-        at the inverted positions (a < b always, since the subset increases).
+    def inversion_weight(self, subset, pi) -> ParamScalar:
+        """w(pi) for pi a permutation of positions 0..m-1 of ``subset``: the
+        exterior weight of the word J o pi, so each inversion contributes the
+        subset elements it swaps (a < b always, since the subset increases).
         """
         J = tuple(subset)
-        w = self.mode.one()
-        for a in range(len(J)):
-            for b in range(a + 1, len(J)):
-                if pi[a] > pi[b]:
-                    i, j = J[pi[b]], J[pi[a]]
-                    w = w * (-self.mode.q(i, j)).inv()
-        return w
+        return self._exterior_weight([J[p] for p in pi])
 
     def wedge_expand(self, subset) -> WedgeElement:
         """The wedge basis vector for a nonempty subset of {1..n}."""

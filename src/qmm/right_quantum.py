@@ -52,7 +52,7 @@ from hashlib import sha256
 from itertools import permutations
 from random import Random
 
-from .free_algebra import Alphabet, NCPoly, Word, word_rank
+from .free_algebra import Alphabet, LinearCombination, NCPoly, Word, word_rank
 from .param_ring import ParamMode, ParamScalar
 from .quantum_spaces import QuantumSpace
 
@@ -384,6 +384,18 @@ def specialization_draws(mode: ParamMode, count: int, seed: int) -> list[dict]:
     return draws
 
 
+def verdict_rings(mode: ParamMode, exact: bool, seed: int, draws: int) -> tuple[bool, list]:
+    """Where a verdict is computed: (whether it is exact, one ``to_vector``
+    assignment per run it must pass).  Numeric mode has no symbols left, so
+    one exact run over Q (``[{}]``); ``exact`` runs once over the Laurent
+    ring (``[None]``); otherwise every specialization draw must agree."""
+    if mode.kind == "numeric":
+        return True, [{}]
+    if exact:
+        return True, [None]
+    return False, specialization_draws(mode, draws, seed)
+
+
 # ---------------------------------------------------------------------------
 # the membership oracle
 
@@ -395,8 +407,7 @@ class IdealOracle:
     ``draws`` rational specializations derived from ``seed``); per-block
     bases are built lazily, cached in memory, and optionally persisted.
     ``assignments`` holds one ``to_vector`` assignment per basis a query must
-    pass: ``[None]`` over the Laurent ring, ``[{}]`` in numeric mode (no
-    symbols left, so a single exact run), else the specialization draws.
+    pass, as ``verdict_rings`` decides.
     """
 
     _memory_cache: dict = {}
@@ -407,14 +418,8 @@ class IdealOracle:
         self.n = n
         self.mode = mode
         self.z = Alphabet("z", n)
-        self.exact = bool(exact) or mode.kind == "numeric"
         self.seed = seed
-        if mode.kind == "numeric":
-            self.assignments = [{}]
-        elif self.exact:
-            self.assignments = [None]
-        else:
-            self.assignments = specialization_draws(mode, draws, seed)
+        self.exact, self.assignments = verdict_rings(mode, exact, seed, draws)
         # built once per draw, so the hundreds of cached block keys share it
         self._draw_keys = [
             None if a is None else tuple((str(k), str(v)) for k, v in sorted(a.items()))
@@ -478,7 +483,9 @@ class IdealOracle:
 
     # -- membership -----------------------------------------------------------------
 
-    def _checked_degree(self, p: NCPoly):
+    def _checked_degree(self, p: LinearCombination):
+        """The degree of a query, an NCPoly or a TensorPoly: it must be over
+        this oracle's alphabet and mode, and homogeneous."""
         if p.alphabet != self.z:
             raise ValueError("membership expects a z-polynomial over this oracle's n")
         if p.mode != self.mode:
@@ -493,10 +500,8 @@ class IdealOracle:
         that block of the relation ideal.  Nonzero inputs below degree 2 are
         never members."""
         d = self._checked_degree(p)
-        if p.is_zero():
-            return True
         if d < 2:
-            return False
+            return p.is_zero()
         p = column_reduce(p)
         n, size = self.n, self.z.size
         parts: dict = {}
@@ -519,14 +524,9 @@ class IdealOracle:
         the ideal, so the component is a member iff each surviving left
         coordinate's right vector is a member of the right block.
         """
-        if tp.is_zero():
-            return True
-        degrees = {len(wl) for wl, _ in tp.terms} | {len(wr) for _, wr in tp.terms}
-        if len(degrees) != 1:
-            raise ValueError("tensor membership expects matching homogeneous legs")
-        d = degrees.pop()
+        d = self._checked_degree(tp)
         if d < 2:
-            return False
+            return tp.is_zero()
         tp = tp.column_reduce()
         n, size = self.n, self.z.size
         parts: dict = {}
@@ -669,7 +669,7 @@ def qdet(Z: QMatrix, subset=None):
         sum over pi of w(pi) z^{j_1}_{j_pi(1)} ... z^{j_m}_{j_pi(m)},
 
     sharing the J-mapped weight convention with the wedge basis.  Returns an
-    NCPoly for the generic matrix, a scalar otherwise.
+    NCPoly for the generic matrix, else the value of that NCPoly at Z.
     """
     n, mode = Z.n, Z.mode
     J = tuple(sorted(subset)) if subset is not None else tuple(range(1, n + 1))
@@ -677,60 +677,49 @@ def qdet(Z: QMatrix, subset=None):
         raise ValueError(f"need a nonempty subset of 1..{n}")
     space = QuantumSpace(n, mode)
     m = len(J)
-    if Z.is_generic:
-        z = Alphabet("z", n)
-        acc = NCPoly.zero(z, mode)
-        for pi in permutations(range(m)):
-            w = space.inversion_weight(J, pi)
-            word = z.z_word((J[pi[k]], J[k]) for k in range(m))
-            acc = acc + NCPoly.monomial(z, mode, word, w)
-        return acc
-    acc = mode.zero()
+    z = Alphabet("z", n)
+    acc = NCPoly.zero(z, mode)
     for pi in permutations(range(m)):
-        term = space.inversion_weight(J, pi)
-        for k in range(m):
-            term = term * Z.entry(J[pi[k]], J[k])
-        acc = acc + term
-    return acc
+        w = space.inversion_weight(J, pi)
+        word = z.z_word((J[pi[k]], J[k]) for k in range(m))
+        acc = acc + NCPoly.monomial(z, mode, word, w)
+    return acc if Z.is_generic else evaluate(acc, Z)
+
+
+def evaluate(p: NCPoly, M: QMatrix) -> ParamScalar:
+    """The value of a z-polynomial at a matrix with commuting entries:
+    z_i^j -> M[i][j]."""
+    z = p.alphabet
+    total = M.mode.zero()
+    for word, coeff in p.terms.items():
+        term = coeff
+        for letter in word:
+            i, j = z.z_indices(letter)
+            term = term * M.entry(i, j)
+        total = total + term
+    return total
 
 
 def is_right_quantum(M: QMatrix) -> bool:
     """Whether a matrix with commuting, zero-testable entries satisfies every
     column and cross relation (the generic matrix does by construction)."""
-    if M.is_generic:
-        return True
-    z = Alphabet("z", M.n)
-    for rel in build_relations(M.n, M.mode):
-        total = M.mode.zero()
-        for word, coeff in rel.terms.items():
-            term = coeff
-            for letter in word:
-                i, j = z.z_indices(letter)
-                term = term * M.entry(i, j)
-            total = total + term
-        if not total.is_zero():
-            return False
-    return True
+    return M.is_generic or all(evaluate(rel, M) == 0 for rel in build_relations(M.n, M.mode))
 
 
 # ---------------------------------------------------------------------------
 # comultiplication
 
 
-class TensorPoly:
-    """An element of B (x) B at the free level: scalar combinations of pairs
-    of z-words.  Multiplication is factorwise concatenation."""
+class TensorPoly(LinearCombination):
+    """An element of B (x) B at the free level: the same linear combinations
+    as ``NCPoly``, keyed by pairs of z-words.  Multiplication is factorwise
+    concatenation."""
 
-    __slots__ = ("alphabet", "mode", "terms")
+    __slots__ = ()
 
-    def __init__(self, alphabet: Alphabet, mode: ParamMode, terms: dict):
-        self.alphabet = alphabet
-        self.mode = mode
-        self.terms = terms
-
-    @classmethod
-    def zero(cls, alphabet: Alphabet, mode: ParamMode) -> "TensorPoly":
-        return cls(alphabet, mode, {})
+    @staticmethod
+    def _join(a: tuple, b: tuple) -> tuple:
+        return a[0] + b[0], a[1] + b[1]
 
     @classmethod
     def outer(cls, a: NCPoly, b: NCPoly) -> "TensorPoly":
@@ -740,45 +729,13 @@ class TensorPoly:
                 terms[(wa, wb)] = ca * cb
         return cls(a.alphabet, a.mode, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return TensorPoly(self.alphabet, self.mode, terms)
-
-    def __neg__(self) -> "TensorPoly":
-        return TensorPoly(self.alphabet, self.mode, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        return self.__add__(other.__neg__())
-
-    def __mul__(self, other: "TensorPoly") -> "TensorPoly":
-        out: dict = {}
-        for (la, ra), ca in self.terms.items():
-            for (lb, rb), cb in other.terms.items():
-                key = (la + lb, ra + rb)
-                c = ca * cb
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return TensorPoly(self.alphabet, self.mode, out)
-
-    def scale(self, coeff) -> "TensorPoly":
-        coeff = self.mode.scalar(coeff)
-        if coeff.is_zero():
-            return TensorPoly.zero(self.alphabet, self.mode)
-        return TensorPoly(self.alphabet, self.mode, {k: c * coeff for k, c in self.terms.items()})
+    def homogeneous_degree(self):
+        """The common word length of both legs over the support, or None if
+        the lengths differ (0 for the zero element)."""
+        degrees = {len(w) for key in self.terms for w in key}
+        if len(degrees) > 1:
+            return None
+        return degrees.pop() if degrees else 0
 
     def column_reduce(self) -> "TensorPoly":
         """Column rewriting on each tensor leg independently; both passes move
@@ -790,34 +747,18 @@ class TensorPoly:
             out = out + TensorPoly.outer(left, right)
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorPoly)
-            and self.alphabet == other.alphabet
-            and self.mode == other.mode
-            and self.terms == other.terms
-        )
-
 
 def comultiply(p: NCPoly) -> TensorPoly:
     """Delta applied letterwise, z_i^j -> sum_l z_i^l (x) z_l^j, and extended
     multiplicatively; the empty word maps to 1 (x) 1."""
-    n = p.alphabet.n
-    z = p.alphabet
-    out = TensorPoly.zero(z, p.mode)
+    z, mode = p.alphabet, p.mode
+    out = TensorPoly.zero(z, mode)
     for word, coeff in p.terms.items():
-        acc = TensorPoly(z, p.mode, {(b"", b""): p.mode.one()})
+        acc = TensorPoly(z, mode, {(b"", b""): mode.one()})
         for letter in word:
             i, j = z.z_indices(letter)
-            step = TensorPoly(
-                z,
-                p.mode,
-                {
-                    (bytes([z.z(i, l)]), bytes([z.z(l, j)])): p.mode.one()
-                    for l in range(1, n + 1)
-                },
-            )
-            acc = acc * step
+            pairs = ((bytes([z.z(i, l)]), bytes([z.z(l, j)])) for l in range(1, z.n + 1))
+            acc = acc * TensorPoly(z, mode, {pair: mode.one() for pair in pairs})
         out = out + acc.scale(coeff)
     return out
 

@@ -1,0 +1,32 @@
+"""Byte-identical CLI reports: the ``--output json`` stdout and exit code of
+fixed configurations, recorded by ``run`` below before the linear-combination
+refactor and kept in ``tests/data/golden_reports.json``.
+
+A refactor must leave every report unchanged; a change that means to alter a
+report rewrites its entry and says why.
+"""
+
+import io
+import json
+import os
+from contextlib import redirect_stdout
+
+import pytest
+
+from qmm.cli import main
+
+with open(os.path.join(os.path.dirname(__file__), "data", "golden_reports.json"), encoding="utf-8") as fh:
+    REPORTS = json.load(fh)
+
+
+def run(config: str) -> dict:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(config.split() + ["--output", "json"])
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+@pytest.mark.parametrize("config", sorted(REPORTS))
+def test_report_is_byte_identical(config, monkeypatch):
+    monkeypatch.delenv("QMM_CACHE_DIR", raising=False)
+    assert run(config) == REPORTS[config]

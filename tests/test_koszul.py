@@ -1,6 +1,7 @@
 """Koszul complex assembly, d^2 = 0, exactness, comodule compatibility."""
 
 import math
+from random import Random
 
 import pytest
 
@@ -134,3 +135,23 @@ def test_comodule_compat_specialized():
 def test_build_complex_rejects_bad_ell():
     with pytest.raises(ValueError):
         build_complex(2, 0, ParamMode.multi(2))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_composites_vanish_rejects_a_raised_entry(n, ell):
+    # raise one nonzero entry d_i[r][k] by one where row k of d_{i-1} is
+    # nonzero: row r of d_i o d_{i-1} then gains that row and cannot vanish
+    mode = ParamMode.multi(n)
+    complex = build_complex(n, ell, mode)
+    maps = complex.maps
+    candidates = [
+        (i, r, k)
+        for i in range(2, ell + 1)
+        for r, row in enumerate(maps[i])
+        for k, entry in enumerate(row)
+        if not entry.is_zero() and any(not x.is_zero() for x in maps[i - 1][k])
+    ]
+    i, r, k = Random(10 * n + ell).choice(candidates)
+    maps[i][r][k] = maps[i][r][k] + mode.one()
+    assert not composites_vanish(complex)

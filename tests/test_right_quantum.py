@@ -538,3 +538,67 @@ def test_master_residual_touches_only_diagonal_blocks(exact):
     assert IdealOracle(3, mode, exact=exact, seed=2, draws=3).contains(residual)
     built = [key[-1] for key in IdealOracle._memory_cache]
     assert built and all(lower == upper for lower, upper in built)
+
+
+def _foreign_alphabet():
+    # z33 is a letter of the n=3 alphabet that an n=2 oracle cannot place
+    mode = ParamMode.multi(2)
+    z3 = QuantumSpace(3, ParamMode.multi(3)).z
+    p = NCPoly.monomial(z3, mode, z3.z_word([(1, 1), (3, 3)]))
+    return p, p
+
+
+def _foreign_mode():
+    mode = ParamMode.single()
+    sp = QuantumSpace(2, mode)
+    p = sp.z_gen(1, 2) * sp.z_gen(2, 1)
+    return p, p
+
+
+def _inhomogeneous():
+    sp = QuantumSpace(2, ParamMode.multi(2))
+    return sp.z_gen(1, 1), sp.z_gen(1, 1) * sp.z_gen(2, 2)
+
+
+# each bad input, as (left factor, right factor), and the error it must raise
+BAD_QUERIES = {
+    "alphabet": (_foreign_alphabet, "this oracle's n"),
+    "mode": (_foreign_mode, "parameter mode"),
+    "inhomogeneous": (_inhomogeneous, "homogeneous"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_QUERIES))
+@pytest.mark.parametrize("query", ["contains", "contains_tensor"])
+def test_membership_input_check(query, case):
+    # one shared check: both queries reject what the oracle cannot decide,
+    # rather than answering False or failing deep inside the block split
+    make, message = BAD_QUERIES[case]
+    p, q = make()
+    oracle = IdealOracle(2, ParamMode.multi(2), exact=True)
+    with pytest.raises(ValueError, match=message):
+        if query == "contains":
+            oracle.contains(p + q)
+        else:
+            oracle.contains_tensor(TensorPoly.outer(p, q))
+
+
+def test_tensor_homogeneous_degree():
+    sp = QuantumSpace(2, ParamMode.multi(2))
+    a, b = sp.z_gen(1, 1), sp.z_gen(1, 2) * sp.z_gen(2, 1)
+    assert TensorPoly.zero(sp.z, sp.mode).homogeneous_degree() == 0
+    assert TensorPoly.outer(b, b).homogeneous_degree() == 2
+    assert TensorPoly.outer(a, b).homogeneous_degree() is None
+    assert (TensorPoly.outer(a, a) + TensorPoly.outer(b, b)).homogeneous_degree() is None
+
+
+def test_scalar_qdet_is_the_evaluated_minor():
+    # at q = 1 the quantum minor of a commuting matrix is its determinant
+    mode = ParamMode.numeric(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
+    entries = [[2, Fraction(1, 3), 0], [5, -1, 4], [Fraction(-3, 2), 7, 1]]
+    M = QMatrix(3, mode, entries)
+    assert qdet(M) == mode.scalar(Fraction(-185, 3))
+    assert qdet(M, (1, 3)) == mode.scalar(2)
+    # with q12 = 2 the 2x2 minor is z11 z22 - q12^{-1} z21 z12
+    mode = ParamMode.numeric(2, {(1, 2): 2})
+    assert qdet(QMatrix(2, mode, [[1, 3], [5, 7]])) == mode.scalar(Fraction(-1, 2))
