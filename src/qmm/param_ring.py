@@ -41,13 +41,20 @@ class ParamMode:
     ``single``, and empty for ``numeric``.
     """
 
-    __slots__ = ("kind", "n", "variables", "assignment")
+    __slots__ = ("kind", "n", "variables", "assignment", "_key")
 
     def __init__(self, kind, n=None, variables=(), assignment=None):
         self.kind = kind
         self.n = n
         self.variables = variables
         self.assignment = assignment
+        # every scalar operation compares modes, so the key is built once
+        if kind == "multi":
+            self._key = ("multi", n)
+        elif kind == "single":
+            self._key = ("single",)
+        else:
+            self._key = ("numeric", n, tuple(sorted((k, str(v)) for k, v in assignment.items())))
 
     @classmethod
     def multi(cls, n: int) -> "ParamMode":
@@ -79,17 +86,13 @@ class ParamMode:
         return len(self.variables)
 
     def cache_key(self):
-        if self.kind == "multi":
-            return ("multi", self.n)
-        if self.kind == "single":
-            return ("single",)
-        return ("numeric", self.n, tuple(sorted((k, str(v)) for k, v in self.assignment.items())))
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, ParamMode) and self.cache_key() == other.cache_key()
+        return self is other or (isinstance(other, ParamMode) and self._key == other._key)
 
     def __hash__(self):
-        return hash(self.cache_key())
+        return hash(self._key)
 
     def __repr__(self):
         if self.kind == "multi":

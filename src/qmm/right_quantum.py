@@ -30,10 +30,10 @@ Three facts keep this desk-scale:
   relation r, the row w[:p]*r*w[p+2:].  Each such u*r*v arises exactly once;
 * one sparse fraction-free echelon core does the elimination.  By default
   the parameters are specialized to random distinct odd primes, each row is
-  cleared of denominators, and the core runs over Z; membership is declared
-  only when every draw agrees.  The ``exact`` flag keeps the Laurent
-  coefficients and runs the same core over the Laurent ring itself, used as
-  ground truth.
+  evaluated as a primitive integer vector in int arithmetic (``to_vector``),
+  and the core runs over Z; membership is declared only when every draw
+  agrees.  The ``exact`` flag keeps the Laurent coefficients and runs the
+  same core over the Laurent ring itself, used as ground truth.
 
 Bases are cached per (mode, degree, specialization, block) and, when
 QMM_CACHE_DIR is set, persisted as versioned JSON with a checksum of the rows;
@@ -53,7 +53,7 @@ from itertools import permutations
 from random import Random
 
 from .free_algebra import Alphabet, LinearCombination, NCPoly, Word, word_rank
-from .param_ring import ParamMode, ParamScalar
+from .param_ring import ParamMode, ParamScalar, _as_rational
 from .quantum_spaces import QuantumSpace
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -91,6 +91,16 @@ def build_relations(n: int, mode: ParamMode) -> list[NCPoly]:
     return rels
 
 
+def _accumulate(terms: dict, key, c) -> None:
+    """terms[key] += c, dropping the key when the sum is zero."""
+    s = terms.get(key)
+    s = c if s is None else s + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 def column_reduce(p: NCPoly) -> NCPoly:
     """Greedy rewrite with the column relations, oriented
     z_j^l z_i^l -> q_ij z_i^l z_j^l (i < j).
@@ -113,13 +123,7 @@ def column_reduce(p: NCPoly) -> NCPoly:
                 pos = max(pos - 1, 0)
             else:
                 pos += 1
-        key = bytes(letters)
-        acc = terms.get(key)
-        acc = coeff if acc is None else acc + coeff
-        if acc.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = acc
+        _accumulate(terms, bytes(letters), coeff)
     return NCPoly(p.alphabet, mode, terms)
 
 
@@ -340,22 +344,67 @@ def to_vector(pairs, assignment) -> dict:
     """The coefficient vector of (index, scalar) pairs, zeros dropped.
 
     With ``assignment`` None the Laurent coefficients are kept as they are.
-    With a dict (empty in numeric mode) they are specialized, and the
-    rationals are scaled by one common denominator and divided by their
-    integer content; that uniform scaling changes no zero test and no row
-    space over Q.
+    With a dict (empty in numeric mode) they are specialized and scaled to
+    the primitive integer vector with a positive scale, the same vector as
+    ``ParamScalar.specialize`` followed by clearing one common denominator
+    and dividing by the integer content; a uniform positive scaling changes
+    no zero test and no row space over Q.
+
+    The scale is reached without rationals: the componentwise minimum
+    exponent over the whole vector is factored out (a sign flip if that
+    unit is negative), so every term is a non-negative power product of the
+    assignment's values, each distinct exponent tuple is evaluated once, and
+    integer draws stay in int arithmetic.  Fractions appear only for
+    rational coefficients (numeric mode) or a non-integer assignment, and
+    are cleared by one lcm at the end.  A zero assignment value, or a
+    missing label for a variable that appears, raises ``ValueError`` as
+    ``specialize`` does.
     """
     if assignment is None:
         return {k: c for k, c in pairs if c}
+    pairs = list(pairs)
+    if not pairs:
+        return {}
     values = {}
-    for k, c in pairs:
-        val = c.specialize(assignment)
-        if val:
-            values[k] = val
-    if not values:
-        return values
-    denom = math.lcm(*(v.denominator for v in values.values()))
-    vec = {k: int(v * denom) for k, v in values.items()}
+    for label, val in assignment.items():
+        val = _as_rational(val)
+        if val == 0:
+            raise ValueError(f"zero assignment for {label!r} not allowed")
+        values[label] = val.numerator if val.denominator == 1 else val
+    live = [(k, c) for k, c in pairs if c]
+    if not live:
+        return {}
+    variables = live[0][1].mode.variables
+    distinct = {exps for _, c in live for exps in c.terms}
+    mins, bases, negative = [], [], False
+    for slot, column in enumerate(zip(*distinct)):
+        lo = min(column)
+        mins.append(lo)
+        if not any(column):
+            bases.append(1)
+            continue
+        label = variables[slot]
+        if label not in values:
+            raise ValueError(f"assignment missing variable {label!r}")
+        bases.append(values[label])
+        negative ^= values[label] < 0 and lo % 2 == 1
+    powers = {}
+    for exps in distinct:
+        value = 1
+        for b, e, m in zip(bases, exps, mins):
+            if e != m:
+                value *= b ** (e - m)
+        powers[exps] = value
+    vec = {}
+    for k, c in live:
+        total = 0
+        for exps, coeff in c.terms.items():
+            total += coeff * powers[exps]
+        if total:
+            vec[k] = -total if negative else total
+    if any(type(v) is not int for v in vec.values()):
+        denom = math.lcm(*(v.denominator for v in vec.values()))
+        vec = {k: int(v * denom) for k, v in vec.items()}
     _strip_int(vec)
     return vec
 
@@ -740,27 +789,31 @@ class TensorPoly(LinearCombination):
     def column_reduce(self) -> "TensorPoly":
         """Column rewriting on each tensor leg independently; both passes move
         the element only inside ideal(x)B + B(x)ideal."""
-        out = TensorPoly.zero(self.alphabet, self.mode)
+        z, mode = self.alphabet, self.mode
+        terms: dict = {}
         for (wl, wr), c in self.terms.items():
-            left = column_reduce(NCPoly.monomial(self.alphabet, self.mode, wl, c))
-            right = column_reduce(NCPoly.monomial(self.alphabet, self.mode, wr))
-            out = out + TensorPoly.outer(left, right)
-        return out
+            left = column_reduce(NCPoly.monomial(z, mode, wl, c))
+            right = column_reduce(NCPoly.monomial(z, mode, wr))
+            for l, cl in left.terms.items():
+                for r, cr in right.terms.items():
+                    _accumulate(terms, (l, r), cl * cr)
+        return TensorPoly(z, mode, terms)
 
 
 def comultiply(p: NCPoly) -> TensorPoly:
     """Delta applied letterwise, z_i^j -> sum_l z_i^l (x) z_l^j, and extended
     multiplicatively; the empty word maps to 1 (x) 1."""
     z, mode = p.alphabet, p.mode
-    out = TensorPoly.zero(z, mode)
+    terms: dict = {}
     for word, coeff in p.terms.items():
         acc = TensorPoly(z, mode, {(b"", b""): mode.one()})
         for letter in word:
             i, j = z.z_indices(letter)
             pairs = ((bytes([z.z(i, l)]), bytes([z.z(l, j)])) for l in range(1, z.n + 1))
             acc = acc * TensorPoly(z, mode, {pair: mode.one() for pair in pairs})
-        out = out + acc.scale(coeff)
-    return out
+        for key, c in acc.terms.items():
+            _accumulate(terms, key, c * coeff)
+    return TensorPoly(z, mode, terms)
 
 
 def counit(p: NCPoly) -> ParamScalar:

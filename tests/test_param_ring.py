@@ -138,3 +138,19 @@ def test_jsonable_roundtrip_shape():
     a = mode.q(1, 2) ** -2 * mode.scalar(3) + mode.one()
     records = a.to_jsonable()
     assert records == [{"exponents": [-2], "coeff": "3"}, {"exponents": [0], "coeff": "1"}]
+
+
+def test_mode_key_is_fixed_at_construction():
+    values = {(1, 2): "3/2", (1, 3): -2, (2, 3): Fraction(5, 7)}
+    a = ParamMode.numeric(3, values)
+    b = ParamMode.numeric(3, dict(reversed(list(values.items()))))
+    c = ParamMode.numeric(3, {(1, 2): Fraction(3, 2), (1, 3): Fraction(-2), (2, 3): Fraction(5, 7)})
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert a.cache_key() == ("numeric", 3, (((1, 2), "3/2"), ((1, 3), "-2"), ((2, 3), "5/7")))
+    assert a != ParamMode.numeric(3, {**values, (2, 3): Fraction(7, 5)})
+    assert a != ParamMode.numeric(2, {(1, 2): "3/2"}) and a != ParamMode.multi(3)
+    assert ParamMode.multi(3) == ParamMode.multi(3) and ParamMode.multi(3) != ParamMode.multi(2)
+    assert hash(ParamMode.multi(3)) == hash(ParamMode.multi(3))
+    assert ParamMode.multi(3).cache_key() == ("multi", 3)
+    assert ParamMode.single() == ParamMode.single() and ParamMode.single().cache_key() == ("single",)
+    assert ParamMode.single() != ParamMode.multi(1)

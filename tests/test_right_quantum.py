@@ -25,7 +25,15 @@ from qmm import (
     specialization_draws,
 )
 from qmm.free_algebra import word_rank
-from qmm.right_quantum import IntEchelon, SymbolicEchelon, block_words, to_vector, word_block
+from qmm.param_ring import ParamScalar
+from qmm.right_quantum import (
+    IntEchelon,
+    SymbolicEchelon,
+    _strip_int,
+    block_words,
+    to_vector,
+    word_block,
+)
 
 # the n=2 degree-3 block of z11 z11 z22: lower and upper counts both (2, 1)
 BLOCK_211 = ((2, 1), (2, 1))
@@ -602,3 +610,140 @@ def test_scalar_qdet_is_the_evaluated_minor():
     # with q12 = 2 the 2x2 minor is z11 z22 - q12^{-1} z21 z12
     mode = ParamMode.numeric(2, {(1, 2): 2})
     assert qdet(QMatrix(2, mode, [[1, 3], [5, 7]])) == mode.scalar(Fraction(-1, 2))
+
+
+def _reference_vector(pairs, assignment):
+    """``to_vector`` spelled out with ``ParamScalar.specialize``: rationals,
+    one common denominator, then the integer content divided out."""
+    values = {}
+    for k, c in pairs:
+        val = c.specialize(assignment)
+        if val:
+            values[k] = val
+    if not values:
+        return values
+    denom = math.lcm(*(v.denominator for v in values.values()))
+    vec = {k: int(v * denom) for k, v in values.items()}
+    _strip_int(vec)
+    return vec
+
+
+def _random_rational(rng):
+    value = Fraction(rng.randint(-12, 12), rng.choice((1, 1, 1, 2, 3, 5)))
+    return value or Fraction(1)
+
+
+def _random_assignment(rng, mode):
+    if mode.kind == "numeric":
+        return {}
+    kind = rng.random()
+    if kind < 0.3:
+        return specialization_draws(mode, 1, rng.randrange(10**6))[0]
+    assignment = {}
+    for label in mode.variables:
+        if kind < 0.6:
+            assignment[label] = Fraction(rng.choice((-1, 1)) * rng.choice((1, 2, 3, 5, 7)))
+        else:
+            assignment[label] = _random_rational(rng)
+    if rng.random() < 0.1:
+        assignment[rng.choice(mode.variables)] = Fraction(0)
+    if rng.random() < 0.1:
+        del assignment[rng.choice(mode.variables)]
+    return assignment
+
+
+def _random_vector(rng, mode):
+    pairs = []
+    for k in rng.sample(range(40), rng.randint(0, 6)):
+        scalar = mode.zero()
+        if rng.random() < 0.8:
+            for _ in range(rng.randint(1, 3)):
+                coeff = _random_rational(rng) if mode.kind == "numeric" else rng.randint(-9, 9)
+                term = mode.scalar(coeff)
+                for label in mode.variables:
+                    term = term * mode.variable(label, rng.randint(-3, 3))
+                scalar = scalar + term
+        pairs.append((k, scalar))
+    return pairs
+
+
+def test_to_vector_matches_reference():
+    rng = Random(5150)
+    modes = [
+        ParamMode.multi(3),
+        ParamMode.multi(2),
+        ParamMode.single(),
+        ParamMode.numeric(3, {(1, 2): Fraction(-3, 2), (1, 3): 2, (2, 3): Fraction(5, 7)}),
+    ]
+    outcomes = {"vector": 0, "empty": 0, "error": 0}
+    for _ in range(3000):
+        mode = rng.choice(modes)
+        pairs = _random_vector(rng, mode)
+        assignment = _random_assignment(rng, mode)
+        try:
+            expected = _reference_vector(pairs, assignment)
+        except ValueError:
+            with pytest.raises(ValueError):
+                to_vector(iter(pairs), assignment)
+            outcomes["error"] += 1
+            continue
+        got = to_vector(iter(pairs), assignment)
+        assert got == expected
+        assert all(type(v) is int for v in got.values())
+        outcomes["vector" if got else "empty"] += 1
+    # every kind of outcome is exercised, the raising cases included
+    assert min(outcomes.values()) > 100
+
+
+def test_membership_does_not_specialize_scalars(monkeypatch):
+    # ParamScalar.specialize is the reference; the oracle's hot path must
+    # reach the same verdicts without it
+    from qmm import bos_series, ferm_series
+
+    def refuse(self, assignment):
+        raise AssertionError("the membership path called ParamScalar.specialize")
+
+    mode = ParamMode.multi(3)
+    sp = QuantumSpace(3, mode)
+    residual = (bos_series(sp, 3).body * ferm_series(sp, 3).body)[3]
+    monkeypatch.delenv("QMM_CACHE_DIR", raising=False)
+    monkeypatch.setattr(IdealOracle, "_memory_cache", {})
+    monkeypatch.setattr(ParamScalar, "specialize", refuse)
+    oracle = IdealOracle(3, mode, draws=3)
+    assert oracle.contains(residual)
+    assert not oracle.contains(residual + sp.z_gen(1, 2) * sp.z_gen(2, 1) * sp.z_gen(3, 3))
+    assert IdealOracle._memory_cache
+
+
+def _summed_term_by_term(tp):
+    # the accumulation TensorPoly.column_reduce and comultiply replaced:
+    # one full TensorPoly sum per input term
+    out = TensorPoly.zero(tp.alphabet, tp.mode)
+    for (wl, wr), c in tp.terms.items():
+        left = column_reduce(NCPoly.monomial(tp.alphabet, tp.mode, wl, c))
+        right = column_reduce(NCPoly.monomial(tp.alphabet, tp.mode, wr))
+        out = out + TensorPoly.outer(left, right)
+    return out
+
+
+def _comultiply_term_by_term(p):
+    z, mode = p.alphabet, p.mode
+    out = TensorPoly.zero(z, mode)
+    for word, coeff in p.terms.items():
+        out = out + comultiply(NCPoly.monomial(z, mode, word)).scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_tensor_accumulation_matches_the_term_by_term_sum(exact):
+    mode = ParamMode.multi(3)
+    det = qdet(QMatrix.generic(3, mode))
+    delta = comultiply(det)
+    assert delta == _comultiply_term_by_term(det)
+    group_like = delta - TensorPoly.outer(det, det)
+    reduced = group_like.column_reduce()
+    assert reduced == _summed_term_by_term(group_like)
+    assert not any(c.is_zero() for c in reduced.terms.values())
+    oracle = IdealOracle(3, mode, exact=exact, seed=6, draws=2)
+    assert oracle.contains_tensor(group_like) == oracle.contains_tensor(_summed_term_by_term(group_like))
+    assert oracle.contains_tensor(group_like)
