@@ -9,10 +9,8 @@ inconclusive specialization.  Only bad command-line input is a usage error:
 numbers out of range are rejected before any work, and an internal defect
 propagates as a traceback instead of being reported as exit 2.
 
-The environment variable QMM_CACHE_DIR, when set, persists the per-block
-ideal bases between runs (versioned JSON keyed by n, mode, degree, the
-specialization and the block; a file whose key or checksum does not match is
-rebuilt).
+Membership is decided by the certified rewriting system of ``right_quantum``;
+nothing is cached between runs or read from the environment.
 """
 
 from __future__ import annotations

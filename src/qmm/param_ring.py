@@ -85,9 +85,6 @@ class ParamMode:
     def nvars(self) -> int:
         return len(self.variables)
 
-    def cache_key(self):
-        return self._key
-
     def __eq__(self, other):
         return self is other or (isinstance(other, ParamMode) and self._key == other._key)
 

@@ -9,46 +9,41 @@ and the cross relations
     q_ij z_i^k z_j^l - q_kl z_j^l z_i^k = z_j^k z_i^l - q_kl q_ij z_i^l z_j^k
                                               (i < j, k < l).
 
-B has no known confluent rewriting system, so "p = 0 in B" is decided by
-linear algebra: the ideal is spanned by u*r*v over words u, v and relations
-r, and membership is reduction against a row-reduced form of that span.
-Three facts keep this desk-scale:
+"p = 0 in B" is decided by a quadratic rewriting system.  Each relation is
+oriented by its largest word in the canonical word order (``word_rank``):
+z_j^l z_i^l for a column relation, with coefficient 1, and z_j^l z_i^k for a
+cross relation, with coefficient -q_kl.  Both are units, so each relation
+becomes a rule rewriting its leading word into lex-smaller words.  The
+leading words are exactly the letter pairs whose lower index strictly falls
+while the upper index does not rise.  Rewriting terminates, and since every
+leading word has degree 2, the rules are confluent once every degree-3
+overlap resolves (Bergman's diamond lemma).  ``IdealOracle`` checks those
+overlaps when it is built and raises ``ConfluenceError`` if one fails, so
+every oracle carries its own certificate.  An element lies in the ideal
+exactly when its normal form is zero, and B (x) B has the basis
+normal (x) normal.  This makes B a PBW algebra, hence Koszul (Priddy).
 
-* every relation is homogeneous for the Z^n x Z^n grading of a word by its
-  block, the pair (lower-index counts, upper-index counts); this is the torus
-  action behind the twisted identity.  The ideal is therefore the direct sum
-  of its blocks, and p is a member exactly when each block component of p
-  is.  Only the blocks a query touches are built, each over its own words
-  (the distinct pairings of the arrangements of the lower multiset with the
-  arrangements of the upper multiset);
-* a greedy rewrite pass with the column relations (oriented to sort equal
-  upper indices by lower index) is confluent, keeps blocks, and projects both
-  the query and the spanning rows onto column-sorted words.  It kills every
-  u*r*v with a column relation r, so a block's rows are generated from the
-  cross relations alone: for each word w of the block and each position p
-  where w[p:p+2] is the leading word z_i^k z_j^l (i < j, k < l) of a cross
-  relation r, the row w[:p]*r*w[p+2:].  Each such u*r*v arises exactly once;
-* one sparse fraction-free echelon core does the elimination.  By default
-  the parameters are specialized to random distinct odd primes, each row is
-  evaluated as a primitive integer vector in int arithmetic (``to_vector``),
-  and the core runs over Z; membership is declared only when every draw
-  agrees.  The ``exact`` flag keeps the Laurent coefficients and runs the
-  same core over the Laurent ring itself, used as ground truth.
+The normal form is computed once over the coefficient ring.  Because the
+leading coefficients are units, rewriting commutes with specializing the
+parameters at any nonzero point.  So the default policy evaluates the
+normal form at random distinct odd primes (``to_vector``) and declares
+membership only when it vanishes at every draw; the ``exact`` flag tests
+the Laurent coefficients themselves.
 
-Bases are cached per (mode, degree, specialization, block) and, when
-QMM_CACHE_DIR is set, persisted as versioned JSON with a checksum of the rows;
-a file whose key or checksum does not match is rebuilt.
+The ideal's blocks are also built by linear algebra, as the independent
+reference for tests.  Every relation is homogeneous for the block of a word,
+the pair (lower-index counts, upper-index counts), so the ideal is the
+direct sum of its blocks.  ``IdealOracle.basis`` row-reduces one block's
+span of u*r*v with the one sparse fraction-free echelon core, which also
+computes the Koszul ranks.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import threading
 from bisect import bisect_left, insort
 from fractions import Fraction
-from hashlib import sha256
+from heapq import heapify, heappop, heappush
 from itertools import permutations
 from random import Random
 
@@ -59,8 +54,10 @@ from .quantum_spaces import QuantumSpace
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                59, 61, 67, 71, 73, 79, 83, 89, 97)
 
-_CACHE_VERSION = 3
-_CACHE_ENV = "QMM_CACHE_DIR"
+
+class ConfluenceError(RuntimeError):
+    """A degree-3 overlap of the rewriting rules did not resolve: an
+    internal defect, never a usage error."""
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +96,78 @@ def _accumulate(terms: dict, key, c) -> None:
         terms[key] = s
     else:
         terms.pop(key, None)
+
+
+# ---------------------------------------------------------------------------
+# rewriting
+
+
+def rewriting_rules(relations) -> dict:
+    """Each relation oriented by its largest word: leading word ->
+    ((word, coefficient), ...) it rewrites to, -(rest) / c_lead."""
+    rules = {}
+    for rel in relations:
+        lead = max(rel.terms)
+        factor = -rel.terms[lead].inv()
+        rules[lead] = tuple((w, c * factor) for w, c in rel.terms.items() if w != lead)
+    return rules
+
+
+def normal_form(terms: dict, rules: dict) -> dict:
+    """The normal form of sum c*w over words of one length: a dict from
+    normal words to nonzero coefficients.
+
+    Words are taken from the largest down, and each is rewritten at its
+    leftmost leading word.  A rewrite only produces smaller words, so no
+    word is rewritten twice.
+    """
+    pending = dict(terms)
+    heap = [(-int.from_bytes(w, "big"), w) for w in pending]
+    heapify(heap)
+    out = {}
+    while heap:
+        w = heappop(heap)[1]
+        c = pending.pop(w)
+        if not c:
+            continue
+        for pos in range(len(w) - 1):
+            rhs = rules.get(w[pos:pos + 2])
+            if rhs is not None:
+                break
+        else:
+            out[w] = c
+            continue
+        u, v = w[:pos], w[pos + 2:]
+        for pair, r in rhs:
+            x = u + pair + v
+            s = pending.get(x)
+            if s is None:
+                pending[x] = c * r
+                heappush(heap, (-int.from_bytes(x, "big"), x))
+            else:
+                pending[x] = s + c * r
+    return out
+
+
+def certify_confluence(rules: dict) -> int:
+    """Resolve every degree-3 overlap abc (ab and bc both leading): the two
+    one-step rewrites of abc must have the same normal form.  Returns the
+    number of overlaps; raises ``ConfluenceError`` on the first that fails."""
+    starting: dict = {}
+    for bc in rules:
+        starting.setdefault(bc[0], []).append(bc)
+    overlaps = 0
+    for ab, left in rules.items():
+        for bc in starting.get(ab[1], ()):
+            overlaps += 1
+            a, c = ab[:1], bc[1:]
+            # both rewrites at once: the words they share cancel unrewritten
+            diff = {w + c: r for w, r in left}
+            for w, r in rules[bc]:
+                _accumulate(diff, a + w, -r)
+            if normal_form(diff, rules):
+                raise ConfluenceError(f"the overlap {list(ab + c)} does not resolve")
+    return overlaps
 
 
 def column_reduce(p: NCPoly) -> NCPoly:
@@ -279,16 +348,6 @@ class _Echelon:
                 if q in row:
                     self._eliminate(row, self.rows[q], q)
             self._strip(row)
-            # a fresh dict: the table the row grew during elimination keeps
-            # its slack, and hundreds of block bases stay cached
-            self.rows[self.pivots[idx]] = {k: row[k] for k in row}
-
-    def to_jsonable(self):
-        return [
-            [p, [[k, str(v) if isinstance(v, int) else v.to_jsonable()]
-                 for k, v in sorted(self.rows[p].items())]]
-            for p in self.pivots
-        ]
 
 
 class IntEchelon(_Echelon):
@@ -435,14 +494,17 @@ def specialization_draws(mode: ParamMode, count: int, seed: int) -> list[dict]:
 
 def verdict_rings(mode: ParamMode, exact: bool, seed: int, draws: int) -> tuple[bool, list]:
     """Where a verdict is computed: (whether it is exact, one ``to_vector``
-    assignment per run it must pass).  Numeric mode has no symbols left, so
-    one exact run over Q (``[{}]``); ``exact`` runs once over the Laurent
-    ring (``[None]``); otherwise every specialization draw must agree."""
+    assignment per run it must pass).  Numeric mode runs once over Q
+    (``[{}]``); ``exact`` runs once over the Laurent ring (``[None]``);
+    otherwise every specialization draw must agree, except that with no
+    parameter to draw (n = 1) one run over Q replaces identical empty draws.
+    A draw count below 1 is rejected whenever the mode is specialized."""
     if mode.kind == "numeric":
         return True, [{}]
     if exact:
         return True, [None]
-    return False, specialization_draws(mode, draws, seed)
+    assignments = specialization_draws(mode, draws, seed)
+    return (False, assignments) if mode.nvars else (True, [{}])
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +514,13 @@ def verdict_rings(mode: ParamMode, exact: bool, seed: int, draws: int) -> tuple[
 class IdealOracle:
     """Graded membership oracle for the two-sided relation ideal of B.
 
-    One oracle fixes the decision policy (exact-symbolic, or agreement across
-    ``draws`` rational specializations derived from ``seed``); per-block
-    bases are built lazily, cached in memory, and optionally persisted.
-    ``assignments`` holds one ``to_vector`` assignment per basis a query must
-    pass, as ``verdict_rings`` decides.
+    ``rules`` orient the relations, and their confluence is certified here,
+    when the oracle is built.  A query is decided by its normal form over
+    ``mode``, which must vanish under each of ``assignments``: one
+    ``to_vector`` assignment per run a verdict must pass, as
+    ``verdict_rings`` decides (exact-symbolic, or agreement across ``draws``
+    rational specializations derived from ``seed``).
     """
-
-    _memory_cache: dict = {}
-    _build_locks: dict = {}
-    _lock = threading.Lock()
 
     def __init__(self, n: int, mode: ParamMode, exact: bool = False, seed: int = 0, draws: int = 3):
         self.n = n
@@ -469,53 +528,31 @@ class IdealOracle:
         self.z = Alphabet("z", n)
         self.seed = seed
         self.exact, self.assignments = verdict_rings(mode, exact, seed, draws)
-        # built once per draw, so the hundreds of cached block keys share it
-        self._draw_keys = [
-            None if a is None else tuple((str(k), str(v)) for k, v in sorted(a.items()))
-            for a in self.assignments
-        ]
-        self.relations = build_relations(n, mode)
-        # each cross relation by its leading word z_i^k z_j^l (i < j, k < l),
-        # the one term of any relation whose lower and upper indices both rise
+        relations = build_relations(n, mode)
+        self.rules = rewriting_rules(relations)
+        certify_confluence(self.rules)
+        # each cross relation by its word z_i^k z_j^l (i < j, k < l), the one
+        # term of any relation whose lower and upper indices both rise
         self._cross = {
             w: rel
-            for rel in self.relations
+            for rel in relations
             for w in rel.terms
             if w[0] // n < w[1] // n and w[0] % n < w[1] % n
         }
 
-    # -- basis construction ------------------------------------------------------
-
-    def _key(self, degree: int, draw: int, block: tuple):
-        return (_CACHE_VERSION, self.n, self.mode.cache_key(), degree, self._draw_keys[draw], block)
-
     def basis(self, degree: int, draw: int, block: tuple):
         """The finalized echelon basis of the ideal's component in ``block``
         (a ``word_block`` key of total degree ``degree``) under
-        ``assignments[draw]``."""
-        key = self._key(degree, draw, block)
-        with self._lock:
-            cached = self._memory_cache.get(key)
-            if cached is not None:
-                return cached
-            build_lock = self._build_locks.setdefault(key, threading.Lock())
-        # single writer per key; finished bases are immutable and shared
-        with build_lock:
-            with self._lock:
-                cached = self._memory_cache.get(key)
-            if cached is not None:
-                return cached
-            basis = _load_persistent(self.mode, key)
-            if basis is None:
-                basis = self._build(degree, self.assignments[draw], block)
-                _save_persistent(key, basis)
-            with self._lock:
-                self._memory_cache[key] = basis
-                self._build_locks.pop(key, None)
-        return basis
+        ``assignments[draw]``, built by elimination on every call: the
+        independent reference for the normal form.
 
-    def _build(self, degree: int, assignment, block: tuple):
+        The column pass kills every u*r*v with a column relation r, so the
+        rows come from the cross relations alone: for each word w of the
+        block and each position holding a cross relation's rising word, the
+        column-reduced w[:p]*r*w[p+2:], each arising exactly once.
+        """
         size = self.z.size
+        assignment = self.assignments[draw]
         basis = new_echelon(assignment)
         for word in block_words(self.n, block):
             for pos in range(degree - 1):
@@ -544,140 +581,40 @@ class IdealOracle:
             raise ValueError("membership is graded: input must be homogeneous")
         return d
 
+    def _vanishes(self, normal: dict) -> bool:
+        return all(not to_vector(normal.items(), a) for a in self.assignments)
+
     def contains(self, p: NCPoly) -> bool:
-        """Whether p vanishes in B, i.e. every block component of p lies in
-        that block of the relation ideal.  Nonzero inputs below degree 2 are
-        never members."""
+        """Whether p vanishes in B, i.e. its normal form is zero.  Nonzero
+        inputs below degree 2 are never members."""
         d = self._checked_degree(p)
         if d < 2:
             return p.is_zero()
-        p = column_reduce(p)
-        n, size = self.n, self.z.size
-        parts: dict = {}
-        for w, c in p.terms.items():
-            parts.setdefault(word_block(w, n), []).append((word_rank(w, size), c))
-        return all(
-            self.basis(d, i, block).contains(to_vector(pairs, a))
-            for block, pairs in parts.items()
-            for i, a in enumerate(self.assignments)
-        )
+        return self._vanishes(normal_form(p.terms, self.rules))
 
     def contains_tensor(self, tp: "TensorPoly") -> bool:
         """Membership in ideal(x)B + B(x)ideal for an element of B(x)B whose
         tensor legs are homogeneous of one common degree.
 
-        That subspace is the direct sum over (left block, right block) of
-        ideal_A (x) B_B + B_A (x) ideal_B, so each block-pair component is
-        checked on its own: reduce every right-word column by the left
-        block's basis; what survives has left coordinates in a complement of
-        the ideal, so the component is a member iff each surviving left
-        coordinate's right vector is a member of the right block.
+        B(x)B has the basis normal(x)normal.  The right legs are brought to
+        normal form once per left word, then the left legs once per normal
+        right word; the element is a member iff nothing survives.
         """
         d = self._checked_degree(tp)
         if d < 2:
             return tp.is_zero()
-        tp = tp.column_reduce()
-        n, size = self.n, self.z.size
-        parts: dict = {}
+        rights: dict = {}
         for (wl, wr), c in tp.terms.items():
-            parts.setdefault((word_block(wl, n), word_block(wr, n)), []).append(
-                ((word_rank(wr, size), word_rank(wl, size)), c)
-            )
-        return all(
-            _tensor_member(self.basis(d, i, left), self.basis(d, i, right), to_vector(pairs, a))
-            for (left, right), pairs in parts.items()
-            for i, a in enumerate(self.assignments)
-        )
-
-
-def _tensor_member(left, right, vec: dict) -> bool:
-    """``contains_tensor`` for one block pair, with ``left`` and ``right``
-    the bases of the two legs' blocks; ``vec`` maps (right index, left
-    index) to a coefficient."""
-    columns: dict = {}
-    for (ridx, lidx), c in vec.items():
-        columns.setdefault(ridx, {})[lidx] = c
-    reduced = {}
-    for ridx, col in columns.items():
-        rem, mult = left.reduce(col, strip=False)
-        if rem:
-            reduced[ridx] = rem, mult
-    # reduce() scaled column r by its multiplier m_r; scaling it further by
-    # the other columns' multipliers gives every column the common factor
-    # prod(m), so the rows below are the true left coordinates times prod(m)
-    rows: dict = {}
-    for ridx, (rem, _) in reduced.items():
-        scale = 1
-        for other, (_, mult) in reduced.items():
-            if other != ridx:
-                scale = scale * mult
-        for lidx, c in rem.items():
-            rows.setdefault(lidx, {})[ridx] = c * scale
-    return all(right.contains(rvec) for rvec in rows.values())
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def _cache_path(key) -> str | None:
-    directory = os.environ.get(_CACHE_ENV)
-    if not directory:
-        return None
-    digest = sha256(repr(key).encode()).hexdigest()[:24]
-    return os.path.join(directory, f"qmm_basis_v{_CACHE_VERSION}_{digest}.json")
-
-
-def _rows_digest(rows) -> str:
-    return sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
-
-
-def _load_persistent(mode: ParamMode, key):
-    """The persisted basis for ``key``, or None when there is none or the
-    file fails its key or checksum check (the caller then rebuilds)."""
-    path = _cache_path(key)
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(data, dict) or data.get("key") != repr(key):
-        return None
-    if data.get("sha256") != _rows_digest(data.get("rows")):
-        return None
-    symbolic = data.get("symbolic")
-    basis = new_echelon(None if symbolic else {})
-    for p, row in data["rows"]:
-        # symbolic modes have integer coefficients
-        basis.rows[p] = {
-            k: ParamScalar(mode, {tuple(t["exponents"]): int(t["coeff"]) for t in v})
-            if symbolic else int(v)
-            for k, v in row
-        }
-        basis.pivots.append(p)
-    basis.pivots.sort()
-    return basis
-
-
-def _save_persistent(key, basis) -> None:
-    path = _cache_path(key)
-    if path is None:
-        return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    rows = basis.to_jsonable()
-    payload = {
-        "version": _CACHE_VERSION,
-        "key": repr(key),
-        "symbolic": isinstance(basis, SymbolicEchelon),
-        "rows": rows,
-        "sha256": _rows_digest(rows),
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
+            rights.setdefault(wl, {})[wr] = c
+        lefts: dict = {}
+        for wl, right in rights.items():
+            for r, c in normal_form(right, self.rules).items():
+                lefts.setdefault(r, {})[wl] = c
+        normal = {}
+        for r, left in lefts.items():
+            for l, c in normal_form(left, self.rules).items():
+                normal[l, r] = c
+        return self._vanishes(normal)
 
 
 # ---------------------------------------------------------------------------
@@ -785,19 +722,6 @@ class TensorPoly(LinearCombination):
         if len(degrees) > 1:
             return None
         return degrees.pop() if degrees else 0
-
-    def column_reduce(self) -> "TensorPoly":
-        """Column rewriting on each tensor leg independently; both passes move
-        the element only inside ideal(x)B + B(x)ideal."""
-        z, mode = self.alphabet, self.mode
-        terms: dict = {}
-        for (wl, wr), c in self.terms.items():
-            left = column_reduce(NCPoly.monomial(z, mode, wl, c))
-            right = column_reduce(NCPoly.monomial(z, mode, wr))
-            for l, cl in left.terms.items():
-                for r, cr in right.terms.items():
-                    _accumulate(terms, (l, r), cl * cr)
-        return TensorPoly(z, mode, terms)
 
 
 def comultiply(p: NCPoly) -> TensorPoly:

@@ -193,7 +193,6 @@ def test_criterion_10_character_lemma_shadow():
 
 
 def test_criterion_11_performance_bounds():
-    IdealOracle._memory_cache.clear()
     mode = ParamMode.multi(3)
     oracle = IdealOracle(3, mode, exact=False, seed=0, draws=3)
     comps = [c for c in product(range(5), repeat=3) if sum(c) == 4]

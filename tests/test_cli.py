@@ -217,3 +217,10 @@ def test_internal_defect_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr("qmm.cli.verify_master", broken)
     with pytest.raises(ModeMismatchError):
         main(["verify", "--n", "2", "--degree", "2"])
+
+
+@pytest.mark.parametrize("command", [["verify", "--degree", "2"], ["koszul", "--ell", "2"]])
+def test_specialize_requires_a_seed_even_with_nothing_to_draw(command):
+    code, out, err = run([command[0], "--n", "1", *command[1:], "--seeds", "0"])
+    assert code == 2
+    assert out == "" and "draw" in err

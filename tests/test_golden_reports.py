@@ -3,7 +3,9 @@ fixed configurations, recorded by ``run`` below before the linear-combination
 refactor and kept in ``tests/data/golden_reports.json``.
 
 A refactor must leave every report unchanged; a change that means to alter a
-report rewrites its entry and says why.
+report rewrites its entry and says why.  The ``verify --n 1 --degree 4``
+entry was rewritten when n = 1, which has no parameter to draw, became one
+exact run (``oracle_mode`` "exact").
 """
 
 import io
@@ -27,6 +29,5 @@ def run(config: str) -> dict:
 
 
 @pytest.mark.parametrize("config", sorted(REPORTS))
-def test_report_is_byte_identical(config, monkeypatch):
-    monkeypatch.delenv("QMM_CACHE_DIR", raising=False)
+def test_report_is_byte_identical(config):
     assert run(config) == REPORTS[config]

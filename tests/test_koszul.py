@@ -155,3 +155,12 @@ def test_composites_vanish_rejects_a_raised_entry(n, ell):
     i, r, k = Random(10 * n + ell).choice(candidates)
     maps[i][r][k] = maps[i][r][k] + mode.one()
     assert not composites_vanish(complex)
+
+
+def test_no_parameters_to_draw_is_one_exact_run():
+    # n = 1 has no q_ij, so specialized draws would all be the same empty one
+    mode = ParamMode.multi(1)
+    oracle = IdealOracle(1, mode, exact=False, seed=0, draws=3)
+    assert oracle.exact and oracle.assignments == [{}]
+    report = check_exactness(build_complex(1, 3, mode), exact=False, seed=0, draws=3)
+    assert report.mode == "exact" and report.seed is None and report.is_exact

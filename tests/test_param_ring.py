@@ -146,11 +146,11 @@ def test_mode_key_is_fixed_at_construction():
     b = ParamMode.numeric(3, dict(reversed(list(values.items()))))
     c = ParamMode.numeric(3, {(1, 2): Fraction(3, 2), (1, 3): Fraction(-2), (2, 3): Fraction(5, 7)})
     assert a == b == c and hash(a) == hash(b) == hash(c)
-    assert a.cache_key() == ("numeric", 3, (((1, 2), "3/2"), ((1, 3), "-2"), ((2, 3), "5/7")))
+    assert a._key == ("numeric", 3, (((1, 2), "3/2"), ((1, 3), "-2"), ((2, 3), "5/7")))
     assert a != ParamMode.numeric(3, {**values, (2, 3): Fraction(7, 5)})
     assert a != ParamMode.numeric(2, {(1, 2): "3/2"}) and a != ParamMode.multi(3)
     assert ParamMode.multi(3) == ParamMode.multi(3) and ParamMode.multi(3) != ParamMode.multi(2)
     assert hash(ParamMode.multi(3)) == hash(ParamMode.multi(3))
-    assert ParamMode.multi(3).cache_key() == ("multi", 3)
-    assert ParamMode.single() == ParamMode.single() and ParamMode.single().cache_key() == ("single",)
+    assert ParamMode.multi(3)._key == ("multi", 3)
+    assert ParamMode.single() == ParamMode.single() and ParamMode.single()._key == ("single",)
     assert ParamMode.single() != ParamMode.multi(1)
