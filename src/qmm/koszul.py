@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .free_algebra import NCPoly
@@ -101,11 +102,10 @@ def build_complex(n: int, ell: int, mode: ParamMode) -> KoszulComplex:
         index = {key: pos for pos, key in enumerate(codomain)}
         matrix = [[mode.zero() for _ in domain] for _ in codomain]
         for col, (J, r) in enumerate(domain):
-            word_r = space.monomial_word(r)
             collected: dict[tuple, dict] = {}
             for word, c in _wedge_expansion(space, J).terms.items():
                 prefix, last = word[:-1], word[-1]
-                c2, r2 = space.affine_normalize(bytes([last]) + word_r)
+                c2, r2 = space.affine_prepend(last, r)
                 bucket = collected.setdefault(r2, {})
                 acc = bucket.get(prefix)
                 acc = c * c2 if acc is None else acc + c * c2
@@ -250,17 +250,19 @@ def comodule_compat_check(n: int, ell: int, oracle: IdealOracle) -> bool:
     space = QuantumSpace(n, mode)
     complex = build_complex(n, ell, mode)
     zero = NCPoly.zero(space.z, mode)
+    # each coaction once per call; both caches go with the call
+    affine = cache(space.coaction_affine)
+    tensor = cache(lambda J: space.coaction_tensor_poly(_wedge_expansion(space, J)))
     for i in range(1, ell + 1):
         domain, codomain = complex.bases[i - 1], complex.bases[i]
         matrix = complex.maps[i]
         for col, (J, r) in enumerate(domain):
             route_a: dict = {}
-            wedge_family = space.coaction_tensor_poly(_wedge_expansion(space, J))
-            affine_family = space.coaction_affine(r)
-            for w4, cpoly in wedge_family.items():
+            affine_family = affine(r)
+            for w4, cpoly in tensor(J).items():
                 prefix, last = w4[:-1], w4[-1]
                 for r4, bpoly in affine_family.items():
-                    c, r3 = space.affine_normalize(bytes([last]) + space.monomial_word(r4))
+                    c, r3 = space.affine_prepend(last, r4)
                     contrib = (cpoly * bpoly).scale(c)
                     key = (prefix, r3)
                     route_a[key] = route_a.get(key, zero) + contrib
@@ -269,9 +271,8 @@ def comodule_compat_check(n: int, ell: int, oracle: IdealOracle) -> bool:
                 alpha = matrix[row][col]
                 if alpha.is_zero():
                     continue
-                wedge_i = space.coaction_tensor_poly(_wedge_expansion(space, I))
-                affine_i = space.coaction_affine(r2)
-                for w, cpoly in wedge_i.items():
+                affine_i = affine(r2)
+                for w, cpoly in tensor(I).items():
                     for r3, bpoly in affine_i.items():
                         contrib = (cpoly * bpoly).scale(alpha)
                         key = (w, r3)

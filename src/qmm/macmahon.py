@@ -2,11 +2,13 @@
 
 For the generic right-quantum matrix Z, the bosonic series collects the
 diagonal coaction coefficients G(m) (the coefficient of x^m in
-X_1^{m_1}...X_n^{m_n} with X_i = sum_j z_i^j (x) x_j) and the fermionic series
-collects signed quantum minors over subsets.  Their product telescopes to 1
-modulo the relation ideal of B; that is verified here degree by degree via
-the membership oracle, together with the torus-twisted variant and the
-classical commutative specialization.
+X_1^{m_1}...X_n^{m_n} with X_i = sum_j z_i^j (x) x_j: the sum over the
+rearrangements of the upper indices of m, each weighted by q over its
+inversions) and the fermionic series collects signed quantum minors over
+subsets.  Their product telescopes to 1 modulo the relation ideal of B;
+that is verified here degree by degree via the membership oracle, together
+with the torus-twisted variant and the classical commutative
+specialization.
 """
 
 from __future__ import annotations
@@ -27,11 +29,14 @@ from .right_quantum import IdealOracle, QMatrix, qdet
 
 
 def g_coefficient(space: QuantumSpace, m) -> NCPoly:
-    """G(m): the diagonal coefficient b_{m,m} of the coaction on x^m."""
+    """G(m): the diagonal coefficient b_{m,m} of the coaction on x^m.
+
+    The coaction's pass with the upper-index counts capped at m, so it
+    visits only the multinomial(m) rearrangements of the upper indices,
+    each weighted by q over its inversions.
+    """
     m = tuple(m)
-    if len(m) != space.n or any(e < 0 for e in m):
-        raise ValueError(f"need a multidegree of length {space.n}")
-    return space.coaction_affine(m).get(m, NCPoly.zero(space.z, space.mode))
+    return NCPoly(space.z, space.mode, space._upper_sequences(m, m).get(m, {}))
 
 
 @dataclass(frozen=True)
@@ -43,13 +48,17 @@ class CharacterSeries:
 
 
 def _bos(space: QuantumSpace, bound: int, weight) -> TruncSeries:
-    """Degree-l coefficient: the sum of weight(m) * G(m) over all |m| = l."""
+    """Degree-l coefficient: the sum of weight(m) * G(m) over all |m| = l.
+
+    Every word of G(m) has the sorted word of m as its lower indices, so the
+    supports are disjoint and the terms go into one dict unsummed.
+    """
     coeffs = []
     for l in range(bound + 1):
-        acc = NCPoly.zero(space.z, space.mode)
+        terms: dict = {}
         for m in space.affine_basis(l):
-            acc = acc + g_coefficient(space, m).scale(weight(m))
-        coeffs.append(acc)
+            terms.update(g_coefficient(space, m).scale(weight(m)).terms)
+        coeffs.append(NCPoly(space.z, space.mode, terms))
     return TruncSeries(space.z, space.mode, bound, coeffs)
 
 

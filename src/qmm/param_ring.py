@@ -23,6 +23,13 @@ class ModeMismatchError(ValueError):
     """Raised when scalars over different parameter modes are combined."""
 
 
+def parameter_pairs(n: int) -> tuple:
+    """The parameter labels (i, j), 1 <= i < j <= n, in lexicographic order:
+    the variables of ``ParamMode.multi(n)`` and the layout of per-pair
+    exponents (``ParamMode.q_monomial``)."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
 def _as_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -60,8 +67,7 @@ class ParamMode:
     def multi(cls, n: int) -> "ParamMode":
         if n < 1:
             raise ValueError("need n >= 1")
-        pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        return cls("multi", n=n, variables=pairs)
+        return cls("multi", n=n, variables=parameter_pairs(n))
 
     @classmethod
     def single(cls) -> "ParamMode":
@@ -70,9 +76,8 @@ class ParamMode:
     @classmethod
     def numeric(cls, n: int, assignment) -> "ParamMode":
         """Fix every q_ij to a nonzero rational; scalars become rationals."""
-        pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
         fixed = {}
-        for pair in pairs:
+        for pair in parameter_pairs(n):
             if pair not in assignment:
                 raise ValueError(f"numeric mode needs a value for q_{pair[0]}{pair[1]}")
             val = _as_rational(assignment[pair])
@@ -148,6 +153,23 @@ class ParamMode:
         if self.kind == "single":
             label = "q"
         return self.variable(label, power)
+
+    def q_monomial(self, exponents) -> "ParamScalar":
+        """The product of q_ij^e over per-pair exponents e, listed over the
+        pairs i < j in ``parameter_pairs`` order: one Laurent monomial, or
+        one rational in numeric mode."""
+        if self.kind == "multi":
+            exponents = tuple(exponents)
+            if len(exponents) != self.nvars:
+                raise ValueError(f"need {self.nvars} per-pair exponents")
+            return ParamScalar(self, {exponents: 1})
+        if self.kind == "single":
+            return ParamScalar(self, {(sum(exponents),): 1})
+        value = Fraction(1)
+        for pair, e in zip(parameter_pairs(self.n), exponents):
+            if e:
+                value *= self.assignment[pair] ** e
+        return ParamScalar(self, {(): _canonical_coeff(value)})
 
 
 def _canonical_coeff(c):

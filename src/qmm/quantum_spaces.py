@@ -15,6 +15,13 @@ parameters in w(pi) are indexed by the actual elements of J, pairs
 convention fails to annihilate the degree-m relations of A^! for any J other
 than {1..m}, which is machine-checked by ``wedge_pairing_check`` (and its
 negative twin in the test suite).
+
+Every q factor on the affine side comes from letter counts: appending x_j
+to a word holding counts[k] copies of each x_k multiplies the normal form
+by q_jk^{counts[k]} for each k > j.  The coaction on x^m is one depth-first
+pass over the upper-index sequences of the sorted word of x^m that applies
+this rule letter by letter, with shared prefixes; capping the upper counts
+at m gives exactly the words of the diagonal coefficient G(m).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .free_algebra import Alphabet, NCPoly, Word
-from .param_ring import ParamMode, ParamScalar
+from .param_ring import ParamMode, ParamScalar, parameter_pairs
 
 
 @dataclass(frozen=True)
@@ -51,31 +58,40 @@ class QuantumSpace:
         self.mode = mode
         self.x = Alphabet("x", n)
         self.z = Alphabet("z", n)
+        # per letter id j: (k, slot of q_jk) for k > j and (k, slot of q_kj)
+        # for k < j, slots in per-pair exponent order
+        slot = {pair: s for s, pair in enumerate(parameter_pairs(n))}
+        self._npairs = len(slot)
+        self._above = [tuple((k, slot[j + 1, k + 1]) for k in range(j + 1, n)) for j in range(n)]
+        self._below = [tuple((k, slot[k + 1, j + 1]) for k in range(j)) for j in range(n)]
 
     # -- the affine side -------------------------------------------------------
 
     def affine_normalize(self, word: Word) -> tuple[ParamScalar, tuple[int, ...]]:
         """PBW normal form of a free word: word = c * x^m in A.
 
-        Stable insertion sort; every swap of x_j leftwards past x_i with i < j
-        contributes one factor q_ij, so c is the product of q over the
-        inversion pairs of the word.
+        Moving x_j leftwards past x_i (i < j) costs q_ij, so c is the product
+        of q over the inversion pairs of the word.  One left-to-right pass
+        counts them: appending x_j after counts[k] copies of each x_k adds
+        counts[k] to the exponent of q_jk for every k > j.
         """
-        counts: dict[tuple[int, int], int] = {}
-        letters = bytes(word)
-        length = len(letters)
-        for p in range(length):
-            for r in range(p + 1, length):
-                if letters[p] > letters[r]:
-                    pair = (letters[r] + 1, letters[p] + 1)
-                    counts[pair] = counts.get(pair, 0) + 1
-        coeff = self.mode.one()
-        for (i, j), e in sorted(counts.items()):
-            coeff = coeff * self.mode.q(i, j) ** e
-        multidegree = [0] * self.n
-        for c in letters:
-            multidegree[c] += 1
-        return coeff, tuple(multidegree)
+        counts = [0] * self.n
+        exps = [0] * self._npairs
+        for c in bytes(word):
+            for k, slot in self._above[c]:
+                exps[slot] += counts[k]
+            counts[c] += 1
+        return self.mode.q_monomial(exps), tuple(counts)
+
+    def affine_prepend(self, letter: int, m) -> tuple[ParamScalar, tuple[int, ...]]:
+        """x_j * x^m = c * x^{m + e_j} in A for the letter id of x_j: the
+        same count rule, so c is the product of q_kj^{m_k} over k < j."""
+        exps = [0] * self._npairs
+        for k, slot in self._below[letter]:
+            exps[slot] = m[k]
+        r = list(m)
+        r[letter] += 1
+        return self.mode.q_monomial(exps), tuple(r)
 
     def monomial_word(self, m) -> Word:
         """The sorted word of the PBW monomial x^m."""
@@ -207,27 +223,62 @@ class QuantumSpace:
     def coaction_affine(self, m) -> dict[tuple[int, ...], NCPoly]:
         """Coefficients b_{r,m} of the comodule-algebra coaction on x^m.
 
-        Expands delta(x_1)^{m_1} ... delta(x_n)^{m_n} with delta(x_i) =
-        sum_j z_i^j (x) x_j, normalizing the affine side after each factor.
-        Every b_{r,m} is homogeneous of z-degree |m|.
+        delta(x^m) is the product of delta(x_i) = sum_j z_i^j (x) x_j over
+        the letters i of the sorted word of x^m, so every upper-index
+        sequence j_1..j_d contributes the z-word z_{i_1}^{j_1}...z_{i_d}^{j_d}
+        to b_{r,m}, r the counts of the j's, with the q factor that sorts
+        x_{j_1}...x_{j_d}.  Distinct sequences give distinct z-words, so
+        nothing cancels; every b_{r,m} is homogeneous of z-degree |m|.
         """
-        states: dict[tuple[int, ...], NCPoly] = {
-            (0,) * self.n: NCPoly.one(self.z, self.mode)
-        }
-        for i in range(1, self.n + 1):
-            for _ in range(m[i - 1]):
-                new: dict[tuple[int, ...], NCPoly] = {}
-                for r, bpoly in states.items():
-                    word_r = self.monomial_word(r)
-                    for j in range(1, self.n + 1):
-                        c, r2 = self.affine_normalize(word_r + bytes([j - 1]))
-                        contrib = (bpoly * self.z_gen(i, j)).scale(c)
-                        if r2 in new:
-                            new[r2] = new[r2] + contrib
-                        else:
-                            new[r2] = contrib
-                states = {r: p for r, p in new.items() if not p.is_zero()}
-        return states
+        family = self._upper_sequences(m, None)
+        return {r: NCPoly(self.z, self.mode, terms) for r, terms in family.items()}
+
+    def _upper_sequences(self, m, cap) -> dict:
+        """One depth-first pass over the upper-index sequences of the sorted
+        word of x^m, with at most cap[j] copies of each upper index j when
+        ``cap`` is given: a dict r -> {z-word: q factor}.
+
+        Prefixes are shared.  Appending upper index j adds counts[k] to the
+        exponent of q_jk for each k > j (the ``affine_normalize`` rule), and
+        each leaf's factor is built once from its exponents.
+        """
+        n = self.n
+        if len(m) != n or any(e < 0 for e in m):
+            raise ValueError(f"need a multidegree of length {n}")
+        lowers = [i * n for i, e in enumerate(m) for _ in range(e)]
+        d = len(lowers)
+        limit = [d] * n if cap is None else list(cap)
+        above, q_monomial = self._above, self.mode.q_monomial
+        counts = [0] * n
+        exps = [0] * self._npairs
+        word = bytearray(d)
+        factors: dict = {}
+        out: dict = {}
+
+        def extend(t):
+            if t == d:
+                key = tuple(exps)
+                c = factors.get(key)
+                if c is None:
+                    c = factors[key] = q_monomial(key)
+                out.setdefault(tuple(counts), {})[bytes(word)] = c
+                return
+            base = lowers[t]
+            for j in range(n):
+                if counts[j] == limit[j]:
+                    continue
+                word[t] = base + j
+                step = above[j]
+                for k, slot in step:
+                    exps[slot] += counts[k]
+                counts[j] += 1
+                extend(t + 1)
+                counts[j] -= 1
+                for k, slot in step:
+                    exps[slot] -= counts[k]
+
+        extend(0)
+        return out
 
     def coaction_tensor(self, word: Word) -> dict[Word, NCPoly]:
         """Free-level coaction on a tensor word: no normalization anywhere.

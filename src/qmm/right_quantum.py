@@ -283,8 +283,8 @@ class _Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _eliminate(self, vec: dict, row: dict, pivot):
-        """vec <- fa * vec - fb * row, which clears vec[pivot]; returns fa."""
+    def _eliminate(self, vec: dict, row: dict, pivot) -> None:
+        """vec <- fa * vec - fb * row, which clears vec[pivot]."""
         fa, fb = self._cofactors(vec[pivot], row[pivot])
         if fa != 1:
             for k in vec:
@@ -296,38 +296,27 @@ class _Echelon:
                 vec[k] = nv
             else:
                 vec.pop(k, None)
-        return fa
 
-    def reduce(self, vec: dict, strip: bool = True) -> tuple:
-        """Eliminate every pivot from vec (in place); returns
-        (remainder, multiplier).
-
-        Without ``strip`` the exact invariant holds: multiplier * vec minus
-        the remainder lies in the row space.  With ``strip`` the remainder is
-        also divided by its content as it goes, which is enough for zero tests
-        and insertion; the multiplier is then None.
-        """
-        multiplier = None if strip else 1
+    def reduce(self, vec: dict) -> dict:
+        """Eliminate every pivot from vec (in place) and return the
+        remainder, divided by its content as it goes: enough for zero tests
+        and insertion."""
         if vec:
             steps = 0
             for p in self.pivots[bisect_left(self.pivots, min(vec)):]:
                 if p in vec:
-                    fa = self._eliminate(vec, self.rows[p], p)
-                    if not strip:
-                        multiplier = multiplier * fa
-                    else:
-                        steps += 1
-                        if steps % 16 == 0:
-                            self._strip(vec)
-            if strip:
-                self._strip(vec)
-        return vec, multiplier
+                    self._eliminate(vec, self.rows[p], p)
+                    steps += 1
+                    if steps % 16 == 0:
+                        self._strip(vec)
+            self._strip(vec)
+        return vec
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(dict(vec))[0]
+        return not self.reduce(dict(vec))
 
     def insert(self, vec: dict) -> bool:
-        vec, _ = self.reduce(vec)
+        vec = self.reduce(vec)
         if not vec:
             return False
         pivot = min(vec)

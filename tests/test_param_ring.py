@@ -154,3 +154,20 @@ def test_mode_key_is_fixed_at_construction():
     assert ParamMode.multi(3)._key == ("multi", 3)
     assert ParamMode.single() == ParamMode.single() and ParamMode.single()._key == ("single",)
     assert ParamMode.single() != ParamMode.multi(1)
+
+
+def test_q_monomial_is_the_product_of_powers():
+    # per-pair exponents, Laurent in every mode; numeric values include a
+    # negative and a non-integer rational
+    rng = Random(17)
+    n = 3
+    numeric = ParamMode.numeric(n, {(1, 2): Fraction(-3, 2), (1, 3): 5, (2, 3): Fraction(2, 7)})
+    for mode in (ParamMode.multi(n), ParamMode.single(), numeric):
+        for _ in range(20):
+            exps = [rng.randint(-3, 3) for _ in range(3)]
+            expected = mode.one()
+            for (i, j), e in zip(((1, 2), (1, 3), (2, 3)), exps):
+                expected = expected * mode.q(i, j) ** e
+            assert mode.q_monomial(exps) == expected
+    with pytest.raises(ValueError):
+        ParamMode.multi(n).q_monomial([1, 2])

@@ -26,8 +26,6 @@ from qmm import (
 from qmm.free_algebra import word_rank
 from qmm.param_ring import ParamScalar
 from qmm.right_quantum import (
-    IntEchelon,
-    SymbolicEchelon,
     _strip_int,
     block_words,
     to_vector,
@@ -351,33 +349,6 @@ def test_tensor_membership_checks_every_row(exact):
     member = TensorPoly.outer(cube[0], r)
     assert oracle.contains_tensor(member)
     assert not oracle.contains_tensor(member + TensorPoly.outer(cube[1], cube[2]))
-
-
-@pytest.mark.parametrize("exact", [True, False])
-def test_reduce_without_strip_keeps_the_multiplier(exact):
-    # multiplier * vec - remainder must lie in the row space, and the
-    # remainder must avoid every pivot column
-    mode = ParamMode.multi(2)
-    sp = QuantumSpace(2, mode)
-    z = sp.z_gen
-    oracle = IdealOracle(2, mode, exact=exact, seed=8, draws=1)
-    basis = oracle.basis(3, 0, BLOCK_211)
-    assert isinstance(basis, SymbolicEchelon if exact else IntEchelon)
-    rels = build_relations(2, mode)
-    p = z(1, 1) * z(1, 1) * z(2, 2) + z(1, 1) * rels[2] + (z(1, 2) * z(2, 1) * z(1, 1)).scale(2)
-    assert {word_block(w, 2) for w in p.terms} == {BLOCK_211}
-    vec = to_vector([(word_rank(w, 4), c) for w, c in column_reduce(p).terms.items()],
-                    oracle.assignments[0])
-    remainder, multiplier = basis.reduce(dict(vec), strip=False)
-    assert multiplier != 1
-    assert remainder and not set(remainder) & set(basis.pivots)
-    diff = {}
-    for k in set(vec) | set(remainder):
-        c = multiplier * vec[k] if k in vec else 0
-        c = c - remainder[k] if k in remainder else c
-        if c:
-            diff[k] = c
-    assert diff and basis.contains(diff)
 
 
 def test_is_right_quantum_all_q_one():
