@@ -47,6 +47,8 @@ def _check_ranges(args) -> None:
         raise UsageError("--ell must be >= 1")
     if getattr(args, "random", None) is not None and args.random < 1:
         raise UsageError("--random must be >= 1")
+    if args.q_assign is not None and args.params != "numeric":
+        raise UsageError("--q-assign is read only with --params numeric")
 
 
 def _check_draws(args, mode: ParamMode) -> None:
@@ -58,16 +60,19 @@ def _check_draws(args, mode: ParamMode) -> None:
         raise UsageError(str(exc)) from exc
 
 
-def _parse_q_assignment(n: int, text: str) -> dict:
-    """Parse "1,2=2;1,3=3/2;2,3=5" into a q assignment."""
+def _parse_q_assignment(text: str) -> dict:
+    """Parse "1,2=2;1,3=3/2;2,3=5" into a q assignment, each pair once."""
     assignment = {}
     for chunk in filter(None, (part.strip() for part in text.split(";"))):
         try:
             key, value = chunk.split("=")
             i, j = (int(t) for t in key.split(","))
-            assignment[(i, j)] = Fraction(value)
+            pair, value = (i, j), Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad q assignment {chunk!r}: {exc}") from exc
+        if pair in assignment:
+            raise UsageError(f"q_{i},{j} is assigned twice in --q-assign")
+        assignment[pair] = value
     return assignment
 
 
@@ -79,7 +84,7 @@ def _make_mode(args) -> ParamMode:
     if not args.q_assign:
         raise UsageError("numeric mode requires --q-assign")
     try:
-        return ParamMode.numeric(args.n, _parse_q_assignment(args.n, args.q_assign))
+        return ParamMode.numeric(args.n, _parse_q_assignment(args.q_assign))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -75,9 +75,16 @@ class ParamMode:
 
     @classmethod
     def numeric(cls, n: int, assignment) -> "ParamMode":
-        """Fix every q_ij to a nonzero rational; scalars become rationals."""
+        """Fix every q_ij to a nonzero rational; scalars become rationals.
+        Every label must be a parameter of n: a pair i < j in 1..n."""
+        pairs = parameter_pairs(n)
+        for label in assignment:
+            if label not in pairs:
+                raise ValueError(
+                    f"q label {label} is not a parameter for n={n} (need 1 <= i < j <= {n})"
+                )
         fixed = {}
-        for pair in parameter_pairs(n):
+        for pair in pairs:
             if pair not in assignment:
                 raise ValueError(f"numeric mode needs a value for q_{pair[0]}{pair[1]}")
             val = _as_rational(assignment[pair])

@@ -126,7 +126,7 @@ class QuantumSpace:
         letters = bytes(word)
         if len(set(letters)) != len(letters):
             return NCPoly.zero(self.x, self.mode)
-        weight = self._exterior_weight([c + 1 for c in letters])
+        weight = self.exterior_weight([c + 1 for c in letters])
         return NCPoly.monomial(self.x, self.mode, bytes(sorted(letters)), weight)
 
     def exterior_relation_generators(self) -> list[NCPoly]:
@@ -144,7 +144,7 @@ class QuantumSpace:
 
     # -- wedge basis -----------------------------------------------------------------
 
-    def _exterior_weight(self, indices) -> ParamScalar:
+    def exterior_weight(self, indices) -> ParamScalar:
         """One factor (-q_ab)^{-1} per inversion of a sequence of distinct
         indices, with a < b the two inverted values."""
         w = self.mode.one()
@@ -160,7 +160,7 @@ class QuantumSpace:
         subset elements it swaps (a < b always, since the subset increases).
         """
         J = tuple(subset)
-        return self._exterior_weight([J[p] for p in pi])
+        return self.exterior_weight([J[p] for p in pi])
 
     def wedge_expand(self, subset) -> WedgeElement:
         """The wedge basis vector for a nonempty subset of {1..n}."""

@@ -328,15 +328,11 @@ class _Echelon:
         return True
 
     def finalize(self) -> None:
-        """Back-substitute to reduced echelon form: each pivot column appears
-        in its own row only.  Processing pivots in decreasing order keeps this
-        a single pass."""
-        for idx in range(len(self.pivots) - 1, -1, -1):
-            row = self.rows[self.pivots[idx]]
-            for q in self.pivots[idx + 1:]:
-                if q in row:
-                    self._eliminate(row, self.rows[q], q)
-            self._strip(row)
+        """Check the echelon invariant: distinct sorted pivots, one row each,
+        whose smallest column is its pivot.  A violation is an internal
+        defect."""
+        if sorted(self.rows) != self.pivots or any(min(row) != p for p, row in self.rows.items()):
+            raise RuntimeError("echelon invariant violated")
 
 
 class IntEchelon(_Echelon):
@@ -530,7 +526,7 @@ class IdealOracle:
         }
 
     def basis(self, degree: int, draw: int, block: tuple):
-        """The finalized echelon basis of the ideal's component in ``block``
+        """The checked echelon basis of the ideal's component in ``block``
         (a ``word_block`` key of total degree ``degree``) under
         ``assignments[draw]``, built by elimination on every call: the
         independent reference for the normal form.

@@ -169,6 +169,23 @@ def test_numeric_mode_verify():
     assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize(
+    "assign, named",
+    [("1,2=2;1,3=5", "(1, 3)"), ("1,2=2;2,1=5", "(2, 1)"), ("1,2=2;0,7=1", "(0, 7)"), ("1,2=2;1,2=3", "q_1,2")],
+)
+def test_q_assign_rejects_what_is_not_one_value_per_parameter(assign, named):
+    code, out, err = run(["verify", "--n", "2", "--degree", "2", "--params", "numeric", "--q-assign", assign])
+    assert code == 2 and out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize("params", ["multi", "single"])
+def test_q_assign_needs_numeric_params(params):
+    code, _, err = run(["koszul", "--n", "2", "--degree", "2", "--params", params, "--q-assign", "1,2=2"])
+    assert code == 2
+    assert "--params numeric" in err
+
+
 def test_specialize_requires_at_least_one_seed():
     code, _, err = run(["verify", "--n", "2", "--degree", "2", "--seeds", "0"])
     assert code == 2

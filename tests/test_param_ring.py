@@ -91,6 +91,12 @@ def test_numeric_mode_is_exact_rational():
         ParamMode.numeric(2, {(1, 2): 0})
 
 
+@pytest.mark.parametrize("label", [(1, 3), (2, 1), (0, 7), (1, 1)])
+def test_numeric_mode_rejects_a_label_that_is_no_parameter(label):
+    with pytest.raises(ValueError, match="not a parameter"):
+        ParamMode.numeric(2, {(1, 2): 2, label: 5})
+
+
 def test_ring_axioms_randomized():
     rng = Random(20240)
     for mode in (ParamMode.multi(3), ParamMode.single()):

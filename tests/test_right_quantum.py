@@ -386,16 +386,20 @@ def test_specialization_draws_are_distinct_odd_primes():
     assert specialization_draws(mode, 3, 9) == specialization_draws(mode, 3, 9)
 
 
-def test_reduced_echelon_invariant():
-    # every pivot column appears in exactly one basis row
+def test_echelon_invariant():
+    # distinct pivots, each the smallest column of its own row; finalize
+    # checks exactly that and rejects a row filed under another pivot
     mode = ParamMode.multi(2)
-    oracle = IdealOracle(2, mode, exact=False, seed=0, draws=1)
-    basis = oracle.basis(3, 0, BLOCK_211)
-    assert basis.rank > 1
-    for p in basis.pivots:
-        for other, row in basis.rows.items():
-            if other != p:
-                assert p not in row
+    for exact in (False, True):
+        oracle = IdealOracle(2, mode, exact=exact, seed=0, draws=1)
+        basis = oracle.basis(3, 0, BLOCK_211)
+        assert basis.rank > 1
+        assert len(set(basis.pivots)) == len(basis.pivots) == len(basis.rows)
+        assert all(min(basis.rows[p]) == p for p in basis.pivots)
+        p, q = basis.pivots[:2]
+        basis.rows[p], basis.rows[q] = basis.rows[q], basis.rows[p]
+        with pytest.raises(RuntimeError, match="echelon invariant"):
+            basis.finalize()
 
 
 def test_block_words_partition_each_degree():
