@@ -47,7 +47,7 @@ def _check_ranges(args) -> None:
         raise UsageError("--ell must be >= 1")
     if getattr(args, "random", None) is not None and args.random < 1:
         raise UsageError("--random must be >= 1")
-    if args.q_assign is not None and args.params != "numeric":
+    if getattr(args, "q_assign", None) is not None and args.params != "numeric":
         raise UsageError("--q-assign is read only with --params numeric")
 
 
@@ -97,14 +97,9 @@ def _make_oracle(args, mode: ParamMode) -> IdealOracle:
 
 
 def _config_dict(args, mode: ParamMode | None = None) -> dict:
-    cfg = {
-        "n": args.n,
-        "params": args.params,
-        "mode": getattr(args, "mode", None),
-        "seed": getattr(args, "seed", None),
-        "seeds": getattr(args, "seeds", None),
-    }
-    for key in ("degree", "ell", "subset", "matrix", "random"):
+    """The options the command has, each as given or defaulted."""
+    cfg = {}
+    for key in ("n", "params", "mode", "seed", "seeds", "degree", "ell", "subset", "matrix", "random"):
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
     if mode is not None and mode.kind == "numeric":
@@ -271,7 +266,6 @@ def cmd_classical(args) -> int:
         "pass": ok,
         "pretty": [f"matrix {r['index']}: pass={r['pass']}" for r in results],
     }
-    report["config"]["params"] = "numeric(q=1)"
     _emit(args, report)
     return 0 if ok else 1
 
@@ -284,11 +278,18 @@ def _add_common(sub, degree_default=None):
     sub.add_argument("--n", type=int, default=2, help="number of generators")
     if degree_default is not None:
         sub.add_argument("--degree", type=int, default=degree_default, help="truncation degree")
+    sub.add_argument("--output", choices=("json", "text"), default="text")
+
+
+def _add_params(sub):
     sub.add_argument(
         "--params", choices=("multi", "single", "numeric"), default="multi",
         help="parameter mode",
     )
     sub.add_argument("--q-assign", help="numeric assignments, e.g. '1,2=2;1,3=3/2'")
+
+
+def _add_oracle(sub):
     sub.add_argument(
         "--mode", choices=("exact", "specialize"), default="specialize",
         help="ideal membership / rank strategy",
@@ -298,7 +299,6 @@ def _add_common(sub, degree_default=None):
         "--seeds", type=int, default=3,
         help="number of independent specializations derived from --seed",
     )
-    sub.add_argument("--output", choices=("json", "text"), default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,25 +310,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="check Bos(Z)*Ferm(Z) = 1 degree by degree")
     _add_common(sub, degree_default=4)
+    _add_params(sub)
+    _add_oracle(sub)
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("qdet", help="print a quantum minor")
     _add_common(sub)
+    _add_params(sub)
     sub.add_argument("--subset", required=True, help="comma-separated row labels, e.g. 1,3")
     sub.set_defaults(func=cmd_qdet)
 
     sub = subs.add_parser("koszul", help="build complexes and certify exactness")
     _add_common(sub, degree_default=3)
+    _add_params(sub)
+    _add_oracle(sub)
     sub.add_argument("--ell", type=int, help="single complex degree (default: sweep 1..degree)")
     sub.set_defaults(func=cmd_koszul)
 
     sub = subs.add_parser("twisted", help="check the torus-twisted identity (one-parameter)")
     _add_common(sub, degree_default=3)
+    _add_params(sub)
+    _add_oracle(sub)
     sub.set_defaults(func=cmd_twisted)
     sub.set_defaults(params="single")
 
     sub = subs.add_parser("classical", help="check the commutative q=1 identity")
     _add_common(sub, degree_default=6)
+    sub.add_argument("--seed", type=int, default=0, help="PRNG seed of the --random matrices")
     sub.add_argument("--matrix", help="JSON file: array of arrays of rational strings")
     sub.add_argument("--random", type=int, help="number of random rational matrices")
     sub.set_defaults(func=cmd_classical)

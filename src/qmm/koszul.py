@@ -36,12 +36,6 @@ from .quantum_spaces import QuantumSpace
 from .right_quantum import IdealOracle, new_echelon, to_vector, verdict_rings
 
 
-def _wedge_expansion(space: QuantumSpace, J) -> NCPoly:
-    if not J:
-        return NCPoly.one(space.x, space.mode)
-    return space.wedge_expand(J).expansion
-
-
 @dataclass
 class KoszulComplex:
     """Explicit bases and differential matrices for one complex K^{l,*}.
@@ -217,7 +211,7 @@ def comodule_compat_check(n: int, ell: int, oracle: IdealOracle) -> bool:
     zero = NCPoly.zero(space.z, mode)
     # each coaction once per call; both caches go with the call
     affine = cache(space.coaction_affine)
-    tensor = cache(lambda J: space.coaction_tensor_poly(_wedge_expansion(space, J)))
+    tensor = cache(lambda J: space.coaction_tensor_poly(space.wedge_expand(J)))
     for i in range(1, ell + 1):
         domain, codomain = complex.bases[i - 1], complex.bases[i]
         matrix = complex.maps[i]

@@ -64,15 +64,20 @@ def _bos(space: QuantumSpace, bound: int, weight) -> TruncSeries:
 
 def _ferm(space: QuantumSpace, bound: int, weight) -> TruncSeries:
     """Degree-m coefficient: (-1)^m times the sum of weight(J) times the
-    quantum minor on J over all m-element subsets J; zero above degree n."""
+    quantum minor on J over all m-element subsets J; zero above degree n.
+
+    The words of the minor on J have upper indices J in order, so the
+    supports are disjoint and the terms go into one dict unsummed.
+    """
     Z = QMatrix.generic(space.n, space.mode)
     coeffs = []
     for m in range(bound + 1):
-        acc = NCPoly.zero(space.z, space.mode)
+        terms: dict = {}
         for J in combinations(range(1, space.n + 1), m):
             minor = NCPoly.one(space.z, space.mode) if m == 0 else qdet(Z, J)
-            acc = acc + minor.scale(weight(J))
-        coeffs.append(-acc if m % 2 else acc)
+            terms.update(minor.scale(weight(J)).terms)
+        coeff = NCPoly(space.z, space.mode, terms)
+        coeffs.append(-coeff if m % 2 else coeff)
     return TruncSeries(space.z, space.mode, bound, coeffs)
 
 
@@ -159,10 +164,8 @@ def wedge_coaction_diagonal(space: QuantumSpace, subset) -> NCPoly:
     wedge(J); equals qdet on J exactly, with no reduction, by the leading-term
     computation."""
     J = tuple(sorted(subset))
-    wedge = space.wedge_expand(J)
-    target = space.x.x_word(J)
-    family = space.coaction_tensor_poly(wedge.expansion)
-    return family.get(target, NCPoly.zero(space.z, space.mode))
+    family = space.coaction_tensor_poly(space.wedge_expand(J))
+    return family.get(space.x.x_word(J), NCPoly.zero(space.z, space.mode))
 
 
 def verify_qdet_coaction(oracle: IdealOracle) -> bool:
@@ -174,12 +177,12 @@ def verify_qdet_coaction(oracle: IdealOracle) -> bool:
     space = QuantumSpace(n, oracle.mode)
     J = tuple(range(1, n + 1))
     wedge = space.wedge_expand(J)
-    family = space.coaction_tensor_poly(wedge.expansion)
+    family = space.coaction_tensor_poly(wedge)
     det = qdet(QMatrix.generic(n, oracle.mode), J)
     for jword in product(range(1, n + 1), repeat=n):
         w = space.x.x_word(jword)
         coeff = family.get(w, NCPoly.zero(space.z, space.mode))
-        weight = wedge.expansion.coefficient_of(w)
+        weight = wedge.coefficient_of(w)
         if not weight.is_zero():
             coeff = coeff - det.scale(weight)
         if not oracle.contains(coeff):

@@ -14,7 +14,10 @@ parameters in w(pi) are indexed by the actual elements of J, pairs
 (a, b) = (j_pi(j), j_pi(i)) with a < b, not by positions 1..m: the position
 convention fails to annihilate the degree-m relations of A^! for any J other
 than {1..m}, which is machine-checked by ``wedge_pairing_check`` (and its
-negative twin in the test suite).
+negative twin in the test suite).  That check is local: the degree-m
+relations are spanned by u r v with r a square or a q-anticommutator, and
+pairing with u r v reads only the words that agree with u and v outside
+positions |u|, |u| + 1.
 
 Every q factor on the affine side comes from letter counts: appending x_j
 to a word holding counts[k] copies of each x_k multiplies the normal form
@@ -22,28 +25,20 @@ by q_jk^{counts[k]} for each k > j.  The coaction on x^m is one depth-first
 pass over the upper-index sequences of the sorted word of x^m that applies
 this rule letter by letter, with shared prefixes; capping the upper counts
 at m gives exactly the words of the diagonal coefficient G(m).
+
+The free-level coaction on tensor words normalizes nothing: it relabels
+each word u with each target t into the z-word z_{u_1}^{t_1}...z_{u_m}^{t_m},
+and distinct words give distinct z-words at a fixed target, so every
+coefficient is one dict fill with nothing to sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
+from operator import add
 
 from .free_algebra import Alphabet, NCPoly, Word
 from .param_ring import ParamMode, ParamScalar, parameter_pairs
-
-
-@dataclass(frozen=True)
-class WedgeElement:
-    """A wedge basis vector: its subset and its expansion in the free algebra.
-
-    The expansion is homogeneous of degree len(subset), the increasing word
-    carries coefficient exactly 1, and it pairs to zero with every degree-m
-    relation of the exterior dual.
-    """
-
-    subset: tuple[int, ...]
-    expansion: NCPoly
 
 
 class QuantumSpace:
@@ -129,19 +124,6 @@ class QuantumSpace:
         weight = self.exterior_weight([c + 1 for c in letters])
         return NCPoly.monomial(self.x, self.mode, bytes(sorted(letters)), weight)
 
-    def exterior_relation_generators(self) -> list[NCPoly]:
-        """The n squares and C(n,2) q-anticommutators spanning the degree-2
-        relations of the exterior dual, verbatim."""
-        gens = []
-        for l in range(1, self.n + 1):
-            gens.append(NCPoly.monomial(self.x, self.mode, self.x.x_word([l, l])))
-        for k in range(1, self.n + 1):
-            for l in range(k + 1, self.n + 1):
-                p = NCPoly.monomial(self.x, self.mode, self.x.x_word([k, l]))
-                p = p + NCPoly.monomial(self.x, self.mode, self.x.x_word([l, k]), self.mode.q(k, l))
-                gens.append(p)
-        return gens
-
     # -- wedge basis -----------------------------------------------------------------
 
     def exterior_weight(self, indices) -> ParamScalar:
@@ -162,58 +144,47 @@ class QuantumSpace:
         J = tuple(subset)
         return self.exterior_weight([J[p] for p in pi])
 
-    def wedge_expand(self, subset) -> WedgeElement:
-        """The wedge basis vector for a nonempty subset of {1..n}."""
+    def wedge_expand(self, subset) -> NCPoly:
+        """The wedge basis vector of a subset of {1..n}, as its expansion in
+        the free algebra: homogeneous of degree |J|, with the increasing word
+        at coefficient exactly 1.  The empty subset gives 1."""
         J = tuple(sorted(subset))
-        if not J or not (1 <= J[0] and J[-1] <= self.n) or len(set(J)) != len(J):
-            raise ValueError(f"need a nonempty subset of 1..{self.n}")
+        if any(not 1 <= j <= self.n for j in J) or len(set(J)) != len(J):
+            raise ValueError(f"need a subset of 1..{self.n} without repeats")
         terms = {}
         for pi in permutations(range(len(J))):
-            word = self.x.x_word([J[p] for p in pi])
-            terms[word] = self.inversion_weight(J, pi)
-        return WedgeElement(J, NCPoly(self.x, self.mode, terms))
-
-    def dual_relation_spanners(self, m: int):
-        """Spanning family of the degree-m relations of the exterior dual:
-        every u * r * v with r a degree-2 generator and |u| + |v| = m - 2."""
-        gens = self.exterior_relation_generators()
-        letters = range(self.x.size)
-        for pos in range(m - 1):
-            for u in product(letters, repeat=pos):
-                for v in product(letters, repeat=m - 2 - pos):
-                    for r in gens:
-                        yield NCPoly(
-                            self.x,
-                            self.mode,
-                            {bytes(u) + w + bytes(v): c for w, c in r.terms.items()},
-                        )
-
-    @staticmethod
-    def pair_words(dual_poly: NCPoly, poly: NCPoly) -> ParamScalar:
-        """Evaluation pairing extended to tensor words: the product of
-        factorwise Kronecker deltas, i.e. equal words pair to 1."""
-        a, b = dual_poly.terms, poly.terms
-        if len(a) > len(b):
-            a, b = b, a
-        total = dual_poly.mode.zero()
-        for w, c in a.items():
-            other = b.get(w)
-            if other is not None:
-                total = total + c * other
-        return total
+            terms[self.x.x_word([J[p] for p in pi])] = self.inversion_weight(J, pi)
+        return NCPoly(self.x, self.mode, terms)
 
     def vanishes_on_dual_relations(self, p: NCPoly, m: int) -> bool:
         """Whether a degree-m element of the free algebra pairs to zero with
-        the whole degree-m relation space of the exterior dual."""
-        return all(self.pair_words(s, p).is_zero() for s in self.dual_relation_spanners(m))
+        the whole degree-m relation space of the exterior dual.
+
+        That space is spanned by u r v with r = x_l x_l or x_k x_l + q_kl x_l x_k
+        (k < l), and equal words pair to 1.  So each support word of length m
+        must have no repeated adjacent letter, and at each position, with
+        k < l its two letters there, p[u k l v] + q_kl p[u l k v] must vanish.
+        """
+        terms, zero = p.terms, self.mode.zero()
+        for w in terms:
+            if len(w) != m:
+                continue
+            for pos in range(m - 1):
+                k, l = sorted(w[pos:pos + 2])
+                if k == l:
+                    return False
+                head, tail = w[:pos], w[pos + 2:]
+                lo = terms.get(head + bytes((k, l)) + tail, zero)
+                hi = terms.get(head + bytes((l, k)) + tail, zero)
+                if not (lo + self.mode.q(k + 1, l + 1) * hi).is_zero():
+                    return False
+        return True
 
     def wedge_pairing_check(self, subset) -> bool:
         """True iff wedge(J) really lies in the dual of the degree-m component
         of the exterior algebra.  Vacuously true below degree 2."""
         J = tuple(sorted(subset))
-        if len(J) < 2:
-            return True
-        return self.vanishes_on_dual_relations(self.wedge_expand(J).expansion, len(J))
+        return self.vanishes_on_dual_relations(self.wedge_expand(J), len(J))
 
     # -- coactions ------------------------------------------------------------------
 
@@ -280,28 +251,18 @@ class QuantumSpace:
         extend(0)
         return out
 
-    def coaction_tensor(self, word: Word) -> dict[Word, NCPoly]:
-        """Free-level coaction on a tensor word: no normalization anywhere.
-
-        Maps x_{i_1} (x) ... (x) x_{i_m} to the family of coefficients
-        z_{i_1}^{j_1} ... z_{i_m}^{j_m} indexed by the target word (j_1..j_m).
-        """
-        out: dict[Word, NCPoly] = {}
-        m = len(word)
-        for jword in product(range(1, self.n + 1), repeat=m):
-            zword = self.z.z_word(zip((c + 1 for c in bytes(word)), jword))
-            target = self.x.x_word(jword)
-            out[target] = NCPoly.monomial(self.z, self.mode, zword)
-        return out
-
     def coaction_tensor_poly(self, p: NCPoly) -> dict[Word, NCPoly]:
-        """Linear extension of the free-level coaction to an x-polynomial."""
-        out: dict[Word, NCPoly] = {}
-        for w, c in p.terms.items():
-            for target, zpoly in self.coaction_tensor(w).items():
-                contrib = zpoly.scale(c)
-                if target in out:
-                    out[target] = out[target] + contrib
-                else:
-                    out[target] = contrib
-        return {t: poly for t, poly in out.items() if not poly.is_zero()}
+        """Free-level coaction of an x-polynomial, with no normalization
+        anywhere: target word t -> the sum over the words u of p of
+        p[u] z_{u_1}^{t_1} ... z_{u_m}^{t_m}.
+
+        At a fixed t, distinct u give distinct z-words, so each coefficient
+        is filled term by term with nothing to sum.
+        """
+        n = self.n
+        out: dict = {}
+        for u, c in p.terms.items():
+            rows = [a * n for a in u]
+            for t in product(range(n), repeat=len(u)):
+                out.setdefault(bytes(t), {})[bytes(map(add, rows, t))] = c
+        return {t: NCPoly(self.z, self.mode, terms) for t, terms in out.items()}

@@ -44,7 +44,8 @@ import math
 from bisect import bisect_left, insort
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import permutations
+from itertools import permutations, product
+from operator import add
 from random import Random
 
 from .free_algebra import Alphabet, LinearCombination, NCPoly, Word, word_rank
@@ -639,7 +640,8 @@ def qdet(Z: QMatrix, subset=None):
 
         sum over pi of w(pi) z^{j_1}_{j_pi(1)} ... z^{j_m}_{j_pi(m)},
 
-    sharing the J-mapped weight convention with the wedge basis.  Returns an
+    sharing the J-mapped weight convention with the wedge basis.  Distinct
+    permutations give distinct words, so the sum is a dict fill.  Returns an
     NCPoly for the generic matrix, else the value of that NCPoly at Z.
     """
     n, mode = Z.n, Z.mode
@@ -647,14 +649,12 @@ def qdet(Z: QMatrix, subset=None):
     if not J or J[0] < 1 or J[-1] > n or len(set(J)) != len(J):
         raise ValueError(f"need a nonempty subset of 1..{n}")
     space = QuantumSpace(n, mode)
-    m = len(J)
-    z = Alphabet("z", n)
-    acc = NCPoly.zero(z, mode)
-    for pi in permutations(range(m)):
-        w = space.inversion_weight(J, pi)
-        word = z.z_word((J[pi[k]], J[k]) for k in range(m))
-        acc = acc + NCPoly.monomial(z, mode, word, w)
-    return acc if Z.is_generic else evaluate(acc, Z)
+    z = space.z
+    terms = {}
+    for pi in permutations(range(len(J))):
+        terms[z.z_word((J[p], j) for p, j in zip(pi, J))] = space.inversion_weight(J, pi)
+    det = NCPoly(z, mode, terms)
+    return det if Z.is_generic else evaluate(det, Z)
 
 
 def evaluate(p: NCPoly, M: QMatrix) -> ParamScalar:
@@ -711,18 +711,21 @@ class TensorPoly(LinearCombination):
 
 def comultiply(p: NCPoly) -> TensorPoly:
     """Delta applied letterwise, z_i^j -> sum_l z_i^l (x) z_l^j, and extended
-    multiplicatively; the empty word maps to 1 (x) 1."""
-    z, mode = p.alphabet, p.mode
+    multiplicatively; the empty word maps to 1 (x) 1.
+
+    The word z_{i_1}^{j_1}...z_{i_d}^{j_d} contributes, for every middle
+    sequence l, the pair (z_{i_1}^{l_1}..., z_{l_1}^{j_1}...) with its own
+    coefficient.  The pair determines both the word and l, so every term is
+    set once, with nothing to sum.
+    """
+    n = p.alphabet.n
     terms: dict = {}
-    for word, coeff in p.terms.items():
-        acc = TensorPoly(z, mode, {(b"", b""): mode.one()})
-        for letter in word:
-            i, j = z.z_indices(letter)
-            pairs = ((bytes([z.z(i, l)]), bytes([z.z(l, j)])) for l in range(1, z.n + 1))
-            acc = acc * TensorPoly(z, mode, {pair: mode.one() for pair in pairs})
-        for key, c in acc.terms.items():
-            _accumulate(terms, key, c * coeff)
-    return TensorPoly(z, mode, terms)
+    for word, c in p.terms.items():
+        rows = [a - a % n for a in word]
+        cols = [a % n for a in word]
+        for l in product(range(n), repeat=len(word)):
+            terms[bytes(map(add, rows, l)), bytes(k * n + j for k, j in zip(l, cols))] = c
+    return TensorPoly(p.alphabet, p.mode, terms)
 
 
 def counit(p: NCPoly) -> ParamScalar:

@@ -241,3 +241,39 @@ def test_specialize_requires_a_seed_even_with_nothing_to_draw(command):
     code, out, err = run([command[0], "--n", "1", *command[1:], "--seeds", "0"])
     assert code == 2
     assert out == "" and "draw" in err
+
+
+CLASSICAL = ["classical", "--random", "1", "--n", "2", "--degree", "2"]
+QDET = ["qdet", "--n", "2", "--subset", "1,2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        CLASSICAL + ["--params", "single"],
+        CLASSICAL + ["--params", "numeric", "--q-assign", "1,2=5"],
+        CLASSICAL + ["--mode", "exact"],
+        CLASSICAL + ["--seeds", "0"],
+        QDET + ["--mode", "exact"],
+        QDET + ["--seed", "3"],
+        QDET + ["--seeds", "2"],
+    ],
+)
+def test_options_a_command_never_reads_are_usage_errors(argv):
+    code, out, err = run(argv + ["--output", "json"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (CLASSICAL + ["--seed", "4"], {"n", "degree", "random", "seed"}),
+        (QDET + ["--params", "single"], {"n", "params", "subset"}),
+    ],
+)
+def test_config_echoes_exactly_the_options_the_command_has(argv, keys):
+    code, out, _ = run(argv + ["--output", "json"])
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert set(config) == keys and None not in config.values()

@@ -5,7 +5,12 @@ refactor and kept in ``tests/data/golden_reports.json``.
 A refactor must leave every report unchanged; a change that means to alter a
 report rewrites its entry and says why.  The ``verify --n 1 --degree 4``
 entry was rewritten when n = 1, which has no parameter to draw, became one
-exact run (``oracle_mode`` "exact").
+exact run (``oracle_mode`` "exact").  The ``qdet --n 3 --subset 1,3`` and
+``classical --random 3 --n 3 --degree 5 --seed 2`` entries were rewritten
+when each command came to declare only the options it reads: their
+``config`` lost the keys of the options they no longer have (``mode``,
+``seed`` and ``seeds`` for qdet; ``params``, ``mode`` and ``seeds`` for
+classical) and nothing else changed.
 """
 
 import io

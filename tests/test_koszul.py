@@ -132,6 +132,26 @@ def test_comodule_compat_specialized():
     assert comodule_compat_check(2, 2, oracle)
 
 
+@pytest.mark.parametrize("n,ell", [(2, 1), (2, 2), (3, 3)])
+@pytest.mark.parametrize("exact", [True, False])
+def test_comodule_compat_rejects_a_perturbed_differential(monkeypatch, n, ell, exact):
+    # the control: one nonzero entry of d_ell times q_12 breaks the square
+    # of that column, and the check must say so
+    def perturbed(n, ell, mode):
+        complex = build_complex(n, ell, mode)
+        matrix = complex.maps[ell]
+        row, col = next(
+            (r, c) for r, entries in enumerate(matrix) for c, x in enumerate(entries) if not x.is_zero()
+        )
+        matrix[row][col] = matrix[row][col] * mode.q(1, 2)
+        return complex
+
+    oracle = IdealOracle(n, ParamMode.multi(n), exact=exact, seed=0, draws=3)
+    assert comodule_compat_check(n, ell, oracle)
+    monkeypatch.setattr("qmm.koszul.build_complex", perturbed)
+    assert not comodule_compat_check(n, ell, oracle)
+
+
 def test_build_complex_rejects_bad_ell():
     with pytest.raises(ValueError):
         build_complex(2, 0, ParamMode.multi(2))

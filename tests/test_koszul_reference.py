@@ -18,12 +18,6 @@ from qmm import NCPoly, QuantumSpace
 from qmm.koszul import KoszulComplex, build_complex, composites_vanish
 
 
-def wedge_expansion(space, J):
-    if not J:
-        return NCPoly.one(space.x, space.mode)
-    return space.wedge_expand(J).expansion
-
-
 def decompose_into_wedges(space, p):
     """Write a homogeneous element of the tensor space as a combination of
     wedge expansions, keyed by subset, and assert that it is one."""
@@ -40,7 +34,7 @@ def decompose_into_wedges(space, p):
             continue
         J = tuple(c + 1 for c in letters)
         out[J] = alpha
-        check = check + wedge_expansion(space, J).scale(alpha)
+        check = check + space.wedge_expand(J).scale(alpha)
     assert check == p, "a bucket left the span of the wedge basis"
     return out
 
@@ -62,7 +56,7 @@ def reference_complex(n, ell, mode, first=False):
         matrix = [[mode.zero() for _ in domain] for _ in codomain]
         for col, (J, r) in enumerate(domain):
             collected = {}
-            for word, c in wedge_expansion(space, J).terms.items():
+            for word, c in space.wedge_expand(J).terms.items():
                 rest, letter = (word[1:], word[0]) if first else (word[:-1], word[-1])
                 c2, r2 = space.affine_prepend(letter, r)
                 bucket = collected.setdefault(r2, {})

@@ -4,6 +4,8 @@ import math
 from itertools import combinations, permutations
 from random import Random
 
+import pytest
+
 from qmm import NCPoly, ParamMode, ParamScalar, QuantumSpace
 
 
@@ -100,7 +102,18 @@ def test_exterior_normalize_repeated_after_swap():
 def test_wedge_singleton():
     sp = space(3)
     w = sp.wedge_expand((1,))
-    assert w.expansion == NCPoly.monomial(sp.x, sp.mode, sp.x.x_word([1]))
+    assert w == NCPoly.monomial(sp.x, sp.mode, sp.x.x_word([1]))
+
+
+def test_wedge_of_the_empty_subset_is_one():
+    sp = space(3)
+    assert sp.wedge_expand(()) == NCPoly.one(sp.x, sp.mode)
+
+
+@pytest.mark.parametrize("subset", [(0,), (4,), (1, 1), (2, 5)])
+def test_wedge_rejects_out_of_range_or_repeated_indices(subset):
+    with pytest.raises(ValueError, match="subset"):
+        space(3).wedge_expand(subset)
 
 
 def test_wedge_pair():
@@ -109,14 +122,14 @@ def test_wedge_pair():
     expected = NCPoly.monomial(sp.x, sp.mode, sp.x.x_word([1, 2])) + NCPoly.monomial(
         sp.x, sp.mode, sp.x.x_word([2, 1]), -sp.mode.q(1, 2).inv()
     )
-    assert w.expansion == expected
+    assert w == expected
 
 
 def test_wedge_triple_longest_element():
     sp = space(3)
     w = sp.wedge_expand((1, 2, 3))
-    assert w.expansion.support_size() == 6
-    longest = w.expansion.coefficient_of(sp.x.x_word([3, 2, 1]))
+    assert w.support_size() == 6
+    longest = w.coefficient_of(sp.x.x_word([3, 2, 1]))
     q = sp.mode
     assert longest == -(q.q(1, 2).inv() * q.q(1, 3).inv() * q.q(2, 3).inv())
 
@@ -126,7 +139,7 @@ def test_wedge_increasing_coefficient_is_one():
     for m in range(1, 5):
         for J in combinations(range(1, 5), m):
             w = sp.wedge_expand(J)
-            assert w.expansion.coefficient_of(sp.x.x_word(J)) == sp.mode.one()
+            assert w.coefficient_of(sp.x.x_word(J)) == sp.mode.one()
 
 
 def test_wedge_counts_match_exterior_dimension():
@@ -136,7 +149,7 @@ def test_wedge_counts_match_exterior_dimension():
             subsets = list(combinations(range(1, n + 1), m))
             assert len(subsets) == math.comb(n, m)
             for J in subsets:
-                assert sp.wedge_expand(J).expansion.support_size() == math.factorial(m)
+                assert sp.wedge_expand(J).support_size() == math.factorial(m)
 
 
 def test_wedge_pairing_check_all_subsets():
@@ -216,14 +229,14 @@ def test_coaction_affine_grading():
 
 def test_coaction_tensor_single_letter():
     sp = space(2)
-    family = sp.coaction_tensor(sp.x.x_word([1]))
+    family = sp.coaction_tensor_poly(NCPoly.monomial(sp.x, sp.mode, sp.x.x_word([1])))
     for j in (1, 2):
         assert family[sp.x.x_word([j])] == sp.z_gen(1, j)
 
 
 def test_coaction_tensor_full_expansion():
     sp = space(2)
-    family = sp.coaction_tensor(sp.x.x_word([1, 2]))
+    family = sp.coaction_tensor_poly(NCPoly.monomial(sp.x, sp.mode, sp.x.x_word([1, 2])))
     assert len(family) == 4
     for jword, poly in family.items():
         assert poly.support_size() == 1
@@ -235,7 +248,7 @@ def test_coaction_tensor_leading_term_of_permuted_word():
     sp = space(3)
     target = sp.x.x_word([1, 2, 3])
     for pi in permutations((1, 2, 3)):
-        family = sp.coaction_tensor(sp.x.x_word(pi))
+        family = sp.coaction_tensor_poly(NCPoly.monomial(sp.x, sp.mode, sp.x.x_word(pi)))
         expected = NCPoly.monomial(
             sp.z, sp.mode, sp.z.z_word((pi[k], k + 1) for k in range(3))
         )
