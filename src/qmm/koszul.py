@@ -80,27 +80,34 @@ def build_complex(n: int, ell: int, mode: ParamMode) -> KoszulComplex:
     return KoszulComplex(n, ell, mode, bases, maps)
 
 
+def _sparse_rows(matrix) -> list:
+    """Each row's nonzero entries as (column, scalar) pairs.
+
+    The maps are dense and mostly zero, so this tests the term dicts
+    directly rather than calling ``__bool__`` once per entry.
+    """
+    return [[(c, x) for c, x in enumerate(row) if x.terms] for row in matrix]
+
+
 def composites_vanish(complex: KoszulComplex) -> bool:
     """d o d = 0 as an exact identity over the coefficient ring.
 
     The differentials are sparse, so each row of d_i meets only the nonzero
-    entries of the rows of d_{i-1} its own nonzero entries select.  The maps
-    are read as they stand, never from a cached copy.
+    entries of the rows of d_{i-1} its own nonzero entries select.  Each map
+    is scanned once, as it stands, never from a cached copy.
     """
     zero = complex.mode.zero()
+    lower = _sparse_rows(complex.maps[1]) if complex.ell >= 2 else None
     for i in range(2, complex.ell + 1):
-        lower = [
-            [(c, x) for c, x in enumerate(row) if not x.is_zero()] for row in complex.maps[i - 1]
-        ]
-        for row in complex.maps[i]:
+        upper = _sparse_rows(complex.maps[i])
+        for row in upper:
             acc: dict = {}
-            for k, a in enumerate(row):
-                if a.is_zero():
-                    continue
+            for k, a in row:
                 for c, b in lower[k]:
                     acc[c] = acc.get(c, zero) + a * b
-            if any(not v.is_zero() for v in acc.values()):
+            if any(acc.values()):
                 return False
+        lower = upper
     return True
 
 
@@ -151,14 +158,22 @@ class ExactnessReport:
         }
 
 
-def _rank(matrix, assignment) -> int:
-    """Rank of a scalar matrix, over the Laurent ring for ``assignment``
-    None, else over Q at that specialization."""
+def _rank(rows, assignment) -> int:
+    """Rank of a scalar matrix given by ``_sparse_rows``, over the Laurent
+    ring for ``assignment`` None, else over Q at that specialization.
+
+    The whole map is specialized in one ``to_vector`` call over (row,
+    column) keys, so it shares one minimum exponent and each distinct
+    exponent tuple is evaluated once; that rescales the map uniformly by a
+    unit and changes no rank.
+    """
+    entries = to_vector((((r, c), x) for r, row in enumerate(rows) for c, x in row), assignment)
+    vectors: dict = {}
+    for (r, c), x in entries.items():
+        vectors.setdefault(r, {})[c] = x
     basis = new_echelon(assignment)
-    for row in matrix:
-        vec = to_vector(enumerate(row), assignment)
-        if vec:
-            basis.insert(vec)
+    for vec in vectors.values():
+        basis.insert(vec)
     return basis.rank
 
 
@@ -177,9 +192,8 @@ def check_exactness(
     dims = complex.dims
     exact, assignments = verdict_rings(complex.mode, exact, seed, draws)
     mode_str, seed_used = ("exact", None) if exact else (f"specialize(draws={draws})", seed)
-    per_draw = [
-        [_rank(complex.maps[i], a) for i in range(1, complex.ell + 1)] for a in assignments
-    ]
+    maps = [_sparse_rows(complex.maps[i]) for i in range(1, complex.ell + 1)]
+    per_draw = [[_rank(rows, a) for rows in maps] for a in assignments]
     if any(r != per_draw[0] for r in per_draw[1:]):
         return ExactnessReport(
             complex.n, complex.ell, dims, None, None, mode_str, seed_used, conclusive=False

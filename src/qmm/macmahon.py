@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
+from math import lcm, prod
 
 from .free_algebra import NCPoly, TruncSeries
 from .param_ring import ParamMode, ParamScalar
@@ -162,10 +163,19 @@ def _verify(space: QuantumSpace, degree: int, oracle: IdealOracle, twisted: bool
 def wedge_coaction_diagonal(space: QuantumSpace, subset) -> NCPoly:
     """Coefficient of the increasing tensor word in the free-level coaction of
     wedge(J); equals qdet on J exactly, with no reduction, by the leading-term
-    computation."""
+    computation.
+
+    Only that one target coefficient is built: each word u of wedge(J) goes
+    to z_{u_1}^{j_1} ... z_{u_m}^{j_m}, and distinct u give distinct z-words,
+    so it is one dict fill.
+    """
     J = tuple(sorted(subset))
-    family = space.coaction_tensor_poly(space.wedge_expand(J))
-    return family.get(space.x.x_word(J), NCPoly.zero(space.z, space.mode))
+    n = space.n
+    upper = [j - 1 for j in J]
+    terms = {
+        bytes(a * n + j for a, j in zip(u, upper)): c for u, c in space.wedge_expand(J).terms.items()
+    }
+    return NCPoly(space.z, space.mode, terms)
 
 
 def verify_qdet_coaction(oracle: IdealOracle) -> bool:
@@ -265,42 +275,51 @@ def verify_twisted(space: QuantumSpace, degree: int, oracle: IdealOracle) -> dic
 # the classical q = 1 specialization
 
 
-def evaluate_z_poly(p: NCPoly, entries) -> Fraction:
+def evaluate_z_poly(p: NCPoly, entries):
     """Evaluate a z-polynomial with rational coefficients at a commutative
-    rational matrix."""
+    rational matrix.
+
+    Each word's coefficient is read once as an exact rational, which must be
+    free of the parameters (an int at q = 1); the letters are then multiplied
+    straight from the entries, so an integer matrix and integer coefficients
+    stay in int arithmetic.
+    """
     z = p.alphabet
-    total = Fraction(0)
+    flat = [entries[i - 1][j - 1] for i, j in map(z.z_indices, range(z.size))]
+    total = 0
     for word, coeff in p.terms.items():
-        term = coeff.specialize({})
-        for letter in word:
-            i, j = z.z_indices(letter)
-            term *= entries[i - 1][j - 1]
-        total += term
+        ((exps, value),) = coeff.terms.items()  # a constant has one term
+        if any(exps):
+            raise ValueError(f"coefficient {coeff} depends on the parameters")
+        total += prod(map(flat.__getitem__, word), start=value)
     return total
 
 
-def _char_poly_of_identity_minus_tz(entries) -> list[Fraction]:
-    """Coefficients of det(I - tZ) in t, by signed permutation expansion."""
+def _char_poly_of_identity_minus_tz(entries) -> list:
+    """Coefficients of det(I - tZ) in t, by Berkowitz's division-free
+    algorithm: ring operations only, O(n^4) of them, so an integer matrix
+    stays in Z.
+
+    det(I - tZ) = t^n chi(1/t) for the characteristic polynomial
+    chi(x) = det(xI - Z), so its coefficient of t^j is that of x^(n-j).
+    Growing the leading principal block A by one row R, column C and corner
+    a, the Schur complement gives chi_{A'}(x) = chi_A(x) (x - a - sum_i
+    R A^i C x^(-i-1)); only i < |A| reach the polynomial part.
+    """
     n = len(entries)
-    coeffs = [Fraction(0)] * (n + 1)
-    for pi in permutations(range(n)):
-        sign = 1
-        for a in range(n):
-            for b in range(a + 1, n):
-                if pi[a] > pi[b]:
-                    sign = -sign
-        # product over i of (delta_{i,pi(i)} - t * Z[i][pi(i)])
-        poly = [Fraction(sign)]
-        for i in range(n):
-            const = Fraction(1 if pi[i] == i else 0)
-            lin = -Fraction(entries[i][pi[i]])
-            poly = [
-                (poly[k] * const if k < len(poly) else 0)
-                + (poly[k - 1] * lin if k >= 1 else 0)
-                for k in range(len(poly) + 1)
-            ]
-        for k, c in enumerate(poly):
-            coeffs[k] += c
+    coeffs = [1]
+    for k in range(n):
+        column = [entries[r][k] for r in range(k)]
+        row = entries[k][:k]
+        # the multiplier's coefficients of x^1, x^0, x^-1, ...: 1, -a, -R A^i C
+        multiplier = [1, -entries[k][k]]
+        for _ in range(k):
+            multiplier.append(-sum(x * y for x, y in zip(row, column)))
+            column = [sum(entries[r][c] * column[c] for c in range(k)) for r in range(k)]
+        coeffs = [
+            sum(coeffs[j] * multiplier[m - j] for j in range(max(0, m - k - 1), min(m, k) + 1))
+            for m in range(k + 2)
+        ]
     return coeffs
 
 
@@ -323,7 +342,12 @@ def classical_check(entries, degree: int) -> bool:
     sum_l (sum_{|m|=l} G(m)(Z)) t^l times det(I - tZ) is 1 + O(t^{degree+1}).
 
     Runs with every q_ij fixed to 1; the two sides come from independent code
-    paths (the coaction recursion versus the commutative determinant).
+    paths (the coaction recursion versus the commutative determinant).  Both
+    run over Z at Z' = D Z, D the lcm of the entry denominators: G(m)(Z') =
+    D^|m| G(m)(Z) and the t^j coefficient of det(I - tZ') is D^j times that
+    of det(I - tZ), so the degree-k coefficient of the product is D^k times
+    the one of the identity, and the test sum_j S'_{k-j} det'_j = delta_k0
+    is the identity itself.
     """
     n = len(entries)
     entries = [[Fraction(e) for e in row] for row in entries]
@@ -331,17 +355,12 @@ def classical_check(entries, degree: int) -> bool:
         raise ValueError("need a square matrix")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    gsums = []
-    for gs in _classical_g_coefficients(n, degree):
-        total = Fraction(0)
-        for g in gs:
-            total += evaluate_z_poly(g, entries)
-        gsums.append(total)
-    det = _char_poly_of_identity_minus_tz(entries)
+    denom = lcm(*(e.denominator for row in entries for e in row))
+    scaled = [[e.numerator * (denom // e.denominator) for e in row] for row in entries]
+    gsums = [sum(evaluate_z_poly(g, scaled) for g in gs) for gs in _classical_g_coefficients(n, degree)]
+    det = _char_poly_of_identity_minus_tz(scaled)
     for k in range(degree + 1):
-        acc = Fraction(0)
-        for j in range(min(k, n) + 1):
-            acc += gsums[k - j] * det[j]
+        acc = sum(gsums[k - j] * det[j] for j in range(min(k, n) + 1))
         if acc != (1 if k == 0 else 0):
             return False
     return True

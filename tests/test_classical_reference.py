@@ -1,0 +1,176 @@
+"""The integer q = 1 MacMahon check against its rational references, and the
+negative controls it must reject.
+
+``reference_char_poly`` is det(I - tZ) by signed permutation expansion over
+Q, and ``reference_evaluate_z_poly`` evaluates a z-polynomial one letter at
+a time in ``Fraction`` arithmetic, after specializing each coefficient.
+Both are the code the integer paths replaced; they share no arithmetic with
+Berkowitz's algorithm or with the int letter products, so agreement on
+seeded matrices is a differential check of both rewrites.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+from random import Random
+
+import pytest
+from test_coaction_reference import random_numeric
+
+from qmm import ParamMode, QuantumSpace, classical_check, g_coefficient, macmahon
+from qmm.macmahon import _char_poly_of_identity_minus_tz, evaluate_z_poly
+
+
+def reference_char_poly(entries) -> list:
+    """Coefficients of det(I - tZ) in t, by signed permutation expansion."""
+    n = len(entries)
+    coeffs = [Fraction(0)] * (n + 1)
+    for pi in permutations(range(n)):
+        sign = 1
+        for a in range(n):
+            for b in range(a + 1, n):
+                if pi[a] > pi[b]:
+                    sign = -sign
+        # product over i of (delta_{i,pi(i)} - t * Z[i][pi(i)])
+        poly = [Fraction(sign)]
+        for i in range(n):
+            const = Fraction(1 if pi[i] == i else 0)
+            lin = -Fraction(entries[i][pi[i]])
+            poly = [
+                (poly[k] * const if k < len(poly) else 0)
+                + (poly[k - 1] * lin if k >= 1 else 0)
+                for k in range(len(poly) + 1)
+            ]
+        for k, c in enumerate(poly):
+            coeffs[k] += c
+    return coeffs
+
+
+def reference_evaluate_z_poly(p, entries) -> Fraction:
+    """Evaluate a z-polynomial letter by letter in Fraction arithmetic."""
+    z = p.alphabet
+    total = Fraction(0)
+    for word, coeff in p.terms.items():
+        term = coeff.specialize({})
+        for letter in word:
+            i, j = z.z_indices(letter)
+            term *= entries[i - 1][j - 1]
+        total += term
+    return total
+
+
+def random_matrix(rng, n, kind):
+    if kind == "integer":
+        return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    if kind == "rational":
+        return [[Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+    if kind == "zero":
+        return [[0] * n for _ in range(n)]
+    if kind == "singular":
+        # the last row repeats a rational combination of the others
+        rows = [[Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(n)] for _ in range(n - 1)]
+        weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in rows]
+        return rows + [[sum(w * row[c] for w, row in zip(weights, rows)) for c in range(n)]]
+    # every entry negative
+    return [[-rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+
+
+KINDS = ("integer", "rational", "zero", "singular", "negative")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_berkowitz_matches_the_permutation_expansion(n):
+    rng = Random(500 + n)
+    for kind in KINDS:
+        for _ in range(3 if n < 6 else 1):  # the reference takes n! steps
+            entries = random_matrix(rng, n, kind)
+            got = _char_poly_of_identity_minus_tz(entries)
+            assert got == reference_char_poly(entries), (kind, entries)
+            if kind in ("integer", "zero", "negative"):
+                assert all(type(c) is int for c in got), "integer input left Z"
+    assert _char_poly_of_identity_minus_tz([[0] * n for _ in range(n)]) == [1] + [0] * n
+
+
+def q_one(n):
+    return ParamMode.numeric(n, {(i, j): 1 for i in range(1, n + 1) for j in range(i + 1, n + 1)})
+
+
+@pytest.mark.parametrize("n,degree", [(1, 5), (2, 5), (3, 4)])
+def test_integer_evaluation_matches_the_fraction_reference(n, degree):
+    rng = Random(700 + n)
+    # q = 1 (int coefficients) and a seeded numeric point (rational ones)
+    for mode in (q_one(n), random_numeric(n, rng)):
+        sp = QuantumSpace(n, mode)
+        matrices = [random_matrix(rng, n, kind) for kind in KINDS]
+        for l in range(degree + 1):
+            for m in sp.affine_basis(l):
+                g = g_coefficient(sp, m)
+                for entries in matrices:
+                    got = evaluate_z_poly(g, entries)
+                    assert got == reference_evaluate_z_poly(g, entries), (mode, m, entries)
+
+
+def test_evaluation_rejects_coefficients_with_parameters():
+    g = g_coefficient(QuantumSpace(2, ParamMode.multi(2)), (1, 1))
+    with pytest.raises(ValueError):
+        reference_evaluate_z_poly(g, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="parameters"):
+        evaluate_z_poly(g, [[1, 2], [3, 4]])
+
+
+# ---------------------------------------------------------------------------
+# negative controls: a wrong side of the identity must be rejected
+
+
+@pytest.fixture
+def fresh_g_cache():
+    macmahon._classical_g_coefficients.cache_clear()
+    yield
+    macmahon._classical_g_coefficients.cache_clear()
+
+
+def positive_matrix(rng, n):
+    """Positive rational entries with denominators above 1: every G(m) is a
+    sum of positive products there, so dropping one changes its sum."""
+    return [[Fraction(rng.randint(1, 7), rng.randint(2, 5)) for _ in range(n)] for _ in range(n)]
+
+
+CONTROLS = [(n, degree) for n in (2, 3) for degree in range(1, 5)]
+
+
+@pytest.mark.parametrize("n,degree", CONTROLS)
+def test_raised_determinant_coefficient_is_rejected(n, degree, monkeypatch, fresh_g_cache):
+    entries = positive_matrix(Random(10 * n + degree), n)
+    assert classical_check(entries, degree)
+    true_char_poly = macmahon._char_poly_of_identity_minus_tz
+    for j in range(min(n, degree) + 1):
+
+        def raised(scaled, j=j):
+            coeffs = true_char_poly(scaled)
+            coeffs[j] += 1
+            return coeffs
+
+        monkeypatch.setattr(macmahon, "_char_poly_of_identity_minus_tz", raised)
+        assert not classical_check(entries, degree), j
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n,degree", CONTROLS)
+def test_dropped_g_coefficient_is_rejected(n, degree, monkeypatch, fresh_g_cache):
+    entries = positive_matrix(Random(20 * n + degree), n)
+    assert classical_check(entries, degree)
+    true_gs = macmahon._classical_g_coefficients(n, degree)
+    for l in range(1, degree + 1):
+        for drop in range(len(true_gs[l])):
+            dropped = tuple(
+                gs if k != l else gs[:drop] + gs[drop + 1 :] for k, gs in enumerate(true_gs)
+            )
+            monkeypatch.setattr(macmahon, "_classical_g_coefficients", lambda *_, d=dropped: d)
+            assert not classical_check(entries, degree), (l, drop)
+            monkeypatch.undo()
+
+
+def test_n8_envelope():
+    # the permutation expansion needed 8! terms here; Berkowitz runs in O(n^4)
+    rng = Random(8)
+    for _ in range(2):
+        assert classical_check(random_matrix(rng, 8, "rational"), 2)

@@ -1,4 +1,5 @@
-"""The closed-form Koszul differential against the wedge re-expression.
+"""The closed-form Koszul differential against the wedge re-expression, and
+the whole-map rank against the per-row one.
 
 ``reference_complex`` builds the differential the long way, as it was first
 written: it expands wedge(J) into all |J|! words, detaches one tensor factor
@@ -7,6 +8,11 @@ resulting multidegree, and re-expresses each bucket in the wedge basis,
 asserting that the bucket lies in the span of the wedge expansions.  It
 shares no formula with ``build_complex``, so the two agreeing on whole
 bases and matrices is a differential check of the closed form.
+
+``reference_rank`` specializes a map one row at a time, each row with its
+own minimum exponent and content, as ranks were first computed; ``_rank``
+specializes the whole map in one call.  They must agree in every mode, exact
+and specialized.
 """
 
 from itertools import combinations
@@ -14,8 +20,9 @@ from itertools import combinations
 import pytest
 from test_coaction_reference import modes
 
-from qmm import NCPoly, QuantumSpace
-from qmm.koszul import KoszulComplex, build_complex, composites_vanish
+from qmm import NCPoly, QuantumSpace, check_exactness
+from qmm.koszul import KoszulComplex, _rank, _sparse_rows, build_complex, composites_vanish
+from qmm.right_quantum import new_echelon, to_vector, verdict_rings
 
 
 def decompose_into_wedges(space, p):
@@ -90,3 +97,43 @@ def test_detaching_the_first_factor_breaks_d_squared(n):
     for mode in modes(n, seed=n):
         for ell in range(2, 6):
             assert not composites_vanish(reference_complex(n, ell, mode, first=True)), (mode, ell)
+
+
+def reference_rank(matrix, assignment) -> int:
+    """Rank of a dense scalar matrix, one ``to_vector`` call per row."""
+    basis = new_echelon(assignment)
+    for row in matrix:
+        vec = to_vector(enumerate(row), assignment)
+        if vec:
+            basis.insert(vec)
+    return basis.rank
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_whole_map_rank_matches_the_per_row_rank(n):
+    for mode in modes(n, seed=30 + n):
+        rings = verdict_rings(mode, True, 0, 1)[1] + verdict_rings(mode, False, n, 3)[1]
+        for ell in range(1, 6):
+            complex = build_complex(n, ell, mode)
+            for matrix in complex.maps[1:]:
+                for assignment in rings:
+                    expected = reference_rank(matrix, assignment)
+                    assert _rank(_sparse_rows(matrix), assignment) == expected, (mode, ell, assignment)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_zeroing_a_row_of_the_top_map_breaks_exactness(n):
+    # the top map d_ell onto A_ell is surjective, so every row's basis vector
+    # lies in its image and zeroing any nonzero row drops its rank
+    for mode in modes(n, seed=40 + n):
+        for ell in range(1, 4):
+            for exact in (True, False):
+                intact = build_complex(n, ell, mode)
+                assert check_exactness(intact, exact=exact, seed=n).is_exact
+                for r in range(len(intact.maps[ell])):
+                    complex = build_complex(n, ell, mode)
+                    row = complex.maps[ell][r]
+                    assert any(row), (mode, ell, r)
+                    complex.maps[ell][r] = [mode.zero()] * len(row)
+                    report = check_exactness(complex, exact=exact, seed=n)
+                    assert not report.is_exact, (mode, ell, r, exact)

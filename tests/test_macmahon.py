@@ -172,6 +172,9 @@ def test_wedge_coaction_diagonal_equals_qdet_everywhere():
         for m in range(1, n + 1):
             for J in combinations(range(1, n + 1), m):
                 assert wedge_coaction_diagonal(sp, J) == qdet(Z, J)
+    sp = space(5)
+    J = tuple(range(1, 6))
+    assert wedge_coaction_diagonal(sp, J) == qdet(QMatrix.generic(5, sp.mode), J)
 
 
 def test_verify_qdet_coaction_small():
