@@ -30,10 +30,16 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from .free_algebra import NCPoly
 from .param_ring import ParamMode
 from .quantum_spaces import QuantumSpace
-from .right_quantum import IdealOracle, new_echelon, to_vector, verdict_rings
+from .right_quantum import (
+    IdealOracle,
+    add_products,
+    new_echelon,
+    packed_triples,
+    to_vector,
+    verdict_rings,
+)
 
 
 @dataclass
@@ -217,41 +223,42 @@ def comodule_compat_check(n: int, ell: int, oracle: IdealOracle) -> bool:
     Both routes are expanded over the codomain's underlying tensor pairs
     (x-word of the wedge leg, affine multidegree), where the coaction of the
     wedge leg is the free-level tensor coaction and the affine leg coacts
-    through its normalized coefficients.
+    through its normalized coefficients.  Every coefficient involved is a
+    monomial, so both routes are summed straight into one difference of
+    flat coefficients, {pair: {z-word: {packed exponent: coefficient}}},
+    and each pair's difference is one ``contains_packed`` query.
     """
     mode = oracle.mode
     space = QuantumSpace(n, mode)
     complex = build_complex(n, ell, mode)
-    zero = NCPoly.zero(space.z, mode)
+
+    def flat(family: dict) -> dict:
+        return {key: packed_triples(p) for key, p in family.items()}
+
     # each coaction once per call; both caches go with the call
-    affine = cache(space.coaction_affine)
-    tensor = cache(lambda J: space.coaction_tensor_poly(space.wedge_expand(J)))
+    affine = cache(lambda r: flat(space.coaction_affine(r)))
+    tensor = cache(lambda J: flat(space.coaction_tensor_poly(space.wedge_expand(J))))
     for i in range(1, ell + 1):
         domain, codomain = complex.bases[i - 1], complex.bases[i]
         matrix = complex.maps[i]
         for col, (J, r) in enumerate(domain):
-            route_a: dict = {}
+            diff: dict = {}
             affine_family = affine(r)
-            for w4, cpoly in tensor(J).items():
+            for w4, left in tensor(J).items():
                 prefix, last = w4[:-1], w4[-1]
-                for r4, bpoly in affine_family.items():
+                for r4, right in affine_family.items():
                     c, r3 = space.affine_prepend(last, r4)
-                    contrib = (cpoly * bpoly).scale(c)
-                    key = (prefix, r3)
-                    route_a[key] = route_a.get(key, zero) + contrib
-            route_b: dict = {}
+                    add_products(diff.setdefault((prefix, r3), {}), left, right, c.packed().items())
             for row, (I, r2) in enumerate(codomain):
                 alpha = matrix[row][col]
                 if alpha.is_zero():
                     continue
+                scale = (-alpha).packed().items()
                 affine_i = affine(r2)
-                for w, cpoly in tensor(I).items():
-                    for r3, bpoly in affine_i.items():
-                        contrib = (cpoly * bpoly).scale(alpha)
-                        key = (w, r3)
-                        route_b[key] = route_b.get(key, zero) + contrib
-            for key in set(route_a) | set(route_b):
-                diff = route_a.get(key, zero) - route_b.get(key, zero)
-                if not oracle.contains(diff):
+                for w, left in tensor(I).items():
+                    for r3, right in affine_i.items():
+                        add_products(diff.setdefault((w, r3), {}), left, right, scale)
+            for terms in diff.values():
+                if any(terms.values()) and not oracle.contains_packed(terms):
                     return False
     return True

@@ -22,7 +22,7 @@ from math import lcm, prod
 from .free_algebra import NCPoly, TruncSeries
 from .param_ring import ParamMode, ParamScalar
 from .quantum_spaces import QuantumSpace
-from .right_quantum import IdealOracle, QMatrix, qdet
+from .right_quantum import IdealOracle, QMatrix, add_products, packed_triples, qdet
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +182,22 @@ def verify_qdet_coaction(oracle: IdealOracle) -> bool:
     """Check that the free-level coaction of the full wedge is
     qdet (x) wedge in B: subtracting det_q times the wedge expansion leaves
     every tensor-word coefficient in the relation ideal.  (The wedge spans a
-    one-dimensional subcomodule, so everything off its expansion must die.)"""
+    one-dimensional subcomodule, so everything off its expansion must die.)
+    Each coefficient is built flat and decided by one ``contains_packed``
+    query."""
     n = oracle.n
     space = QuantumSpace(n, oracle.mode)
     J = tuple(range(1, n + 1))
     wedge = space.wedge_expand(J)
     family = space.coaction_tensor_poly(wedge)
-    det = qdet(QMatrix.generic(n, oracle.mode), J)
+    det = packed_triples(qdet(QMatrix.generic(n, oracle.mode), J))
     for jword in product(range(1, n + 1), repeat=n):
         w = space.x.x_word(jword)
-        coeff = family.get(w, NCPoly.zero(space.z, space.mode))
+        terms = {u: c.packed() for u, c in family[w].terms.items()}
         weight = wedge.coefficient_of(w)
         if not weight.is_zero():
-            coeff = coeff - det.scale(weight)
-        if not oracle.contains(coeff):
+            add_products(terms, det, [(b"", 0, 1)], (-weight).packed().items())
+        if not oracle.contains_packed(terms):
             return False
     return True
 
@@ -284,15 +286,21 @@ def evaluate_z_poly(p: NCPoly, entries):
     straight from the entries, so an integer matrix and integer coefficients
     stay in int arithmetic.
     """
-    z = p.alphabet
-    flat = [entries[i - 1][j - 1] for i, j in map(z.z_indices, range(z.size))]
-    total = 0
+    coeffs = {}
     for word, coeff in p.terms.items():
         ((exps, value),) = coeff.terms.items()  # a constant has one term
         if any(exps):
             raise ValueError(f"coefficient {coeff} depends on the parameters")
-        total += prod(map(flat.__getitem__, word), start=value)
-    return total
+        coeffs[word] = value
+    z = p.alphabet
+    return _evaluate_words(coeffs, [entries[i - 1][j - 1] for i, j in map(z.z_indices, range(z.size))])
+
+
+def _evaluate_words(coeffs: dict, flat: list):
+    """The sum over the z-words of ``coeffs`` of the coefficient times the
+    product of its letters' values, ``flat`` listing the value of each
+    letter id."""
+    return sum(prod(map(flat.__getitem__, word), start=c) for word, c in coeffs.items())
 
 
 def _char_poly_of_identity_minus_tz(entries) -> list:
@@ -325,15 +333,18 @@ def _char_poly_of_identity_minus_tz(entries) -> list:
 
 @lru_cache(maxsize=8)
 def _classical_g_coefficients(n: int, degree: int) -> tuple:
-    """For each l <= degree, the G(m) over |m| = l with every q_ij = 1.
+    """For each l <= degree, the G(m) over |m| = l with every q_ij = 1, as
+    maps from z-words to int coefficients.
 
-    They depend only on (n, degree), so every matrix checked at that size
-    shares them and pays only for their evaluation.
+    The words of G(m) are the same in every mode and each carries one q
+    monomial, which is 1 at q = 1, so each map is read off the words of the
+    coaction pass.  They depend only on (n, degree), so every matrix checked
+    at that size shares them and pays only for their evaluation.
     """
-    mode = ParamMode.numeric(n, {(i, j): Fraction(1) for i in range(1, n + 1) for j in range(i + 1, n + 1)})
-    space = QuantumSpace(n, mode)
+    space = QuantumSpace(n, ParamMode.single())
     return tuple(
-        tuple(g_coefficient(space, m) for m in space.affine_basis(l)) for l in range(degree + 1)
+        tuple(dict.fromkeys(space._upper_sequences(m, m).get(m, ()), 1) for m in space.affine_basis(l))
+        for l in range(degree + 1)
     )
 
 
@@ -357,7 +368,8 @@ def classical_check(entries, degree: int) -> bool:
         raise ValueError("degree must be >= 0")
     denom = lcm(*(e.denominator for row in entries for e in row))
     scaled = [[e.numerator * (denom // e.denominator) for e in row] for row in entries]
-    gsums = [sum(evaluate_z_poly(g, scaled) for g in gs) for gs in _classical_g_coefficients(n, degree)]
+    flat = [e for row in scaled for e in row]  # letter id (i - 1) n + (j - 1) of z_i^j
+    gsums = [sum(_evaluate_words(g, flat) for g in gs) for gs in _classical_g_coefficients(n, degree)]
     det = _char_poly_of_identity_minus_tz(scaled)
     for k in range(degree + 1):
         acc = sum(gsums[k - j] * det[j] for j in range(min(k, n) + 1))

@@ -12,15 +12,72 @@ Exponent vectors are stored densely (one slot per variable; at desk scale
 n <= 5 so there are at most 10 slots) and coefficients are arbitrary-precision
 integers, or exact rationals in numeric mode.  All values are immutable and
 all operations are pure, so scalars can be shared freely across threads.
+
+Rewriting multiplies a coefficient by one monomial at every step, so there a
+coefficient is kept flat, as ``{packed exponent: coefficient}``: the exponent
+vector e is packed into the one int sum of e_i * 2^(32 i).  Packing is
+additive, so multiplying monomials adds packed ints, and it is injective
+while every |e_i| < 2^31 (balanced base-2^32 digits).  ``pack`` refuses an
+exponent outside that range; a caller whose arithmetic could leave it must
+bound its exponents first and raise ``ExponentOverflowError`` when the bound
+fails.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from itertools import count
+from operator import lshift
 
 
 class ModeMismatchError(ValueError):
     """Raised when scalars over different parameter modes are combined."""
+
+
+class ExponentOverflowError(RuntimeError):
+    """An exponent reached 2^31 in magnitude, where packed exponents stop
+    being injective: an internal limit, never a usage error."""
+
+
+EXPONENT_LIMIT = 1 << 31
+_DIGIT = 1 << 32
+
+
+def pack(exps) -> int:
+    """The packed exponent sum of e_i * 2^(32 i) of an exponent vector."""
+    if max(map(abs, exps), default=0) >= EXPONENT_LIMIT:
+        raise ExponentOverflowError(f"an exponent of {exps} does not fit a packed slot")
+    return sum(map(lshift, exps, count(0, 32)))
+
+
+def unpack(packed: int, nvars: int) -> tuple:
+    """The exponent vector of ``nvars`` slots that ``pack`` packed into
+    ``packed``: its balanced base-2^32 digits, lowest first."""
+    exps = []
+    for _ in range(nvars):
+        e = (packed + EXPONENT_LIMIT) % _DIGIT - EXPONENT_LIMIT
+        exps.append(e)
+        packed = (packed - e) // _DIGIT
+    if packed:
+        raise ExponentOverflowError("packed exponent has more slots than the mode")
+    return tuple(exps)
+
+
+def max_exponent(keys) -> int:
+    """The largest |e_i| over a collection of packed exponent vectors.
+
+    Adding 2^31 to every slot turns the balanced digits into unsigned 32-bit
+    ones, so all keys are read in one pass, with enough slots for the
+    longest key (the slots above a key's own read as 0).
+    """
+    if not keys:
+        return 0
+    slots = max(map(int.bit_length, keys)) // 32 + 1
+    offset = int.from_bytes(b"\0\0\0\x80" * slots, "little")
+    data = b"".join([(k + offset).to_bytes(4 * slots, "little") for k in keys])
+    digits = struct.unpack(f"<{len(data) // 4}I", data)
+    return max(max(digits) - EXPONENT_LIMIT, EXPONENT_LIMIT - min(digits))
 
 
 def parameter_pairs(n: int) -> tuple:
@@ -178,6 +235,12 @@ class ParamMode:
                 value *= self.assignment[pair] ** e
         return ParamScalar(self, {(): _canonical_coeff(value)})
 
+    def from_packed(self, terms: dict) -> "ParamScalar":
+        """The scalar of a flat coefficient {packed exponent: coefficient}
+        (``ParamScalar.packed``) over this mode; zero coefficients dropped."""
+        nvars = self.nvars
+        return ParamScalar(self, {unpack(k, nvars): _canonical_coeff(c) for k, c in terms.items() if c})
+
 
 def _canonical_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
@@ -294,6 +357,10 @@ class ParamScalar:
         if c not in (1, -1):
             raise ValueError("not a unit of the Laurent ring")
         return ParamScalar(self.mode, {tuple(-e for e in exps): c})
+
+    def packed(self) -> dict:
+        """This scalar as a flat coefficient {packed exponent: coefficient}."""
+        return {pack(exps): c for exps, c in self.terms.items()}
 
     def __eq__(self, other):
         if isinstance(other, int):

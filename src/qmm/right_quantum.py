@@ -23,12 +23,26 @@ every oracle carries its own certificate.  An element lies in the ideal
 exactly when its normal form is zero, and B (x) B has the basis
 normal (x) normal.  This makes B a PBW algebra, hence Koszul (Priddy).
 
-The normal form is computed once over the coefficient ring.  Because the
-leading coefficients are units, rewriting commutes with specializing the
-parameters at any nonzero point.  So the default policy evaluates the
-normal form at random distinct odd primes (``to_vector``) and declares
-membership only when it vanishes at every draw; the ``exact`` flag tests
-the Laurent coefficients themselves.
+The normal form is computed once over the coefficient ring.  Every rule
+coefficient is a monomial, so each rewrite step multiplies a coefficient by
+one monomial.  During rewriting a coefficient is therefore kept flat, as
+{packed exponent: integer} (a rational in numeric mode), where the exponent
+vector e is packed into the int sum of e_i * 2^(32 i).  The packing is
+additive, so a step is one int addition and one product per term, and it is
+injective while every |e_i| < 2^31.  Each step also lowers the number of
+lower plus upper inversions of the word by at least 1 (a rule keeps the
+lower and upper index multisets of its pair and removes an inversion), so
+every chain of rewrites from a word of length d has at most 2 * C(d, 2)
+steps, and no exponent exceeds the input's largest plus 2 * C(d, 2) times
+the largest exponent of a rule.  Every normal form checks that bound before it starts and raises
+``ExponentOverflowError``, an internal error, rather than let packing
+alias.  Only the words that survive are turned back into ``ParamScalar``.
+
+Because the leading coefficients are units, rewriting commutes with
+specializing the parameters at any nonzero point.  So the default policy
+evaluates the normal form at random distinct odd primes (``to_vector``)
+and declares membership only when it vanishes at every draw; the ``exact``
+flag tests the Laurent coefficients themselves.
 
 The ideal's blocks are also built by linear algebra, as the independent
 reference for tests.  Every relation is homogeneous for the block of a word,
@@ -49,7 +63,15 @@ from operator import add
 from random import Random
 
 from .free_algebra import Alphabet, LinearCombination, NCPoly, Word, word_rank
-from .param_ring import ParamMode, ParamScalar, _as_rational
+from .param_ring import (
+    EXPONENT_LIMIT,
+    ExponentOverflowError,
+    ParamMode,
+    ParamScalar,
+    _as_rational,
+    max_exponent,
+    pack,
+)
 from .quantum_spaces import QuantumSpace
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -103,25 +125,70 @@ def _accumulate(terms: dict, key, c) -> None:
 # rewriting
 
 
-def rewriting_rules(relations) -> dict:
-    """Each relation oriented by its largest word: leading word ->
-    ((word, coefficient), ...) it rewrites to, -(rest) / c_lead."""
-    rules = {}
+class RewritingRules(dict):
+    """Leading word -> ((word, packed exponent, coefficient), ...), the
+    monomials -(rest) / c_lead it rewrites to.  ``exponent`` is the largest
+    |exponent| of any rule coefficient."""
+
+    __slots__ = ("exponent",)
+
+
+def _inversions(pair: Word, n: int) -> int:
+    """Lower plus upper inversions of a two-letter z-word."""
+    a, b = pair
+    return (a // n > b // n) + (a % n > b % n)
+
+
+def rewriting_rules(relations) -> RewritingRules:
+    """Each relation oriented by its largest word.
+
+    Every rule coefficient must be a monomial, and every word a rule
+    produces must keep the block of its leading word and have fewer
+    inversions, so that a rewrite step lowers the inversion count of a whole
+    word by at least 1.  Either failing is an internal defect.
+    """
+    rules = RewritingRules()
+    rules.exponent = 0
     for rel in relations:
+        n = rel.alphabet.n
         lead = max(rel.terms)
         factor = -rel.terms[lead].inv()
-        rules[lead] = tuple((w, c * factor) for w, c in rel.terms.items() if w != lead)
+        rhs = []
+        for w, c in rel.terms.items():
+            if w == lead:
+                continue
+            c = c * factor
+            if len(c.terms) != 1:
+                raise RuntimeError(f"rule coefficient {c} is not a monomial")
+            if word_block(w, n) != word_block(lead, n) or _inversions(w, n) >= _inversions(lead, n):
+                raise RuntimeError(f"rule {list(lead)} -> {list(w)} does not lower the inversions")
+            ((exps, coeff),) = c.terms.items()
+            rhs.append((w, pack(exps), coeff))
+            rules.exponent = max(rules.exponent, *map(abs, exps), 0)
+        rules[lead] = tuple(rhs)
     return rules
 
 
-def normal_form(terms: dict, rules: dict) -> dict:
-    """The normal form of sum c*w over words of one length: a dict from
-    normal words to nonzero coefficients.
+def normal_form(terms: dict, rules: RewritingRules) -> dict:
+    """The normal form of sum c*w over words of one length, each coefficient
+    flat (``ParamScalar.packed``): a dict from normal words to nonzero flat
+    coefficients.  The coefficient dicts of ``terms`` are taken over and
+    changed in place, so a large input is never held twice.
 
     Words are taken from the largest down, and each is rewritten at its
     leftmost leading word.  A rewrite only produces smaller words, so no
-    word is rewritten twice.
+    word is rewritten twice.  Every chain of rewrites from a word of length
+    d has at most d(d - 1) = 2 C(d, 2) steps (see the module docstring), so
+    the exponent bound is checked before any rewriting, and
+    ``ExponentOverflowError`` is raised instead of a normal form that
+    packing could alias.
     """
+    if not terms:
+        return {}
+    d = len(next(iter(terms)))
+    top = max_exponent({k for c in terms.values() for k in c})
+    if top + d * (d - 1) * rules.exponent >= EXPONENT_LIMIT:
+        raise ExponentOverflowError(f"a degree-{d} normal form could reach exponent 2^31")
     pending = dict(terms)
     heap = [(-int.from_bytes(w, "big"), w) for w in pending]
     heapify(heap)
@@ -139,18 +206,51 @@ def normal_form(terms: dict, rules: dict) -> dict:
             out[w] = c
             continue
         u, v = w[:pos], w[pos + 2:]
-        for pair, r in rhs:
+        for pair, k, r in rhs:
             x = u + pair + v
             s = pending.get(x)
             if s is None:
-                pending[x] = c * r
+                pending[x] = {e + k: a * r for e, a in c.items()}
                 heappush(heap, (-int.from_bytes(x, "big"), x))
-            else:
-                pending[x] = s + c * r
+                continue
+            for e, a in c.items():
+                e += k
+                t = s.get(e, 0) + a * r
+                if t:
+                    s[e] = t
+                else:
+                    del s[e]
     return out
 
 
-def certify_confluence(rules: dict) -> int:
+def add_products(acc: dict, left, right, scale) -> None:
+    """acc[u + v][k + l + s] += a * b * c over the (word, packed, coefficient)
+    triples (u, k, a) of ``left`` and (v, l, b) of ``right`` and the flat
+    terms (s, c) of ``scale``: a product of two polynomials given term by
+    term (``packed_triples``) times a scalar, summed into flat coefficients."""
+    for s, c in scale:
+        for u, k, a in left:
+            k += s
+            a *= c
+            for v, l, b in right:
+                coeff = acc.get(u + v)
+                if coeff is None:
+                    coeff = acc[u + v] = {}
+                e = k + l
+                t = coeff.get(e, 0) + a * b
+                if t:
+                    coeff[e] = t
+                else:
+                    del coeff[e]
+
+
+def packed_triples(p: NCPoly) -> list:
+    """The terms of p as (word, packed exponent, coefficient) triples, one per
+    monomial of each coefficient."""
+    return [(w, k, a) for w, c in p.terms.items() for k, a in c.packed().items()]
+
+
+def certify_confluence(rules: RewritingRules) -> int:
     """Resolve every degree-3 overlap abc (ab and bc both leading): the two
     one-step rewrites of abc must have the same normal form.  Returns the
     number of overlaps; raises ``ConfluenceError`` on the first that fails."""
@@ -163,9 +263,9 @@ def certify_confluence(rules: dict) -> int:
             overlaps += 1
             a, c = ab[:1], bc[1:]
             # both rewrites at once: the words they share cancel unrewritten
-            diff = {w + c: r for w, r in left}
-            for w, r in rules[bc]:
-                _accumulate(diff, a + w, -r)
+            diff: dict = {}
+            add_products(diff, left, [(c, 0, 1)], [(0, 1)])
+            add_products(diff, [(a, 0, 1)], rules[bc], [(0, -1)])
             if normal_form(diff, rules):
                 raise ConfluenceError(f"the overlap {list(ab + c)} does not resolve")
     return overlaps
@@ -570,13 +670,44 @@ class IdealOracle:
     def _vanishes(self, normal: dict) -> bool:
         return all(not to_vector(normal.items(), a) for a in self.assignments)
 
+    def _unpacked(self, normal: dict) -> dict:
+        """A normal form's flat coefficients as scalars of this mode."""
+        from_packed = self.mode.from_packed
+        return {key: from_packed(c) for key, c in normal.items()}
+
+    def contains_packed(self, terms: dict) -> bool:
+        """Whether sum c*w vanishes in B, for words of one length with flat
+        coefficients over this oracle's mode (``ParamScalar.packed``, built
+        from exponents below 2^31 in magnitude), which ``normal_form`` takes
+        over.  Only the words that survive rewriting are turned back into
+        scalars, so the verdict is the one ``contains`` gives for the same
+        element."""
+        lengths = {len(w) for w in terms}
+        if len(lengths) > 1:
+            raise ValueError("membership is graded: input must be homogeneous")
+        if not lengths or lengths.pop() < 2:
+            return not any(terms.values())
+        return self._vanishes(self._unpacked(normal_form(terms, self.rules)))
+
     def contains(self, p: NCPoly) -> bool:
         """Whether p vanishes in B, i.e. its normal form is zero.  Nonzero
-        inputs below degree 2 are never members."""
+        inputs below degree 2 are never members.
+
+        Every relation is homogeneous for the block of a word, so rewriting
+        keeps the letter sum of a word (n * lower + upper, summed), and the
+        words of each letter sum are rewritten on their own.  Only one such
+        part is held as flat coefficients at a time.
+        """
         d = self._checked_degree(p)
         if d < 2:
             return p.is_zero()
-        return self._vanishes(normal_form(p.terms, self.rules))
+        parts: dict = {}
+        for w in p.terms:
+            parts.setdefault(sum(w), []).append(w)
+        normal = {}
+        for words in parts.values():
+            normal.update(normal_form({w: p.terms[w].packed() for w in words}, self.rules))
+        return self._vanishes(self._unpacked(normal))
 
     def contains_tensor(self, tp: "TensorPoly") -> bool:
         """Membership in ideal(x)B + B(x)ideal for an element of B(x)B whose
@@ -594,13 +725,13 @@ class IdealOracle:
             rights.setdefault(wl, {})[wr] = c
         lefts: dict = {}
         for wl, right in rights.items():
-            for r, c in normal_form(right, self.rules).items():
+            for r, c in normal_form({wr: c.packed() for wr, c in right.items()}, self.rules).items():
                 lefts.setdefault(r, {})[wl] = c
         normal = {}
         for r, left in lefts.items():
             for l, c in normal_form(left, self.rules).items():
                 normal[l, r] = c
-        return self._vanishes(normal)
+        return self._vanishes(self._unpacked(normal))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ Q, and ``reference_evaluate_z_poly`` evaluates a z-polynomial one letter at
 a time in ``Fraction`` arithmetic, after specializing each coefficient.
 Both are the code the integer paths replaced; they share no arithmetic with
 Berkowitz's algorithm or with the int letter products, so agreement on
-seeded matrices is a differential check of both rewrites.
+seeded matrices is a differential check of both rewrites.  The int word
+maps of the q = 1 G(m) are checked against ``g_coefficient`` in numeric
+mode at q = 1, which multiplies out every q factor.
 """
 
 from fractions import Fraction
@@ -107,6 +109,16 @@ def test_integer_evaluation_matches_the_fraction_reference(n, degree):
                 for entries in matrices:
                     got = evaluate_z_poly(g, entries)
                     assert got == reference_evaluate_z_poly(g, entries), (mode, m, entries)
+
+
+@pytest.mark.parametrize("n,degree", [(1, 4), (2, 5), (3, 4)])
+def test_q_one_word_maps_match_the_numeric_g_coefficients(n, degree):
+    sp = QuantumSpace(n, q_one(n))
+    got = macmahon._classical_g_coefficients(n, degree)
+    for l in range(degree + 1):
+        expected = [{w: c.specialize({}) for w, c in g_coefficient(sp, m).terms.items()} for m in sp.affine_basis(l)]
+        assert list(got[l]) == expected, l
+        assert all(type(c) is int for g in got[l] for c in g.values())
 
 
 def test_evaluation_rejects_coefficients_with_parameters():

@@ -132,7 +132,7 @@ def test_comodule_compat_specialized():
     assert comodule_compat_check(2, 2, oracle)
 
 
-@pytest.mark.parametrize("n,ell", [(2, 1), (2, 2), (3, 3)])
+@pytest.mark.parametrize("n,ell", [(2, 1), (2, 2), (3, 3), (3, 4)])
 @pytest.mark.parametrize("exact", [True, False])
 def test_comodule_compat_rejects_a_perturbed_differential(monkeypatch, n, ell, exact):
     # the control: one nonzero entry of d_ell times q_12 breaks the square

@@ -13,14 +13,20 @@ bases and matrices is a differential check of the closed form.
 own minimum exponent and content, as ranks were first computed; ``_rank``
 specializes the whole map in one call.  They must agree in every mode, exact
 and specialized.
+
+``reference_comodule_compat`` is the comodule check as it was first written:
+both routes as sums of ``NCPoly`` products, one ``contains`` per tensor
+pair.  ``comodule_compat_check`` sums flat packed coefficients instead, so
+the two agreeing on intact and perturbed differentials checks that rewrite.
 """
 
 from itertools import combinations
+from random import Random
 
 import pytest
 from test_coaction_reference import modes
 
-from qmm import NCPoly, QuantumSpace, check_exactness
+from qmm import IdealOracle, NCPoly, QuantumSpace, check_exactness, comodule_compat_check
 from qmm.koszul import KoszulComplex, _rank, _sparse_rows, build_complex, composites_vanish
 from qmm.right_quantum import new_echelon, to_vector, verdict_rings
 
@@ -137,3 +143,62 @@ def test_zeroing_a_row_of_the_top_map_breaks_exactness(n):
                     complex.maps[ell][r] = [mode.zero()] * len(row)
                     report = check_exactness(complex, exact=exact, seed=n)
                     assert not report.is_exact, (mode, ell, r, exact)
+
+
+def reference_comodule_compat(complex, oracle) -> bool:
+    """Both routes of the comodule square as NCPoly products, compared one
+    tensor pair at a time with ``contains``."""
+    n, ell, mode = complex.n, complex.ell, complex.mode
+    space = QuantumSpace(n, mode)
+    zero = NCPoly.zero(space.z, mode)
+    tensor = {}
+    for i in range(1, ell + 1):
+        domain, codomain = complex.bases[i - 1], complex.bases[i]
+        for col, (J, r) in enumerate(domain):
+            route_a, route_b = {}, {}
+            for w4, cpoly in space.coaction_tensor_poly(space.wedge_expand(J)).items():
+                for r4, bpoly in space.coaction_affine(r).items():
+                    c, r3 = space.affine_prepend(w4[-1], r4)
+                    key = (w4[:-1], r3)
+                    route_a[key] = route_a.get(key, zero) + (cpoly * bpoly).scale(c)
+            for row, (I, r2) in enumerate(codomain):
+                alpha = complex.maps[i][row][col]
+                if alpha.is_zero():
+                    continue
+                if I not in tensor:
+                    tensor[I] = space.coaction_tensor_poly(space.wedge_expand(I))
+                for w, cpoly in tensor[I].items():
+                    for r3, bpoly in space.coaction_affine(r2).items():
+                        key = (w, r3)
+                        route_b[key] = route_b.get(key, zero) + (cpoly * bpoly).scale(alpha)
+            for key in set(route_a) | set(route_b):
+                if not oracle.contains(route_a.get(key, zero) - route_b.get(key, zero)):
+                    return False
+    return True
+
+
+def perturbations(complex, rng):
+    """The intact complex, then one nonzero entry of the top map each scaled
+    by 2, raised by 1 (a non-monomial entry) and zeroed."""
+    yield complex
+    nonzero = [(r, c) for r, row in enumerate(complex.maps[-1]) for c, x in enumerate(row) if x]
+    for change in (lambda x: x * 2, lambda x: x + 1, lambda x: x * 0):
+        r, c = rng.choice(nonzero)
+        maps = [m if m is None else [list(row) for row in m] for m in complex.maps]
+        maps[-1][r][c] = change(maps[-1][r][c])
+        yield KoszulComplex(complex.n, complex.ell, complex.mode, complex.bases, maps)
+
+
+@pytest.mark.parametrize("n,ells", [(2, (1, 2, 3)), (3, (2, 3))])
+def test_flat_comodule_check_matches_the_ncpoly_routes(n, ells, monkeypatch):
+    rng = Random(60 + n)
+    for mode in modes(n, seed=50 + n):
+        for exact in (True, False):
+            oracle = IdealOracle(n, mode, exact=exact, seed=n, draws=2)
+            for ell in ells:
+                for complex in perturbations(build_complex(n, ell, mode), rng):
+                    expected = reference_comodule_compat(complex, oracle)
+                    monkeypatch.setattr("qmm.koszul.build_complex", lambda *_, c=complex: c)
+                    assert comodule_compat_check(n, ell, oracle) == expected, (mode, exact, ell)
+                    monkeypatch.undo()
+                    assert expected == (complex.maps == build_complex(n, ell, mode).maps)

@@ -1,7 +1,17 @@
-"""The certified rewriting system of B against block elimination, and the
-Koszul Hilbert series as an independent count of normal words."""
+"""The certified rewriting system of B against block elimination and against
+the scalar rewriting it replaced, and the Koszul Hilbert series as an
+independent count of normal words.
+
+``reference_normal_form`` is the rewriting loop as it was first written,
+over ``ParamScalar`` coefficients with rules taken straight from the
+relations (``reference_rules``).  It shares no coefficient arithmetic with
+the packed ``normal_form``, so equal normal forms on seeded inputs in every
+mode are a differential check of the packing.
+"""
 
 import math
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
 from random import Random
 
@@ -24,6 +34,7 @@ from qmm import (
     twisted_ferm_series,
 )
 from qmm.free_algebra import word_rank
+from qmm.param_ring import EXPONENT_LIMIT, ExponentOverflowError, max_exponent, pack, unpack
 from qmm.right_quantum import (
     ConfluenceError,
     block_words,
@@ -59,7 +70,7 @@ def test_rules_and_their_overlaps(n, rules, overlaps):
     assert certify_confluence(oracle.rules) == overlaps
     # every rewrite only produces smaller words
     for lead, rhs in oracle.rules.items():
-        assert all(w < lead for w, _ in rhs)
+        assert all(w < lead for w, *_ in rhs)
 
 
 def test_certificate_rejects_a_perturbed_rule(monkeypatch):
@@ -171,7 +182,7 @@ def test_a_member_must_vanish_at_every_draw():
 def _normal_word_in(p, oracle):
     """The largest normal word of the normal form of p's largest word: a
     word of a block p touches that is nonzero in B."""
-    return max(normal_form({max(p.terms): oracle.mode.one()}, oracle.rules))
+    return max(normal_form({max(p.terms): {0: 1}}, oracle.rules))
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -213,6 +224,120 @@ def test_group_like_tensor_plus_normal_words_is_rejected(exact):
         words = [NCPoly.monomial(space.z, mode, _normal_word_in(NCPoly.monomial(space.z, mode, w), oracle))
                  for w in max(group_like.terms)]
         assert not oracle.contains_tensor(group_like + TensorPoly.outer(*words))
+
+
+# ---------------------------------------------------------------------------
+# packed coefficients against the scalar reference
+
+
+def reference_rules(relations):
+    """Each relation oriented by its largest word: leading word ->
+    ((word, ParamScalar coefficient), ...), -(rest) / c_lead."""
+    rules = {}
+    for rel in relations:
+        lead = max(rel.terms)
+        factor = -rel.terms[lead].inv()
+        rules[lead] = tuple((w, c * factor) for w, c in rel.terms.items() if w != lead)
+    return rules
+
+
+def reference_normal_form(terms, rules):
+    """The normal form over ``ParamScalar`` coefficients: largest word
+    first, each rewritten at its leftmost leading word."""
+    pending = dict(terms)
+    heap = [(-int.from_bytes(w, "big"), w) for w in pending]
+    heapify(heap)
+    out = {}
+    while heap:
+        w = heappop(heap)[1]
+        c = pending.pop(w)
+        if not c:
+            continue
+        for pos in range(len(w) - 1):
+            rhs = rules.get(w[pos:pos + 2])
+            if rhs is not None:
+                break
+        else:
+            out[w] = c
+            continue
+        u, v = w[:pos], w[pos + 2:]
+        for pair, r in rhs:
+            x = u + pair + v
+            s = pending.get(x)
+            if s is None:
+                pending[x] = c * r
+                heappush(heap, (-int.from_bytes(x, "big"), x))
+            else:
+                pending[x] = s + c * r
+    return out
+
+
+def packed(p):
+    return {w: c.packed() for w, c in p.terms.items()}
+
+
+NON_INTEGER = {(1, 2): Fraction(2, 3), (1, 3): Fraction(-5, 7), (2, 3): Fraction(7, 2)}
+
+
+@pytest.mark.parametrize(
+    "mode", [ParamMode.multi(3), ParamMode.single(), ParamMode.numeric(3, NON_INTEGER)], ids=repr
+)
+def test_packed_normal_form_matches_the_scalar_reference(mode):
+    oracle = IdealOracle(3, mode, exact=True)
+    relations = build_relations(3, mode)
+    rules = reference_rules(relations)
+    rng = Random(77)
+    members = 0
+    inputs = [random_element(rng, oracle, degree, relations) for degree in (2, 3, 4) for _ in range(12)]
+    for p in inputs:
+        expected = reference_normal_form(p.terms, rules)
+        got = normal_form(packed(p), oracle.rules)
+        assert {w: mode.from_packed(c) for w, c in got.items()} == expected, p
+        assert oracle.contains(p) == (not expected)
+        members += not expected
+    assert 5 <= members <= len(inputs) - 5
+
+
+def test_pack_round_trips_negative_exponents():
+    rng = Random(5)
+    top = EXPONENT_LIMIT - 1
+    vectors = [(), (0,), (-1,), (top, -top), (-top, 0, top), (-1, -1, -1, -1)]
+    vectors += [tuple(rng.randint(-top, top) for _ in range(rng.randint(1, 10))) for _ in range(200)]
+    for exps in vectors:
+        k = pack(exps)
+        assert unpack(k, len(exps)) == exps
+        assert max_exponent({k}) == max(map(abs, exps), default=0)
+    # additive while the sums stay in range
+    a, b = (-5, 2**30, 7), (3, -(2**30) - 9, -7)
+    assert pack(a) + pack(b) == pack(tuple(map(sum, zip(a, b))))
+    assert max_exponent([pack(a), pack(b), 0]) == 2**30 + 9 and max_exponent(()) == 0
+    for bad in ((EXPONENT_LIMIT,), (0, -EXPONENT_LIMIT)):
+        with pytest.raises(ExponentOverflowError):
+            pack(bad)
+    mode = ParamMode.multi(3)
+    s = mode.q(1, 2) ** -3 * mode.q(2, 3) - mode.q(1, 3) ** 2 + 4
+    assert mode.from_packed(s.packed()) == s
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_an_exponent_near_the_limit_raises_instead_of_a_verdict(exact):
+    mode = ParamMode.multi(2)
+    oracle = IdealOracle(2, mode, exact=exact, seed=1, draws=2)
+    lead = max(oracle.rules)  # a leading word, so the query must rewrite
+    for power, safe in ((2**20, True), (EXPONENT_LIMIT - 2, False)):
+        p = NCPoly.monomial(oracle.z, mode, lead, mode.q(1, 2) ** power)
+        queries = (
+            lambda: oracle.contains(p),
+            lambda: oracle.contains_tensor(TensorPoly.outer(p, p)),
+            lambda: oracle.contains_packed(packed(p)),
+        )
+        for query in queries:
+            if safe:
+                assert query() is False
+                continue
+            with pytest.raises(ExponentOverflowError) as caught:
+                query()
+            assert not isinstance(caught.value, ValueError)
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,11 @@ def test_membership_rejects_inhomogeneous():
     mode = ParamMode.multi(2)
     sp = QuantumSpace(2, mode)
     oracle = IdealOracle(2, mode, exact=True)
+    p = NCPoly.one(sp.z, mode) + sp.z_gen(1, 1)
     with pytest.raises(ValueError):
-        oracle.contains(NCPoly.one(sp.z, mode) + sp.z_gen(1, 1))
+        oracle.contains(p)
+    with pytest.raises(ValueError, match="homogeneous"):
+        oracle.contains_packed({w: c.packed() for w, c in p.terms.items()})
 
 
 def test_membership_is_linear():
