@@ -21,25 +21,27 @@ A!*_{m+1} (x) V^{(n-1)} -> A!*_m (x) V^{(n)} that induces the differential:
 the map is the identity on the underlying tensor words, only the grouping
 moves.  That reading is validated rather than assumed: d o d = 0 holds as an
 exact matrix identity over the Laurent ring and the complexes are exact.
+
+Exactness is certified by a contracting homotopy (Priddy).  The complex
+splits by alpha = e_J + r into Boolean cubes on supp alpha with unit edges.
+With j0 = min supp alpha, h(I, r) is (I + j0, r - e_j0) over the entry of d
+between the two when j0 is not in I, and 0 otherwise.  dh + hd = id makes
+every cycle z equal to d(hz), so with d o d = 0 the complex is exact over
+the Laurent ring itself, which is stronger than a rank over its fraction
+field.  The certificate is one-sided: an exact complex with a zero or
+non-unit entry on an edge h divides by fails it, as inconclusive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import combinations
 
 from .param_ring import ParamMode
 from .quantum_spaces import QuantumSpace
-from .right_quantum import (
-    IdealOracle,
-    add_products,
-    new_echelon,
-    packed_triples,
-    to_vector,
-    verdict_rings,
-)
+from .right_quantum import IdealOracle, add_products, packed_triples
 
 
 @dataclass
@@ -86,31 +88,37 @@ def build_complex(n: int, ell: int, mode: ParamMode) -> KoszulComplex:
     return KoszulComplex(n, ell, mode, bases, maps)
 
 
-def _sparse_rows(matrix) -> list:
-    """Each row's nonzero entries as (column, scalar) pairs.
+def _columns(matrix, width: int) -> list:
+    """Each column's nonzero entries as (row, scalar) pairs.
 
     The maps are dense and mostly zero, so this tests the term dicts
     directly rather than calling ``__bool__`` once per entry.
     """
-    return [[(c, x) for c, x in enumerate(row) if x.terms] for row in matrix]
+    columns: list = [[] for _ in range(width)]
+    for r, row in enumerate(matrix):
+        for c, x in enumerate(row):
+            if x.terms:
+                columns[c].append((r, x))
+    return columns
 
 
 def composites_vanish(complex: KoszulComplex) -> bool:
     """d o d = 0 as an exact identity over the coefficient ring.
 
-    The differentials are sparse, so each row of d_i meets only the nonzero
-    entries of the rows of d_{i-1} its own nonzero entries select.  Each map
-    is scanned once, as it stands, never from a cached copy.
+    The differentials are sparse, so each column of d_{i-1} meets only the
+    nonzero entries of the columns of d_i its own nonzero entries select.
+    Each map is scanned once, as it stands, never from a cached copy.
     """
     zero = complex.mode.zero()
-    lower = _sparse_rows(complex.maps[1]) if complex.ell >= 2 else None
+    dims = complex.dims
+    lower = _columns(complex.maps[1], dims[0]) if complex.ell >= 2 else None
     for i in range(2, complex.ell + 1):
-        upper = _sparse_rows(complex.maps[i])
-        for row in upper:
+        upper = _columns(complex.maps[i], dims[i - 1])
+        for column in lower:
             acc: dict = {}
-            for k, a in row:
-                for c, b in lower[k]:
-                    acc[c] = acc.get(c, zero) + a * b
+            for k, b in column:
+                for r, a in upper[k]:
+                    acc[r] = acc.get(r, zero) + a * b
             if any(acc.values()):
                 return False
         lower = upper
@@ -132,84 +140,63 @@ def euler_characteristic(n: int, ell: int) -> int:
 
 @dataclass
 class ExactnessReport:
-    """Per-position ranks and homology dimensions of one complex.
-
-    ``conclusive`` is False when rational specializations disagreed on a rank;
-    that outcome is surfaced, never resolved silently.
-    """
+    """The exactness verdict on one complex: ``conclusive`` when the
+    contracting homotopy certified it, and the homology is then zero at
+    every position.  Otherwise nothing is known and ``homology`` is None."""
 
     n: int
     ell: int
     dims: list[int]
-    ranks: list | None
-    homology: list | None
-    mode: str
-    seed: int | None
     conclusive: bool
 
     @property
-    def is_exact(self) -> bool:
-        return self.conclusive and all(h == 0 for h in self.homology)
+    def homology(self) -> list | None:
+        return [0] * (self.ell + 1) if self.conclusive else None
 
     def to_jsonable(self):
-        return {
-            "n": self.n,
-            "ell": self.ell,
-            "dims": self.dims,
-            "ranks": self.ranks,
-            "homology": self.homology,
-            "mode": self.mode,
-            "seed": self.seed,
-            "conclusive": self.conclusive,
-        }
+        return {**asdict(self), "homology": self.homology}
 
 
-def _rank(rows, assignment) -> int:
-    """Rank of a scalar matrix given by ``_sparse_rows``, over the Laurent
-    ring for ``assignment`` None, else over Q at that specialization.
+def _homotopy_certifies(complex: KoszulComplex) -> bool:
+    """dh + hd = id on every basis vector of every component, exactly, with
+    each entry h divides by read from the maps as they stand."""
+    bases, maps, ell, dims = complex.bases, complex.maps, complex.ell, complex.dims
+    zero, one = complex.mode.zero(), complex.mode.one()
+    h: list = [[None] * dims[0]]  # h[i][p]: (position in component i - 1, coefficient) or None
+    for i in range(1, ell + 1):
+        index = {key: pos for pos, key in enumerate(bases[i - 1])}
+        h.append([])
+        for p, (I, r) in enumerate(bases[i]):
+            j0 = next(k for k, e in enumerate(r, 1) if e)  # r is nonzero for i >= 1
+            if I and I[0] <= j0:  # min supp(e_I + r) lies in I: h vanishes
+                h[i].append(None)
+                continue
+            t = index[((j0,) + I, r[:j0 - 1] + (r[j0 - 1] - 1,) + r[j0:])]
+            try:
+                h[i].append((t, maps[i][p][t].inv()))
+            except ValueError:  # zero, or not a unit of the coefficient ring
+                return False
+    columns = [None] + [_columns(maps[i], dims[i - 1]) for i in range(1, ell + 1)]
+    for i in range(ell + 1):
+        for p in range(dims[i]):
+            acc: dict = {}
+            if h[i][p] is not None:  # d(h(v))
+                t, s = h[i][p]
+                for row, x in columns[i][t]:
+                    acc[row] = acc.get(row, zero) + x * s
+            if i < ell:  # h(d(v))
+                for row, x in columns[i + 1][p]:
+                    if h[i + 1][row] is not None:
+                        t, s = h[i + 1][row]
+                        acc[t] = acc.get(t, zero) + x * s
+            if acc.pop(p, zero) != one or any(acc.values()):
+                return False
+    return True
 
-    The whole map is specialized in one ``to_vector`` call over (row,
-    column) keys, so it shares one minimum exponent and each distinct
-    exponent tuple is evaluated once; that rescales the map uniformly by a
-    unit and changes no rank.
-    """
-    entries = to_vector((((r, c), x) for r, row in enumerate(rows) for c, x in row), assignment)
-    vectors: dict = {}
-    for (r, c), x in entries.items():
-        vectors.setdefault(r, {})[c] = x
-    basis = new_echelon(assignment)
-    for vec in vectors.values():
-        basis.insert(vec)
-    return basis.rank
 
-
-def check_exactness(
-    complex: KoszulComplex,
-    exact: bool = False,
-    seed: int = 0,
-    draws: int = 3,
-) -> ExactnessReport:
-    """Rank every differential and report homology dimensions.
-
-    Exact mode eliminates fraction-free over the Laurent ring; otherwise the
-    ranks are computed over ``draws`` rational specializations which must all
-    agree.
-    """
-    dims = complex.dims
-    exact, assignments = verdict_rings(complex.mode, exact, seed, draws)
-    mode_str, seed_used = ("exact", None) if exact else (f"specialize(draws={draws})", seed)
-    maps = [_sparse_rows(complex.maps[i]) for i in range(1, complex.ell + 1)]
-    per_draw = [[_rank(rows, a) for rows in maps] for a in assignments]
-    if any(r != per_draw[0] for r in per_draw[1:]):
-        return ExactnessReport(
-            complex.n, complex.ell, dims, None, None, mode_str, seed_used, conclusive=False
-        )
-    ranks = per_draw[0]
-    bordered = [0] + ranks + [0]
-    homology = [dims[i] - bordered[i] - bordered[i + 1] for i in range(complex.ell + 1)]
-    return ExactnessReport(
-        complex.n, complex.ell, dims, ranks, homology, mode_str, seed_used, conclusive=True
-    )
+def check_exactness(complex: KoszulComplex) -> ExactnessReport:
+    """Certify exactness by the contracting homotopy of the module docstring."""
+    return ExactnessReport(complex.n, complex.ell, complex.dims, _homotopy_certifies(complex))
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,7 @@ The ideal's blocks are also built by linear algebra, as the independent
 reference for tests.  Every relation is homogeneous for the block of a word,
 the pair (lower-index counts, upper-index counts), so the ideal is the
 direct sum of its blocks.  ``IdealOracle.basis`` row-reduces one block's
-span of u*r*v with the one sparse fraction-free echelon core, which also
-computes the Koszul ranks.
+span of u*r*v with the one sparse fraction-free echelon core.
 """
 
 from __future__ import annotations
@@ -479,12 +478,6 @@ class SymbolicEchelon(_Echelon):
     finalize = _Echelon.finalize
 
 
-def new_echelon(assignment):
-    """An empty echelon for vectors made by ``to_vector`` with the same
-    assignment: over the Laurent ring for None, over Z for a dict."""
-    return SymbolicEchelon() if assignment is None else IntEchelon()
-
-
 def to_vector(pairs, assignment) -> dict:
     """The coefficient vector of (index, scalar) pairs, zeros dropped.
 
@@ -639,7 +632,7 @@ class IdealOracle:
         """
         size = self.z.size
         assignment = self.assignments[draw]
-        basis = new_echelon(assignment)
+        basis = SymbolicEchelon() if assignment is None else IntEchelon()
         for word in block_words(self.n, block):
             for pos in range(degree - 1):
                 rel = self._cross.get(word[pos:pos + 2])

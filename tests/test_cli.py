@@ -75,10 +75,9 @@ def test_koszul_n1():
     assert code == 0
 
 
-def test_koszul_specialized_sweep():
-    code, out, _ = run(
-        ["koszul", "--n", "3", "--ell", "2", "--mode", "specialize", "--seeds", "3", "--output", "json"]
-    )
+def test_koszul_has_no_draws_to_run_out_of():
+    # n = 8 has 28 parameters, more than the 24 odd primes a draw would need
+    code, out, _ = run(["koszul", "--n", "8", "--degree", "2", "--output", "json"])
     assert code == 0
     assert json.loads(out)["pass"] is True
 
@@ -219,9 +218,10 @@ def test_n_beyond_byte_letters_is_usage_error():
 
 
 def test_koszul_specialize_requires_at_least_one_seed():
-    code, _, err = run(["koszul", "--n", "2", "--ell", "2", "--seeds", "0"])
-    assert code == 2
-    assert "draw" in err
+    # koszul certifies exactness with no specialization draws, so it takes no seed count
+    code, out, err = run(["koszul", "--n", "2", "--ell", "2", "--seeds", "0"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --seeds" in err
 
 
 def test_internal_defect_is_not_a_usage_error(monkeypatch):
@@ -236,15 +236,24 @@ def test_internal_defect_is_not_a_usage_error(monkeypatch):
         main(["verify", "--n", "2", "--degree", "2"])
 
 
-@pytest.mark.parametrize("command", [["verify", "--degree", "2"], ["koszul", "--ell", "2"]])
+@pytest.mark.parametrize(
+    "command",
+    [
+        (["verify", "--degree", "2"], "draw"),
+        # koszul never draws, so a seed count is refused as an option it does not have
+        (["koszul", "--ell", "2"], "unrecognized arguments: --seeds"),
+    ],
+)
 def test_specialize_requires_a_seed_even_with_nothing_to_draw(command):
-    code, out, err = run([command[0], "--n", "1", *command[1:], "--seeds", "0"])
+    argv, complaint = command
+    code, out, err = run([argv[0], "--n", "1", *argv[1:], "--seeds", "0"])
     assert code == 2
-    assert out == "" and "draw" in err
+    assert out == "" and complaint in err
 
 
 CLASSICAL = ["classical", "--random", "1", "--n", "2", "--degree", "2"]
 QDET = ["qdet", "--n", "2", "--subset", "1,2"]
+KOSZUL = ["koszul", "--n", "2", "--degree", "2"]
 
 
 @pytest.mark.parametrize(
@@ -257,6 +266,7 @@ QDET = ["qdet", "--n", "2", "--subset", "1,2"]
         QDET + ["--mode", "exact"],
         QDET + ["--seed", "3"],
         QDET + ["--seeds", "2"],
+        KOSZUL + ["--mode", "exact"],
     ],
 )
 def test_options_a_command_never_reads_are_usage_errors(argv):
@@ -270,6 +280,7 @@ def test_options_a_command_never_reads_are_usage_errors(argv):
     [
         (CLASSICAL + ["--seed", "4"], {"n", "degree", "random", "seed"}),
         (QDET + ["--params", "single"], {"n", "params", "subset"}),
+        (KOSZUL, {"n", "params", "degree", "seed"}),
     ],
 )
 def test_config_echoes_exactly_the_options_the_command_has(argv, keys):

@@ -10,7 +10,13 @@ exact run (``oracle_mode`` "exact").  The ``qdet --n 3 --subset 1,3`` and
 when each command came to declare only the options it reads: their
 ``config`` lost the keys of the options they no longer have (``mode``,
 ``seed`` and ``seeds`` for qdet; ``params``, ``mode`` and ``seeds`` for
-classical) and nothing else changed.
+classical) and nothing else changed.  The four ``koszul`` entries were
+rewritten when exactness came to be certified by a contracting homotopy,
+with no ranks and no specialization draws: their ``config`` lost ``mode``
+and ``seeds``, each result lost ``ranks``, ``mode`` and ``seed``, and the
+entries keyed ``koszul --n 3 --degree 3 --mode exact`` and ``koszul --n 2
+--degree 3 --seeds 1`` were re-keyed without those flags, which ``koszul``
+no longer has.  Every other key and value is unchanged.
 """
 
 import io

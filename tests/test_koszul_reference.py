@@ -1,5 +1,5 @@
 """The closed-form Koszul differential against the wedge re-expression, and
-the whole-map rank against the per-row one.
+the homotopy certificate against the rank.
 
 ``reference_complex`` builds the differential the long way, as it was first
 written: it expands wedge(J) into all |J|! words, detaches one tensor factor
@@ -9,10 +9,13 @@ asserting that the bucket lies in the span of the wedge expansions.  It
 shares no formula with ``build_complex``, so the two agreeing on whole
 bases and matrices is a differential check of the closed form.
 
-``reference_rank`` specializes a map one row at a time, each row with its
-own minimum exponent and content, as ranks were first computed; ``_rank``
-specializes the whole map in one call.  They must agree in every mode, exact
-and specialized.
+``reference_rank`` is the fraction-free rank of a map, one ``to_vector``
+call per row, over the Laurent ring (over Q in numeric mode); exactness was
+first decided by it.  ``check_exactness`` certifies by a contracting
+homotopy instead, which is one-sided: it must agree with the reference on
+every intact complex, never certify a complex with d o d = 0 and nonzero
+reference homology, and report the exact 2-cube whose homotopy edges are
+zeroed as inconclusive.
 
 ``reference_comodule_compat`` is the comodule check as it was first written:
 both routes as sums of ``NCPoly`` products, one ``contains`` per tensor
@@ -20,15 +23,18 @@ pair.  ``comodule_compat_check`` sums flat packed coefficients instead, so
 the two agreeing on intact and perturbed differentials checks that rewrite.
 """
 
+import io
+from contextlib import redirect_stdout
 from itertools import combinations
 from random import Random
 
 import pytest
 from test_coaction_reference import modes
 
-from qmm import IdealOracle, NCPoly, QuantumSpace, check_exactness, comodule_compat_check
-from qmm.koszul import KoszulComplex, _rank, _sparse_rows, build_complex, composites_vanish
-from qmm.right_quantum import new_echelon, to_vector, verdict_rings
+from qmm import IdealOracle, NCPoly, ParamMode, QuantumSpace, check_exactness, comodule_compat_check
+from qmm.cli import main
+from qmm.koszul import KoszulComplex, build_complex, composites_vanish
+from qmm.right_quantum import IntEchelon, SymbolicEchelon, to_vector
 
 
 def decompose_into_wedges(space, p):
@@ -105,9 +111,11 @@ def test_detaching_the_first_factor_breaks_d_squared(n):
             assert not composites_vanish(reference_complex(n, ell, mode, first=True)), (mode, ell)
 
 
-def reference_rank(matrix, assignment) -> int:
-    """Rank of a dense scalar matrix, one ``to_vector`` call per row."""
-    basis = new_echelon(assignment)
+def reference_rank(matrix, assignment=None) -> int:
+    """Rank of a dense scalar matrix, one ``to_vector`` call per row: over
+    the Laurent ring for ``assignment`` None, else over Q at that point
+    (``{}`` for numeric mode)."""
+    basis = SymbolicEchelon() if assignment is None else IntEchelon()
     for row in matrix:
         vec = to_vector(enumerate(row), assignment)
         if vec:
@@ -115,16 +123,79 @@ def reference_rank(matrix, assignment) -> int:
     return basis.rank
 
 
+def reference_homology(complex) -> list:
+    """dims minus the ranks of the maps on either side, at every position."""
+    assignment = {} if complex.mode.kind == "numeric" else None
+    ranks = [0] + [reference_rank(m, assignment) for m in complex.maps[1:]] + [0]
+    return [d - ranks[i] - ranks[i + 1] for i, d in enumerate(complex.dims)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_whole_map_rank_matches_the_per_row_rank(n):
+def test_homotopy_matches_the_reference_rank(n):
     for mode in modes(n, seed=30 + n):
-        rings = verdict_rings(mode, True, 0, 1)[1] + verdict_rings(mode, False, n, 3)[1]
         for ell in range(1, 6):
             complex = build_complex(n, ell, mode)
-            for matrix in complex.maps[1:]:
-                for assignment in rings:
-                    expected = reference_rank(matrix, assignment)
-                    assert _rank(_sparse_rows(matrix), assignment) == expected, (mode, ell, assignment)
+            expected = reference_homology(complex)
+            assert not any(expected), (mode, ell)
+            report = check_exactness(complex)
+            assert report.conclusive and report.homology == expected, (mode, ell)
+
+
+def single_entry_perturbations(complex):
+    """(i, row, column, changed map list) for every nonzero entry of every
+    map, each zeroed, times q_12 and plus 1."""
+    mode = complex.mode
+    changes = (("zeroed", lambda x: x * 0), ("times q_12", lambda x: x * mode.q(1, 2)), ("plus 1", lambda x: x + 1))
+    for i in range(1, complex.ell + 1):
+        for r, row in enumerate(complex.maps[i]):
+            for c, x in enumerate(row):
+                if not x:
+                    continue
+                for name, change in changes:
+                    maps = [m if m is None else [list(rw) for rw in m] for m in complex.maps]
+                    maps[i][r][c] = change(x)
+                    yield name, (i, r, c), KoszulComplex(complex.n, complex.ell, mode, complex.bases, maps)
+
+
+@pytest.mark.parametrize("n,ell", [(2, 3), (3, 3), (3, 4)])
+def test_the_homotopy_never_certifies_a_complex_with_homology(n, ell):
+    seen = set()
+    for name, where, complex in single_entry_perturbations(build_complex(n, ell, ParamMode.multi(n))):
+        conclusive = check_exactness(complex).conclusive
+        if name == "zeroed":
+            assert not conclusive, where
+        if composites_vanish(complex):
+            homology = any(reference_homology(complex))
+            assert not (conclusive and homology), (name, where)
+            seen.add((conclusive, homology))
+    # the sweep meets both a certified complex and one with homology
+    assert {(True, False), (False, True)} <= seen
+
+
+def two_cube_control():
+    """K^{2,*} at n = 2 with the edges (1,2) -> (2) x x_1 and (1) x x_2 ->
+    x_1 x_2 zeroed: still a complex, still exact, but the homotopy divides
+    by the first edge."""
+    mode = ParamMode.multi(2)
+    complex = build_complex(2, 2, mode)
+    for i, row, col in ((1, ((2,), (1, 0)), ((1, 2), (0, 0))), (2, ((), (1, 1)), ((1,), (0, 1)))):
+        r, c = complex.bases[i].index(row), complex.bases[i - 1].index(col)
+        assert complex.maps[i][r][c], (i, row, col)
+        complex.maps[i][r][c] = mode.zero()
+    return complex
+
+
+def test_the_two_cube_control_is_inconclusive_not_exact(monkeypatch):
+    complex = two_cube_control()
+    assert composites_vanish(complex)
+    assert reference_homology(complex) == [0, 0, 0]
+    report = check_exactness(complex)
+    assert report.conclusive is False and report.homology is None
+    monkeypatch.setattr("qmm.koszul.build_complex", lambda *_: two_cube_control())
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["koszul", "--n", "2", "--ell", "2", "--output", "json"]) == 3
+    assert '"conclusive":false' in out.getvalue() and '"homology":null' in out.getvalue()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -133,16 +204,15 @@ def test_zeroing_a_row_of_the_top_map_breaks_exactness(n):
     # lies in its image and zeroing any nonzero row drops its rank
     for mode in modes(n, seed=40 + n):
         for ell in range(1, 4):
-            for exact in (True, False):
-                intact = build_complex(n, ell, mode)
-                assert check_exactness(intact, exact=exact, seed=n).is_exact
-                for r in range(len(intact.maps[ell])):
-                    complex = build_complex(n, ell, mode)
-                    row = complex.maps[ell][r]
-                    assert any(row), (mode, ell, r)
-                    complex.maps[ell][r] = [mode.zero()] * len(row)
-                    report = check_exactness(complex, exact=exact, seed=n)
-                    assert not report.is_exact, (mode, ell, r, exact)
+            intact = build_complex(n, ell, mode)
+            assert check_exactness(intact).conclusive
+            for r in range(len(intact.maps[ell])):
+                complex = build_complex(n, ell, mode)
+                row = complex.maps[ell][r]
+                assert any(row), (mode, ell, r)
+                complex.maps[ell][r] = [mode.zero()] * len(row)
+                assert any(reference_homology(complex)), (mode, ell, r)
+                assert not check_exactness(complex).conclusive, (mode, ell, r)
 
 
 def reference_comodule_compat(complex, oracle) -> bool:
