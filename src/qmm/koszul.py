@@ -30,6 +30,13 @@ every cycle z equal to d(hz), so with d o d = 0 the complex is exact over
 the Laurent ring itself, which is stronger than a rank over its fraction
 field.  The certificate is one-sided: an exact complex with a zero or
 non-unit entry on an edge h divides by fails it, as inconclusive.
+
+Each map is stored sparse, as a list of ``SparseRow``: a row keeps only its
+nonzero entries, {column: scalar}, and still reads and assigns like a
+dense list (``maps[i][r][k]``).  d o d = 0, dh + hd = id and the comodule
+check read only the stored entries, so their cost follows the |J| entries
+per column rather than rows times columns, and an entry assigned in place
+is seen by every check as it stands.
 """
 
 from __future__ import annotations
@@ -44,13 +51,70 @@ from .quantum_spaces import QuantumSpace
 from .right_quantum import IdealOracle, add_products, packed_triples
 
 
+class SparseRow:
+    """One row of a differential: its nonzero entries by column, read and
+    assigned like a list of ``width`` scalars whose other entries are zero.
+
+    ``entries`` holds {column: nonzero scalar} and is what the checks read,
+    so a row costs its nonzero entries, not its width.  ``row[k]`` reads
+    ``zero`` where nothing is stored, ``row[k] = x`` stores x or, for a zero
+    x, removes the entry, and iterating yields all ``width`` entries in
+    column order.  A column outside 0..width-1 raises ``IndexError``.
+    """
+
+    __slots__ = ("width", "zero", "entries")
+
+    def __init__(self, width: int, zero, entries=None):
+        self.width = width
+        self.zero = zero
+        self.entries = {} if entries is None else entries
+
+    def _column(self, k: int) -> int:
+        if not 0 <= k < self.width:
+            raise IndexError(f"column {k} outside a row of width {self.width}")
+        return k
+
+    def __len__(self) -> int:
+        return self.width
+
+    def __getitem__(self, k: int):
+        return self.entries.get(self._column(k), self.zero)
+
+    def __setitem__(self, k: int, value) -> None:
+        if value:
+            self.entries[self._column(k)] = value
+        else:
+            self.entries.pop(self._column(k), None)
+
+    def __iter__(self):
+        get, zero = self.entries.get, self.zero
+        return (get(k, zero) for k in range(self.width))
+
+    def __eq__(self, other):
+        if isinstance(other, SparseRow):
+            return self.width == other.width and self.entries == other.entries
+        try:
+            return len(other) == self.width and all(a == b for a, b in zip(self, other))
+        except TypeError:
+            return NotImplemented
+
+    __hash__ = None
+
+    def copy(self) -> "SparseRow":
+        return SparseRow(self.width, self.zero, dict(self.entries))
+
+    def __repr__(self):
+        return f"SparseRow({self.width}, {self.entries!r})"
+
+
 @dataclass
 class KoszulComplex:
     """Explicit bases and differential matrices for one complex K^{l,*}.
 
     ``bases[i]`` lists the (subset, multidegree) pairs spanning the component
     with affine degree i; ``maps[i]`` (1 <= i <= l) is the matrix of the
-    differential into that component, rows indexed by ``bases[i]``.
+    differential into that component, a list of ``SparseRow`` indexed by
+    ``bases[i]``, with columns indexed by ``bases[i - 1]``.
     """
 
     n: int
@@ -65,63 +129,75 @@ class KoszulComplex:
 
 
 def build_complex(n: int, ell: int, mode: ParamMode) -> KoszulComplex:
+    """The complex K^{ell,*} with its maps in the closed form of the module
+    docstring, stored as ``SparseRow`` lists.
+
+    Component i is ordered subset-major, so (I, r) sits at (position of I)
+    * (number of multidegrees) + (position of r).  Each weight w(J - j, j)
+    is computed once per (J, j) and each factor c_j(r) once per (j, r),
+    and every entry is one product of the two.
+    """
     if ell < 1:
         raise ValueError("need ell >= 1")
     space = QuantumSpace(n, mode)
-    bases = []
-    for i in range(ell + 1):
-        m = ell - i
-        subsets = list(combinations(range(1, n + 1), m)) if m <= n else []
-        bases.append([(J, r) for J in subsets for r in space.affine_basis(i)])
-    zero = mode.zero()  # shared by every empty entry: scalars are immutable
+    subsets = [list(combinations(range(1, n + 1), ell - i)) if ell - i <= n else [] for i in range(ell + 1)]
+    affine = [space.affine_basis(i) for i in range(ell + 1)]
+    bases = [[(J, r) for J in subsets[i] for r in affine[i]] for i in range(ell + 1)]
+    zero = mode.zero()  # shared by every row: scalars are immutable
     maps: list = [None]
     for i in range(1, ell + 1):
-        domain, codomain = bases[i - 1], bases[i]
-        index = {key: pos for pos, key in enumerate(codomain)}
-        matrix = [[zero] * len(domain) for _ in codomain]
-        for col, (J, r) in enumerate(domain):
+        width = len(affine[i])
+        position = {r: pos for pos, r in enumerate(affine[i])}
+        # per multidegree r of the domain: (c_j(r), position of r + e_j) by letter j
+        prepends = []
+        for r in affine[i - 1]:
+            factors = [space.affine_prepend(j, r) for j in range(n)]
+            prepends.append([(c, position[r2]) for c, r2 in factors])
+        offset = {I: pos * width for pos, I in enumerate(subsets[i])}
+        rows = [SparseRow(len(bases[i - 1]), zero) for _ in bases[i]]
+        col = 0
+        for J in subsets[i - 1]:
+            faces = []  # (letter id of j, offset of J - j, w(J - j, j)) for j in J
             for j in J:
                 I = tuple(a for a in J if a != j)
-                c, r2 = space.affine_prepend(j - 1, r)
-                matrix[index[(I, r2)]][col] = space.exterior_weight(I + (j,)) * c
-        maps.append(matrix)
+                faces.append((j - 1, offset[I], space.exterior_weight(I + (j,))))
+            for factors in prepends:
+                for letter, base, w in faces:
+                    c, pos = factors[letter]
+                    # a unit times a unit, never zero, so it is stored as it is
+                    rows[base + pos].entries[col] = w * c
+                col += 1
+        maps.append(rows)
     return KoszulComplex(n, ell, mode, bases, maps)
 
 
 def _columns(matrix, width: int) -> list:
-    """Each column's nonzero entries as (row, scalar) pairs.
-
-    The maps are dense and mostly zero, so this tests the term dicts
-    directly rather than calling ``__bool__`` once per entry.
-    """
+    """Each column's stored entries as (row, scalar) pairs."""
     columns: list = [[] for _ in range(width)]
     for r, row in enumerate(matrix):
-        for c, x in enumerate(row):
-            if x.terms:
-                columns[c].append((r, x))
+        for c, x in row.entries.items():
+            columns[c].append((r, x))
     return columns
 
 
 def composites_vanish(complex: KoszulComplex) -> bool:
     """d o d = 0 as an exact identity over the coefficient ring.
 
-    The differentials are sparse, so each column of d_{i-1} meets only the
-    nonzero entries of the columns of d_i its own nonzero entries select.
-    Each map is scanned once, as it stands, never from a cached copy.
+    Row r of d_i o d_{i-1} is the sum over the stored entries (k, a) of row r
+    of d_i of a times row k of d_{i-1}, so only stored entries meet.  Each
+    map is read as it stands, never from a cached copy.
     """
-    zero = complex.mode.zero()
-    dims = complex.dims
-    lower = _columns(complex.maps[1], dims[0]) if complex.ell >= 2 else None
+    maps = complex.maps
     for i in range(2, complex.ell + 1):
-        upper = _columns(complex.maps[i], dims[i - 1])
-        for column in lower:
+        lower = maps[i - 1]
+        for row in maps[i]:
             acc: dict = {}
-            for k, b in column:
-                for r, a in upper[k]:
-                    acc[r] = acc.get(r, zero) + a * b
+            for k, a in row.entries.items():
+                for c, b in lower[k].entries.items():
+                    s = acc.get(c)
+                    acc[c] = a * b if s is None else s + a * b
             if any(acc.values()):
                 return False
-        lower = upper
     return True
 
 
@@ -158,38 +234,49 @@ class ExactnessReport:
 
 
 def _homotopy_certifies(complex: KoszulComplex) -> bool:
-    """dh + hd = id on every basis vector of every component, exactly, with
-    each entry h divides by read from the maps as they stand."""
+    """dh + hd = id on every component, exactly, with each entry h divides
+    by read from the maps as they stand.
+
+    (I + j0, r - e_j0) determines (I, r), since j0 is its smallest index, so
+    h is injective: ``back[i][t] = (p, s)`` when h sends basis vector p of
+    component i to s times basis vector t of component i - 1.  Row a of
+    dh + hd is then read off the stored entries of row a of d_i and of the
+    one row of d_{i+1} that h sends to a.
+    """
     bases, maps, ell, dims = complex.bases, complex.maps, complex.ell, complex.dims
     zero, one = complex.mode.zero(), complex.mode.one()
-    h: list = [[None] * dims[0]]  # h[i][p]: (position in component i - 1, coefficient) or None
+    back: list = [{}]
     for i in range(1, ell + 1):
         index = {key: pos for pos, key in enumerate(bases[i - 1])}
-        h.append([])
+        inverse: dict = {}
         for p, (I, r) in enumerate(bases[i]):
             j0 = next(k for k, e in enumerate(r, 1) if e)  # r is nonzero for i >= 1
             if I and I[0] <= j0:  # min supp(e_I + r) lies in I: h vanishes
-                h[i].append(None)
                 continue
             t = index[((j0,) + I, r[:j0 - 1] + (r[j0 - 1] - 1,) + r[j0:])]
             try:
-                h[i].append((t, maps[i][p][t].inv()))
+                inverse[t] = (p, maps[i][p][t].inv())
             except ValueError:  # zero, or not a unit of the coefficient ring
                 return False
-    columns = [None] + [_columns(maps[i], dims[i - 1]) for i in range(1, ell + 1)]
+        back.append(inverse)
+    back.append({})  # no component above ell
     for i in range(ell + 1):
-        for p in range(dims[i]):
+        for a in range(dims[i]):
             acc: dict = {}
-            if h[i][p] is not None:  # d(h(v))
-                t, s = h[i][p]
-                for row, x in columns[i][t]:
-                    acc[row] = acc.get(row, zero) + x * s
-            if i < ell:  # h(d(v))
-                for row, x in columns[i + 1][p]:
-                    if h[i + 1][row] is not None:
-                        t, s = h[i + 1][row]
-                        acc[t] = acc.get(t, zero) + x * s
-            if acc.pop(p, zero) != one or any(acc.values()):
+            if i:  # d(h(v_p)) = s d(v_t)
+                for t, x in maps[i][a].entries.items():
+                    edge = back[i].get(t)
+                    if edge is not None:
+                        p, s = edge
+                        y = acc.get(p)
+                        acc[p] = x * s if y is None else y + x * s
+            edge = back[i + 1].get(a)
+            if edge is not None:  # h(d(v_p)), through the one row h sends to a
+                b, s = edge
+                for p, x in maps[i + 1][b].entries.items():
+                    y = acc.get(p)
+                    acc[p] = x * s if y is None else y + x * s
+            if acc.pop(a, zero) != one or any(acc.values()):
                 return False
     return True
 
@@ -227,7 +314,7 @@ def comodule_compat_check(n: int, ell: int, oracle: IdealOracle) -> bool:
     tensor = cache(lambda J: flat(space.coaction_tensor_poly(space.wedge_expand(J))))
     for i in range(1, ell + 1):
         domain, codomain = complex.bases[i - 1], complex.bases[i]
-        matrix = complex.maps[i]
+        columns = _columns(complex.maps[i], len(domain))
         for col, (J, r) in enumerate(domain):
             diff: dict = {}
             affine_family = affine(r)
@@ -235,12 +322,10 @@ def comodule_compat_check(n: int, ell: int, oracle: IdealOracle) -> bool:
                 prefix, last = w4[:-1], w4[-1]
                 for r4, right in affine_family.items():
                     c, r3 = space.affine_prepend(last, r4)
-                    add_products(diff.setdefault((prefix, r3), {}), left, right, c.packed().items())
-            for row, (I, r2) in enumerate(codomain):
-                alpha = matrix[row][col]
-                if alpha.is_zero():
-                    continue
-                scale = (-alpha).packed().items()
+                    add_products(diff.setdefault((prefix, r3), {}), left, right, c.terms.items())
+            for row, alpha in columns[col]:
+                I, r2 = codomain[row]
+                scale = (-alpha).terms.items()
                 affine_i = affine(r2)
                 for w, left in tensor(I).items():
                     for r3, right in affine_i.items():

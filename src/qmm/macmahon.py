@@ -196,7 +196,7 @@ def verify_qdet_coaction(oracle: IdealOracle) -> bool:
         terms = {u: c.packed() for u, c in family[w].terms.items()}
         weight = wedge.coefficient_of(w)
         if not weight.is_zero():
-            add_products(terms, det, [(b"", 0, 1)], (-weight).packed().items())
+            add_products(terms, det, [(b"", 0, 1)], (-weight).terms.items())
         if not oracle.contains_packed(terms):
             return False
     return True
@@ -288,8 +288,8 @@ def evaluate_z_poly(p: NCPoly, entries):
     """
     coeffs = {}
     for word, coeff in p.terms.items():
-        ((exps, value),) = coeff.terms.items()  # a constant has one term
-        if any(exps):
+        ((key, value),) = coeff.terms.items()  # a constant has one term, at key 0
+        if key:
             raise ValueError(f"coefficient {coeff} depends on the parameters")
         coeffs[word] = value
     z = p.alphabet

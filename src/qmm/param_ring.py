@@ -8,19 +8,25 @@ with 1 <= i < j <= n, or in one of two specializations of that ring:
 * ``numeric`` -- every q_ij fixed to a nonzero rational, scalars are exact
   rationals.
 
-Exponent vectors are stored densely (one slot per variable; at desk scale
-n <= 5 so there are at most 10 slots) and coefficients are arbitrary-precision
-integers, or exact rationals in numeric mode.  All values are immutable and
-all operations are pure, so scalars can be shared freely across threads.
+A scalar is kept in one format from the series to the Koszul homotopy: a
+dict ``{packed exponent: coefficient}``, with arbitrary-precision integer
+coefficients, or exact rationals in numeric mode.  The exponent vector e
+(one slot per variable) is packed into the one int sum of e_i * 2^(32 i).
+Packing is additive, so multiplying monomials adds their keys and inverting
+one negates its key, and it is injective while every |e_i| < 2^31 (balanced
+base-2^32 digits).  Exponent vectors are unpacked only to be shown
+(``sorted_terms``, ``to_jsonable``, ``str``) or evaluated (``specialize``,
+``to_single``).  Numeric scalars have the one key 0.
 
-Rewriting multiplies a coefficient by one monomial at every step, so there a
-coefficient is kept flat, as ``{packed exponent: coefficient}``: the exponent
-vector e is packed into the one int sum of e_i * 2^(32 i).  Packing is
-additive, so multiplying monomials adds packed ints, and it is injective
-while every |e_i| < 2^31 (balanced base-2^32 digits).  ``pack`` refuses an
-exponent outside that range; a caller whose arithmetic could leave it must
-bound its exponents first and raise ``ExponentOverflowError`` when the bound
-fails.
+So that packing can never alias, every scalar carries ``bound``, an upper
+bound on its largest |exponent|: a constructor sets it from the exponents
+it packs, a sum takes the larger of its operands' bounds, and a product
+takes their sum and raises ``ExponentOverflowError`` when that sum reaches
+2^31.  That one check in ``__mul__`` covers every product of scalars, powers
+included; ``from_packed`` reads the exact bound off the keys it wraps.
+Rewriting multiplies flat coefficients directly and checks its own bound
+before it starts (``right_quantum.normal_form``).  All values are immutable
+and all operations are pure, so scalars can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -44,11 +50,17 @@ EXPONENT_LIMIT = 1 << 31
 _DIGIT = 1 << 32
 
 
+def _packed_and_top(exps) -> tuple[int, int]:
+    """(packed exponent, largest |e_i|) of an exponent vector."""
+    top = max(map(abs, exps)) if exps else 0
+    if top >= EXPONENT_LIMIT:
+        raise ExponentOverflowError(f"an exponent of {exps} does not fit a packed slot")
+    return sum(map(lshift, exps, count(0, 32))), top
+
+
 def pack(exps) -> int:
     """The packed exponent sum of e_i * 2^(32 i) of an exponent vector."""
-    if max(map(abs, exps), default=0) >= EXPONENT_LIMIT:
-        raise ExponentOverflowError(f"an exponent of {exps} does not fit a packed slot")
-    return sum(map(lshift, exps, count(0, 32)))
+    return _packed_and_top(exps)[0]
 
 
 def unpack(packed: int, nvars: int) -> tuple:
@@ -170,10 +182,10 @@ class ParamMode:
     # -- scalar constructors ------------------------------------------------
 
     def zero(self) -> "ParamScalar":
-        return ParamScalar(self, {})
+        return ParamScalar(self, {}, 0)
 
     def one(self) -> "ParamScalar":
-        return self.scalar(1)
+        return ParamScalar(self, {0: 1}, 0)
 
     def scalar(self, value) -> "ParamScalar":
         if isinstance(value, ParamScalar):
@@ -183,9 +195,12 @@ class ParamMode:
         if isinstance(value, Fraction) and self.kind != "numeric" and value.denominator != 1:
             raise ValueError("symbolic modes have integer coefficients")
         value = _canonical_coeff(value if isinstance(value, (int, Fraction)) else _as_rational(value))
-        if value == 0:
-            return ParamScalar(self, {})
-        return ParamScalar(self, {(0,) * self.nvars: value})
+        return ParamScalar(self, {0: value} if value else {}, 0)
+
+    def _monomial(self, exps) -> "ParamScalar":
+        """The monomial q^exps with coefficient 1, one slot per variable."""
+        key, top = _packed_and_top(exps)
+        return ParamScalar(self, {key: 1}, top)
 
     def variable(self, label, power: int = 1) -> "ParamScalar":
         """The generator named by ``label`` ((i, j) pair or "q"), as a scalar."""
@@ -200,7 +215,7 @@ class ParamMode:
             raise ValueError(f"unknown parameter {label!r} in mode {self!r}") from None
         exps = [0] * self.nvars
         exps[slot] = power
-        return ParamScalar(self, {tuple(exps): 1})
+        return self._monomial(exps)
 
     def q(self, i: int, j: int) -> "ParamScalar":
         """q_ij for i < j, q_ji^{-1} for i > j, and 1 for i == j.
@@ -226,20 +241,20 @@ class ParamMode:
             exponents = tuple(exponents)
             if len(exponents) != self.nvars:
                 raise ValueError(f"need {self.nvars} per-pair exponents")
-            return ParamScalar(self, {exponents: 1})
+            return self._monomial(exponents)
         if self.kind == "single":
-            return ParamScalar(self, {(sum(exponents),): 1})
+            return self._monomial((sum(exponents),))
         value = Fraction(1)
         for pair, e in zip(parameter_pairs(self.n), exponents):
             if e:
                 value *= self.assignment[pair] ** e
-        return ParamScalar(self, {(): _canonical_coeff(value)})
+        return ParamScalar(self, {0: _canonical_coeff(value)}, 0)
 
     def from_packed(self, terms: dict) -> "ParamScalar":
-        """The scalar of a flat coefficient {packed exponent: coefficient}
-        (``ParamScalar.packed``) over this mode; zero coefficients dropped."""
-        nvars = self.nvars
-        return ParamScalar(self, {unpack(k, nvars): _canonical_coeff(c) for k, c in terms.items() if c})
+        """The scalar of a flat coefficient {packed exponent: nonzero
+        coefficient} over this mode (the inverse of ``ParamScalar.packed``):
+        ``terms`` wrapped as it is, with its bound read off the keys."""
+        return ParamScalar(self, terms, max_exponent(terms))
 
 
 def _canonical_coeff(c):
@@ -251,16 +266,20 @@ def _canonical_coeff(c):
 class ParamScalar:
     """An element of the coefficient ring, in canonical form.
 
-    ``terms`` maps dense exponent tuples to nonzero coefficients.  Structural
-    equality of the term maps is ring equality, so zero coefficients are
-    dropped eagerly.
+    ``terms`` maps packed exponents (see the module docstring) to nonzero
+    coefficients, and ``bound`` bounds the largest |exponent| from above.
+    Structural equality of the term maps is ring equality, so zero
+    coefficients are dropped eagerly.  An int or a ``Fraction`` takes part
+    in arithmetic and comparison as the constant scalar of its value, and a
+    constant scalar hashes as that value.
     """
 
-    __slots__ = ("mode", "terms")
+    __slots__ = ("mode", "terms", "bound")
 
-    def __init__(self, mode: ParamMode, terms: dict):
+    def __init__(self, mode: ParamMode, terms: dict, bound: int):
         self.mode = mode
         self.terms = terms
+        self.bound = bound
 
     # -- predicates ----------------------------------------------------------
 
@@ -271,54 +290,79 @@ class ParamScalar:
         return bool(self.terms)
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.mode.nvars: 1}
+        return self.terms == {0: 1}
 
-    def _check(self, other: "ParamScalar"):
-        if self.mode != other.mode:
-            raise ModeMismatchError("scalars over different parameter modes")
+    def _coerce(self, other):
+        """``other`` as a scalar of this mode: None for a type the ring does
+        not take, ``ModeMismatchError`` for a scalar of another mode, and
+        ``ValueError`` for a non-integer rational in a symbolic mode."""
+        if isinstance(other, ParamScalar):
+            if other.mode is not self.mode and other.mode != self.mode:
+                raise ModeMismatchError("scalars over different parameter modes")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.mode.scalar(other)
+        return None
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "ParamScalar":
-        if isinstance(other, int):
-            other = self.mode.scalar(other)
-        self._check(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, 0) + c
+        if type(other) is not ParamScalar or other.mode is not self.mode:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        terms = self.terms.copy()
+        for k, c in other.terms.items():
+            s = terms.get(k, 0) + c
             if s:
-                terms[exps] = _canonical_coeff(s)
+                terms[k] = s if type(s) is int else _canonical_coeff(s)
             else:
-                terms.pop(exps, None)
-        return ParamScalar(self.mode, terms)
+                del terms[k]
+        return ParamScalar(self.mode, terms, max(self.bound, other.bound))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "ParamScalar":
-        return ParamScalar(self.mode, {e: -c for e, c in self.terms.items()})
+        return ParamScalar(self.mode, {k: -c for k, c in self.terms.items()}, self.bound)
 
     def __sub__(self, other) -> "ParamScalar":
-        if isinstance(other, int):
-            other = self.mode.scalar(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self.__add__(other.__neg__())
 
     def __rsub__(self, other):
-        return self.mode.scalar(other).__sub__(self)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other.__sub__(self)
 
     def __mul__(self, other) -> "ParamScalar":
-        if isinstance(other, int):
-            if other == 1:
-                return self
-            return ParamScalar(self.mode, {e: _canonical_coeff(c * other) for e, c in self.terms.items()} if other else {})
-        self._check(other)
+        if type(other) is not ParamScalar or other.mode is not self.mode:
+            if isinstance(other, int):
+                if other == 1:
+                    return self
+                terms = {k: _canonical_coeff(c * other) for k, c in self.terms.items()} if other else {}
+                return ParamScalar(self.mode, terms, self.bound)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        bound = self.bound + other.bound
+        if bound >= EXPONENT_LIMIT:
+            raise ExponentOverflowError(f"a product could reach exponent {bound}, past 2^31 - 1")
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1 == len(b):  # monomial times monomial, the common case
+            ((ka, ca),) = a.items()
+            ((kb, cb),) = b.items()
+            c = ca * cb
+            return ParamScalar(self.mode, {ka + kb: c if type(c) is int else _canonical_coeff(c)}, bound)
         out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                key = ka + kb
                 s = out.get(key, 0) + ca * cb
                 if s:
                     out[key] = s
@@ -326,12 +370,14 @@ class ParamScalar:
                     del out[key]
         for key, val in out.items():
             out[key] = _canonical_coeff(val)
-        return ParamScalar(self.mode, out)
+        return ParamScalar(self.mode, out, bound)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __pow__(self, k: int) -> "ParamScalar":
+        """Square and multiply, squaring only while a higher bit of k is
+        left, so a bound k * bound below 2^31 never trips the product check."""
         if k < 0:
             return self.inv() ** (-k)
         result = self.mode.one()
@@ -339,8 +385,9 @@ class ParamScalar:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def inv(self) -> "ParamScalar":
@@ -351,26 +398,41 @@ class ParamScalar:
         """
         if len(self.terms) != 1:
             raise ValueError("not an invertible scalar")
-        ((exps, c),) = self.terms.items()
+        ((k, c),) = self.terms.items()
         if self.mode.kind == "numeric":
-            return ParamScalar(self.mode, {exps: _canonical_coeff(Fraction(1) / c)})
+            return ParamScalar(self.mode, {k: _canonical_coeff(Fraction(1) / c)}, self.bound)
         if c not in (1, -1):
             raise ValueError("not a unit of the Laurent ring")
-        return ParamScalar(self.mode, {tuple(-e for e in exps): c})
+        return ParamScalar(self.mode, {-k: c}, self.bound)
 
     def packed(self) -> dict:
-        """This scalar as a flat coefficient {packed exponent: coefficient}."""
-        return {pack(exps): c for exps, c in self.terms.items()}
+        """A copy of ``terms``, the flat coefficient {packed exponent:
+        coefficient} that ``normal_form`` takes over and changes."""
+        return dict(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.mode.scalar(other)
-        return isinstance(other, ParamScalar) and self.mode == other.mode and self.terms == other.terms
+        if isinstance(other, ParamScalar):
+            return (self.mode is other.mode or self.mode == other.mode) and self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            if other.denominator != 1 and self.mode.kind != "numeric":
+                return False
+            return self.terms == ({0: other} if other else {})
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.mode, frozenset(self.terms.items())))
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and 0 in terms:  # a constant hashes as its value, as == compares it
+            return hash(terms[0])
+        return hash((self.mode, frozenset(terms.items())))
 
     # -- specializations -----------------------------------------------------
+
+    def _exponent_items(self):
+        """(exponent vector, coefficient) per term, in no particular order."""
+        nvars = self.mode.nvars
+        return ((unpack(k, nvars), c) for k, c in self.terms.items())
 
     def specialize(self, assignment) -> Fraction:
         """Evaluate at a nonzero rational point; an exact ring homomorphism.
@@ -386,7 +448,7 @@ class ParamScalar:
             values[label] = val
         total = Fraction(0)
         variables = self.mode.variables
-        for exps, c in self.terms.items():
+        for exps, c in self._exponent_items():
             term = Fraction(c)
             for slot, e in enumerate(exps):
                 if e == 0:
@@ -404,19 +466,20 @@ class ParamScalar:
             raise ModeMismatchError("to_single expects a multiparameter scalar")
         single = ParamMode.single()
         terms: dict = {}
-        for exps, c in self.terms.items():
-            key = (sum(exps),)
+        for exps, c in self._exponent_items():
+            key = pack((sum(exps),))
             s = terms.get(key, 0) + c
             if s:
                 terms[key] = s
             else:
                 del terms[key]
-        return ParamScalar(single, terms)
+        return ParamScalar(single, terms, max_exponent(terms))
 
     # -- presentation ----------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        """(exponent vector, coefficient) per term, by exponent vector."""
+        return sorted(self._exponent_items())
 
     def to_jsonable(self):
         return [{"exponents": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]

@@ -26,17 +26,20 @@ normal (x) normal.  This makes B a PBW algebra, hence Koszul (Priddy).
 The normal form is computed once over the coefficient ring.  Every rule
 coefficient is a monomial, so each rewrite step multiplies a coefficient by
 one monomial.  During rewriting a coefficient is therefore kept flat, as
-{packed exponent: integer} (a rational in numeric mode), where the exponent
-vector e is packed into the int sum of e_i * 2^(32 i).  The packing is
-additive, so a step is one int addition and one product per term, and it is
-injective while every |e_i| < 2^31.  Each step also lowers the number of
-lower plus upper inversions of the word by at least 1 (a rule keeps the
-lower and upper index multisets of its pair and removes an inversion), so
-every chain of rewrites from a word of length d has at most 2 * C(d, 2)
-steps, and no exponent exceeds the input's largest plus 2 * C(d, 2) times
-the largest exponent of a rule.  Every normal form checks that bound before it starts and raises
-``ExponentOverflowError``, an internal error, rather than let packing
-alias.  Only the words that survive are turned back into ``ParamScalar``.
+{packed exponent: integer} (a rational in numeric mode), which is exactly
+the ``terms`` dict of a ``ParamScalar`` (see ``param_ring``): a query copies
+each coefficient's terms, a rule's right-hand side holds its coefficient's
+one (packed exponent, coefficient) term, and no exponent vector is unpacked
+to rewrite.  The packing is additive, so a step is one int addition and one
+product per term, and it is injective while every |e_i| < 2^31.  Each step
+also lowers the number of lower plus upper inversions of the word by at
+least 1 (a rule keeps the lower and upper index multisets of its pair and
+removes an inversion), so every chain of rewrites from a word of length d
+has at most 2 * C(d, 2) steps, and no exponent exceeds the input's largest
+plus 2 * C(d, 2) times the largest exponent of a rule.  Every normal form
+checks that bound before it starts and raises ``ExponentOverflowError``, an
+internal error, rather than let packing alias.  The words that survive are
+wrapped back into ``ParamScalar`` as they are.
 
 Because the leading coefficients are units, rewriting commutes with
 specializing the parameters at any nonzero point.  So the default policy
@@ -70,6 +73,7 @@ from .param_ring import (
     _as_rational,
     max_exponent,
     pack,
+    unpack,
 )
 from .quantum_spaces import QuantumSpace
 
@@ -161,9 +165,9 @@ def rewriting_rules(relations) -> RewritingRules:
                 raise RuntimeError(f"rule coefficient {c} is not a monomial")
             if word_block(w, n) != word_block(lead, n) or _inversions(w, n) >= _inversions(lead, n):
                 raise RuntimeError(f"rule {list(lead)} -> {list(w)} does not lower the inversions")
-            ((exps, coeff),) = c.terms.items()
-            rhs.append((w, pack(exps), coeff))
-            rules.exponent = max(rules.exponent, *map(abs, exps), 0)
+            ((k, coeff),) = c.terms.items()
+            rhs.append((w, k, coeff))
+            rules.exponent = max(rules.exponent, max_exponent((k,)))
         rules[lead] = tuple(rhs)
     return rules
 
@@ -246,7 +250,7 @@ def add_products(acc: dict, left, right, scale) -> None:
 def packed_triples(p: NCPoly) -> list:
     """The terms of p as (word, packed exponent, coefficient) triples, one per
     monomial of each coefficient."""
-    return [(w, k, a) for w, c in p.terms.items() for k, a in c.packed().items()]
+    return [(w, k, a) for w, c in p.terms.items() for k, a in c.terms.items()]
 
 
 def certify_confluence(rules: RewritingRules) -> int:
@@ -347,7 +351,7 @@ def _strip_symbolic(vec: dict) -> None:
     g = 0
     mins = None
     for s in vec.values():
-        for exps, c in s.terms.items():
+        for exps, c in s.sorted_terms():
             g = math.gcd(g, c if isinstance(c, int) else 0)
             mins = exps if mins is None else tuple(map(min, mins, exps))
     if mins is None:
@@ -356,11 +360,9 @@ def _strip_symbolic(vec: dict) -> None:
         g = 1
     if g == 1 and not any(mins):
         return
+    shift = pack(mins)  # packing is additive: dividing by q^mins subtracts its key
     for k, s in vec.items():
-        vec[k] = ParamScalar(
-            s.mode,
-            {tuple(e - m for e, m in zip(exps, mins)): c // g for exps, c in s.terms.items()},
-        )
+        vec[k] = s.mode.from_packed({e - shift: c // g for e, c in s.terms.items()})
 
 
 class _Echelon:
@@ -471,7 +473,7 @@ class SymbolicEchelon(_Echelon):
 
     @staticmethod
     def _negative(c: ParamScalar) -> bool:
-        return c.terms[min(c.terms)] < 0
+        return c.sorted_terms()[0][1] < 0
 
     # the benchmark tracer wraps these per class, looking in the class body
     insert = _Echelon.insert
@@ -513,9 +515,10 @@ def to_vector(pairs, assignment) -> dict:
     if not live:
         return {}
     variables = live[0][1].mode.variables
-    distinct = {exps for _, c in live for exps in c.terms}
+    keys = {k for _, c in live for k in c.terms}
+    distinct = {k: unpack(k, len(variables)) for k in keys}  # packed -> exponent vector
     mins, bases, negative = [], [], False
-    for slot, column in enumerate(zip(*distinct)):
+    for slot, column in enumerate(zip(*distinct.values())):
         lo = min(column)
         mins.append(lo)
         if not any(column):
@@ -527,17 +530,17 @@ def to_vector(pairs, assignment) -> dict:
         bases.append(values[label])
         negative ^= values[label] < 0 and lo % 2 == 1
     powers = {}
-    for exps in distinct:
+    for key, exps in distinct.items():
         value = 1
         for b, e, m in zip(bases, exps, mins):
             if e != m:
                 value *= b ** (e - m)
-        powers[exps] = value
+        powers[key] = value
     vec = {}
     for k, c in live:
         total = 0
-        for exps, coeff in c.terms.items():
-            total += coeff * powers[exps]
+        for key, coeff in c.terms.items():
+            total += coeff * powers[key]
         if total:
             vec[k] = -total if negative else total
     if any(type(v) is not int for v in vec.values()):
@@ -663,8 +666,8 @@ class IdealOracle:
     def _vanishes(self, normal: dict) -> bool:
         return all(not to_vector(normal.items(), a) for a in self.assignments)
 
-    def _unpacked(self, normal: dict) -> dict:
-        """A normal form's flat coefficients as scalars of this mode."""
+    def _wrapped(self, normal: dict) -> dict:
+        """A normal form's flat coefficients wrapped as scalars of this mode."""
         from_packed = self.mode.from_packed
         return {key: from_packed(c) for key, c in normal.items()}
 
@@ -680,7 +683,7 @@ class IdealOracle:
             raise ValueError("membership is graded: input must be homogeneous")
         if not lengths or lengths.pop() < 2:
             return not any(terms.values())
-        return self._vanishes(self._unpacked(normal_form(terms, self.rules)))
+        return self._vanishes(self._wrapped(normal_form(terms, self.rules)))
 
     def contains(self, p: NCPoly) -> bool:
         """Whether p vanishes in B, i.e. its normal form is zero.  Nonzero
@@ -700,7 +703,7 @@ class IdealOracle:
         normal = {}
         for words in parts.values():
             normal.update(normal_form({w: p.terms[w].packed() for w in words}, self.rules))
-        return self._vanishes(self._unpacked(normal))
+        return self._vanishes(self._wrapped(normal))
 
     def contains_tensor(self, tp: "TensorPoly") -> bool:
         """Membership in ideal(x)B + B(x)ideal for an element of B(x)B whose
@@ -724,7 +727,7 @@ class IdealOracle:
         for r, left in lefts.items():
             for l, c in normal_form(left, self.rules).items():
                 normal[l, r] = c
-        return self._vanishes(self._unpacked(normal))
+        return self._vanishes(self._wrapped(normal))
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,47 @@ def test_composites_vanish_rejects_a_raised_entry(n, ell):
     assert not composites_vanish(complex)
 
 
+@pytest.mark.parametrize("ell", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_composites_vanish_sees_an_entry_set_where_none_was_stored(n, ell):
+    # the control for sparse rows: a unit put where the closed form leaves
+    # d_i[r][k] empty, with row k of d_{i-1} nonzero, makes row r of
+    # d_i o d_{i-1} equal to that row, which readers of the stored entries
+    # must see
+    mode = ParamMode.multi(n)
+    complex = build_complex(n, ell, mode)
+    maps = complex.maps
+    candidates = [
+        (i, r, k)
+        for i in range(2, ell + 1)
+        for r, row in enumerate(maps[i])
+        for k, entry in enumerate(row)
+        if entry.is_zero() and any(not x.is_zero() for x in maps[i - 1][k])
+    ]
+    i, r, k = Random(10 * n + ell).choice(candidates)
+    assert k not in maps[i][r].entries
+    maps[i][r][k] = mode.q(1, 2)
+    assert maps[i][r].entries[k] == mode.q(1, 2)
+    assert not composites_vanish(complex)
+    maps[i][r][k] = mode.zero()  # assigning zero removes the entry again
+    assert k not in maps[i][r].entries and composites_vanish(complex)
+
+
+def test_a_row_reads_like_a_list_and_rejects_columns_outside_it():
+    mode = ParamMode.multi(2)
+    complex = build_complex(2, 2, mode)
+    row = complex.maps[2][0]
+    width = len(complex.bases[1])
+    assert len(row) == width and list(row) == [row[k] for k in range(width)]
+    assert sum(1 for x in row if x) == len(row.entries) > 0
+    for k in (width, width + 3, -1, -width):
+        with pytest.raises(IndexError):
+            row[k]
+        with pytest.raises(IndexError):
+            row[k] = mode.one()
+    assert len(row) == width and all(0 <= k < width for k in row.entries)
+
+
 def test_no_parameters_to_draw_is_one_exact_run():
     # n = 1 has no q_ij, so specialized draws would all be the same empty one
     mode = ParamMode.multi(1)

@@ -8,6 +8,9 @@ resulting multidegree, and re-expresses each bucket in the wedge basis,
 asserting that the bucket lies in the span of the wedge expansions.  It
 shares no formula with ``build_complex``, so the two agreeing on whole
 bases and matrices is a differential check of the closed form.
+``dense_closed_form`` is the closed form as first built, a dense list per
+row with every entry computed afresh; it checks the sparse rows, the shared
+weights and the positions ``build_complex`` computes.
 
 ``reference_rank`` is the fraction-free rank of a map, one ``to_vector``
 call per row, over the Laurent ring (over Q in numeric mode); exactness was
@@ -33,7 +36,7 @@ from test_coaction_reference import modes
 
 from qmm import IdealOracle, NCPoly, ParamMode, QuantumSpace, check_exactness, comodule_compat_check
 from qmm.cli import main
-from qmm.koszul import KoszulComplex, build_complex, composites_vanish
+from qmm.koszul import KoszulComplex, SparseRow, build_complex, composites_vanish
 from qmm.right_quantum import IntEchelon, SymbolicEchelon, to_vector
 
 
@@ -89,8 +92,32 @@ def reference_complex(n, ell, mode, first=False):
                 rest_poly = NCPoly(space.x, mode, bucket)
                 for I, alpha in decompose_into_wedges(space, rest_poly).items():
                     matrix[index[(I, r2)]][col] = alpha
-        maps.append(matrix)
+        maps.append(sparse_rows(matrix, mode))
     return KoszulComplex(n, ell, mode, bases, maps)
+
+
+def sparse_rows(matrix, mode):
+    """A dense matrix as the ``SparseRow`` list the checks read."""
+    return [SparseRow(len(row), mode.zero(), {c: x for c, x in enumerate(row) if x}) for row in matrix]
+
+
+def dense_closed_form(n, ell, mode):
+    """The maps of ``build_complex`` as first written: dense lists, every
+    entry w(J - j, j) c_j(r) computed afresh, no weight shared."""
+    space = QuantumSpace(n, mode)
+    bases = build_complex(n, ell, mode).bases
+    maps = [None]
+    for i in range(1, ell + 1):
+        domain, codomain = bases[i - 1], bases[i]
+        index = {key: pos for pos, key in enumerate(codomain)}
+        matrix = [[mode.zero()] * len(domain) for _ in codomain]
+        for col, (J, r) in enumerate(domain):
+            for j in J:
+                I = tuple(a for a in J if a != j)
+                c, r2 = space.affine_prepend(j - 1, r)
+                matrix[index[(I, r2)]][col] = space.exterior_weight(I + (j,)) * c
+        maps.append(matrix)
+    return maps
 
 
 @pytest.mark.parametrize("n,ell", [(n, ell) for n in (1, 2, 3, 4) for ell in range(1, 6)])
@@ -100,6 +127,7 @@ def test_closed_form_matches_the_wedge_re_expression(n, ell):
         expected = reference_complex(n, ell, mode)
         assert complex.bases == expected.bases, mode
         assert complex.maps == expected.maps, mode
+        assert complex.maps == dense_closed_form(n, ell, mode), mode
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -152,7 +180,7 @@ def single_entry_perturbations(complex):
                 if not x:
                     continue
                 for name, change in changes:
-                    maps = [m if m is None else [list(rw) for rw in m] for m in complex.maps]
+                    maps = [m if m is None else [rw.copy() for rw in m] for m in complex.maps]
                     maps[i][r][c] = change(x)
                     yield name, (i, r, c), KoszulComplex(complex.n, complex.ell, mode, complex.bases, maps)
 
@@ -210,7 +238,7 @@ def test_zeroing_a_row_of_the_top_map_breaks_exactness(n):
                 complex = build_complex(n, ell, mode)
                 row = complex.maps[ell][r]
                 assert any(row), (mode, ell, r)
-                complex.maps[ell][r] = [mode.zero()] * len(row)
+                complex.maps[ell][r] = SparseRow(len(row), mode.zero())
                 assert any(reference_homology(complex)), (mode, ell, r)
                 assert not check_exactness(complex).conclusive, (mode, ell, r)
 
@@ -254,7 +282,7 @@ def perturbations(complex, rng):
     nonzero = [(r, c) for r, row in enumerate(complex.maps[-1]) for c, x in enumerate(row) if x]
     for change in (lambda x: x * 2, lambda x: x + 1, lambda x: x * 0):
         r, c = rng.choice(nonzero)
-        maps = [m if m is None else [list(row) for row in m] for m in complex.maps]
+        maps = [m if m is None else [row.copy() for row in m] for m in complex.maps]
         maps[-1][r][c] = change(maps[-1][r][c])
         yield KoszulComplex(complex.n, complex.ell, complex.mode, complex.bases, maps)
 

@@ -258,7 +258,7 @@ def test_qdet_subset_uses_subset_parameters():
     # only the q13 slot may carry a nonzero exponent
     slot = mode.variables.index((1, 3))
     for coeff in det.terms.values():
-        for exps in coeff.terms:
+        for exps, _ in coeff.sorted_terms():
             for k, e in enumerate(exps):
                 assert e == 0 or k == slot
 
