@@ -2,16 +2,21 @@
 
 Every command accepts ``--output json`` for a machine-readable report of the
 shape {"command", "config", "results", "pass"}; identical configuration and
-seeds produce byte-identical output.  All randomness flows from ``--seed``
-through Python's Mersenne-Twister ``random.Random``, so specialized runs are
-replayable.  Exit codes: 0 pass, 1 verified false, 2 usage error, 3
+seeds produce byte-identical output.  The one random choice, the matrices of
+``classical --random``, flows from ``--seed`` through Python's
+Mersenne-Twister ``random.Random``; every other verdict is exact and draws
+nothing.  Exit codes: 0 pass, 1 verified false, 2 usage error, 3
 inconclusive (a Koszul complex the contracting homotopy does not certify).
 Only bad command-line input is a usage error: numbers out of range are
 rejected before any work, and an internal defect propagates as a traceback
 instead of being reported as exit 2.
 
-Membership is decided by the certified rewriting system of ``right_quantum``;
-nothing is cached between runs or read from the environment.
+Membership is decided exactly by the certified rewriting system of
+``right_quantum``; nothing is cached between runs or read from the
+environment.  ``verify`` and ``twisted`` still accept ``--seed`` and
+``--mode exact``, its only choice, and ``koszul`` accepts ``--seed``: each
+is echoed in the config and read by nothing, because existing command lines
+(the benchmark workloads among them) pass them.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .macmahon import (
 )
 from .param_ring import ParamMode
 from .quantum_spaces import QuantumSpace
-from .right_quantum import IdealOracle, QMatrix, qdet, verdict_rings
+from .right_quantum import IdealOracle, QMatrix, qdet
 
 MAX_N = 16  # z-letters are stored one per byte, and there are n^2 of them
 
@@ -81,22 +86,10 @@ def _make_mode(args) -> ParamMode:
         raise UsageError(str(exc)) from exc
 
 
-def _make_oracle(args, mode: ParamMode) -> IdealOracle:
-    """A specialized run needs --seeds >= 1 draws of distinct primes, one per
-    parameter; reject what cannot be drawn before any work starts."""
-    try:
-        verdict_rings(mode, args.mode == "exact", args.seed, args.seeds)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return IdealOracle(
-        args.n, mode, exact=(args.mode == "exact"), seed=args.seed, draws=args.seeds
-    )
-
-
 def _config_dict(args, mode: ParamMode | None = None) -> dict:
     """The options the command has, each as given or defaulted."""
     cfg = {}
-    for key in ("n", "params", "mode", "seed", "seeds", "degree", "ell", "subset", "matrix", "random"):
+    for key in ("n", "params", "mode", "seed", "degree", "ell", "subset", "matrix", "random"):
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
     if mode is not None and mode.kind == "numeric":
@@ -120,7 +113,7 @@ def _emit(args, report: dict) -> None:
 
 def _identity(args, mode: ParamMode, verify, pretty: str) -> int:
     """Run verify_master or verify_twisted and report it."""
-    outcome = verify(QuantumSpace(args.n, mode), args.degree, _make_oracle(args, mode))
+    outcome = verify(QuantumSpace(args.n, mode), args.degree, IdealOracle(args.n, mode))
     report = {
         "command": args.command,
         "config": _config_dict(args, mode),
@@ -285,14 +278,10 @@ def _add_params(sub):
 
 def _add_oracle(sub):
     sub.add_argument(
-        "--mode", choices=("exact", "specialize"), default="specialize",
-        help="ideal membership / rank strategy",
+        "--mode", choices=("exact",), default="exact",
+        help="membership strategy: always exact (accepted and echoed)",
     )
-    sub.add_argument("--seed", type=int, default=0, help="master PRNG seed")
-    sub.add_argument(
-        "--seeds", type=int, default=3,
-        help="number of independent specializations derived from --seed",
-    )
+    sub.add_argument("--seed", type=int, default=0, help="accepted and echoed; nothing is drawn")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -101,14 +101,6 @@ def ferm_series(space: QuantumSpace, bound: int) -> CharacterSeries:
 # master identity
 
 
-def _oracle_mode(oracle: IdealOracle) -> str:
-    if oracle.mode.kind == "numeric":
-        return "numeric"
-    if oracle.exact:
-        return "exact"
-    return f"specialize(seed={oracle.seed},draws={len(oracle.assignments)})"
-
-
 def verify_master(space: QuantumSpace, degree: int, oracle: IdealOracle) -> dict:
     """Check that Bos(Z) * Ferm(Z) = 1 in B[[t]] up to the given degree.
 
@@ -144,7 +136,7 @@ def _verify(space: QuantumSpace, degree: int, oracle: IdealOracle, twisted: bool
         entry = {
             "degree": k,
             "residual_terms_before_reduction": residual.support_size(),
-            "oracle_mode": _oracle_mode(oracle),
+            "oracle_mode": "numeric" if oracle.mode.kind == "numeric" else "exact",
         }
         weights_match = True
         if twisted:

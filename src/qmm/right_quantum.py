@@ -38,31 +38,28 @@ removes an inversion), so every chain of rewrites from a word of length d
 has at most 2 * C(d, 2) steps, and no exponent exceeds the input's largest
 plus 2 * C(d, 2) times the largest exponent of a rule.  Every normal form
 checks that bound before it starts and raises ``ExponentOverflowError``, an
-internal error, rather than let packing alias.  The words that survive are
-wrapped back into ``ParamScalar`` as they are.
+internal error, rather than let packing alias.
 
-Because the leading coefficients are units, rewriting commutes with
-specializing the parameters at any nonzero point.  So the default policy
-evaluates the normal form at random distinct odd primes (``to_vector``)
-and declares membership only when it vanishes at every draw; the ``exact``
-flag tests the Laurent coefficients themselves.
+The verdict is that normal form, zero or not, over the oracle's own ring:
+the Laurent ring in multi and single mode, Q in numeric mode.  Nothing is
+evaluated at sample points, so a verdict is never weaker than the identity
+it decides.
 
 The ideal's blocks are also built by linear algebra, as the independent
 reference for tests.  Every relation is homogeneous for the block of a word,
 the pair (lower-index counts, upper-index counts), so the ideal is the
 direct sum of its blocks.  ``IdealOracle.basis`` row-reduces one block's
-span of u*r*v with the one sparse fraction-free echelon core.
+span of u*r*v over the same ring with the one sparse fraction-free echelon
+core.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import permutations, product
 from operator import add
-from random import Random
 
 from .free_algebra import Alphabet, LinearCombination, NCPoly, Word, word_rank
 from .param_ring import (
@@ -70,15 +67,10 @@ from .param_ring import (
     ExponentOverflowError,
     ParamMode,
     ParamScalar,
-    _as_rational,
     max_exponent,
     pack,
-    unpack,
 )
 from .quantum_spaces import QuantumSpace
-
-ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-               59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
 class ConfluenceError(RuntimeError):
@@ -346,18 +338,17 @@ def _strip_int(vec: dict) -> None:
 
 
 def _strip_symbolic(vec: dict) -> None:
-    """Divide a symbolic row by its content: the integer gcd of all
-    coefficients and the common monomial factor (a unit of the Laurent ring)."""
+    """Divide a symbolic row by its content: the common monomial factor (a
+    unit of the Laurent ring) and, when every coefficient is an integer, the
+    gcd of them all.  Rational coefficients (numeric mode) keep their scale."""
     g = 0
     mins = None
     for s in vec.values():
         for exps, c in s.sorted_terms():
-            g = math.gcd(g, c if isinstance(c, int) else 0)
+            g = math.gcd(g, c) if type(c) is int else 1
             mins = exps if mins is None else tuple(map(min, mins, exps))
     if mins is None:
         return
-    if g == 0:
-        g = 1
     if g == 1 and not any(mins):
         return
     shift = pack(mins)  # packing is additive: dividing by q^mins subtracts its key
@@ -439,7 +430,8 @@ class _Echelon:
 
 class IntEchelon(_Echelon):
     """Rows over Z: primitive integer vectors with a positive pivot entry
-    (the same row space over Q)."""
+    (the same row space over Q).  Nothing in the package builds one; the
+    class stays because the benchmark tracer resolves it by name."""
 
     __slots__ = ()
 
@@ -460,8 +452,9 @@ class IntEchelon(_Echelon):
 
 
 class SymbolicEchelon(_Echelon):
-    """Rows over the Laurent ring itself, divided by their integer and
-    monomial content, with a positive lowest term in the pivot entry."""
+    """Rows over a mode's own ring (the Laurent ring, or Q in numeric mode),
+    divided by their monomial and integer content, with a positive lowest
+    term in the pivot entry."""
 
     __slots__ = ()
 
@@ -480,115 +473,6 @@ class SymbolicEchelon(_Echelon):
     finalize = _Echelon.finalize
 
 
-def to_vector(pairs, assignment) -> dict:
-    """The coefficient vector of (index, scalar) pairs, zeros dropped.
-
-    With ``assignment`` None the Laurent coefficients are kept as they are.
-    With a dict (empty in numeric mode) they are specialized and scaled to
-    the primitive integer vector with a positive scale, the same vector as
-    ``ParamScalar.specialize`` followed by clearing one common denominator
-    and dividing by the integer content; a uniform positive scaling changes
-    no zero test and no row space over Q.
-
-    The scale is reached without rationals: the componentwise minimum
-    exponent over the whole vector is factored out (a sign flip if that
-    unit is negative), so every term is a non-negative power product of the
-    assignment's values, each distinct exponent tuple is evaluated once, and
-    integer draws stay in int arithmetic.  Fractions appear only for
-    rational coefficients (numeric mode) or a non-integer assignment, and
-    are cleared by one lcm at the end.  A zero assignment value, or a
-    missing label for a variable that appears, raises ``ValueError`` as
-    ``specialize`` does.
-    """
-    if assignment is None:
-        return {k: c for k, c in pairs if c}
-    pairs = list(pairs)
-    if not pairs:
-        return {}
-    values = {}
-    for label, val in assignment.items():
-        val = _as_rational(val)
-        if val == 0:
-            raise ValueError(f"zero assignment for {label!r} not allowed")
-        values[label] = val.numerator if val.denominator == 1 else val
-    live = [(k, c) for k, c in pairs if c]
-    if not live:
-        return {}
-    variables = live[0][1].mode.variables
-    keys = {k for _, c in live for k in c.terms}
-    distinct = {k: unpack(k, len(variables)) for k in keys}  # packed -> exponent vector
-    mins, bases, negative = [], [], False
-    for slot, column in enumerate(zip(*distinct.values())):
-        lo = min(column)
-        mins.append(lo)
-        if not any(column):
-            bases.append(1)
-            continue
-        label = variables[slot]
-        if label not in values:
-            raise ValueError(f"assignment missing variable {label!r}")
-        bases.append(values[label])
-        negative ^= values[label] < 0 and lo % 2 == 1
-    powers = {}
-    for key, exps in distinct.items():
-        value = 1
-        for b, e, m in zip(bases, exps, mins):
-            if e != m:
-                value *= b ** (e - m)
-        powers[key] = value
-    vec = {}
-    for k, c in live:
-        total = 0
-        for key, coeff in c.terms.items():
-            total += coeff * powers[key]
-        if total:
-            vec[k] = -total if negative else total
-    if any(type(v) is not int for v in vec.values()):
-        denom = math.lcm(*(v.denominator for v in vec.values()))
-        vec = {k: int(v * denom) for k, v in vec.items()}
-    _strip_int(vec)
-    return vec
-
-
-# ---------------------------------------------------------------------------
-# specialization draws
-
-
-def specialization_draws(mode: ParamMode, count: int, seed: int) -> list[dict]:
-    """``count`` independent assignments of distinct odd primes in [3, 97] to
-    the parameters, drawn from Python's Mersenne-Twister ``random.Random``
-    seeded with ``seed``.  Reports quoting (seed, count) are replayable."""
-    if count < 1:
-        raise ValueError("specialized mode needs at least one draw")
-    if mode.nvars > len(ODD_PRIMES):
-        raise ValueError(
-            f"specialization draws distinct odd primes, and there are only "
-            f"{len(ODD_PRIMES)} of them for the {mode.nvars} parameters of {mode!r}; "
-            f"use --mode exact or --params single"
-        )
-    rng = Random(seed)
-    draws = []
-    for _ in range(count):
-        primes = rng.sample(ODD_PRIMES, mode.nvars)
-        draws.append({label: Fraction(p) for label, p in zip(mode.variables, primes)})
-    return draws
-
-
-def verdict_rings(mode: ParamMode, exact: bool, seed: int, draws: int) -> tuple[bool, list]:
-    """Where a verdict is computed: (whether it is exact, one ``to_vector``
-    assignment per run it must pass).  Numeric mode runs once over Q
-    (``[{}]``); ``exact`` runs once over the Laurent ring (``[None]``);
-    otherwise every specialization draw must agree, except that with no
-    parameter to draw (n = 1) one run over Q replaces identical empty draws.
-    A draw count below 1 is rejected whenever the mode is specialized."""
-    if mode.kind == "numeric":
-        return True, [{}]
-    if exact:
-        return True, [None]
-    assignments = specialization_draws(mode, draws, seed)
-    return (False, assignments) if mode.nvars else (True, [{}])
-
-
 # ---------------------------------------------------------------------------
 # the membership oracle
 
@@ -597,19 +481,19 @@ class IdealOracle:
     """Graded membership oracle for the two-sided relation ideal of B.
 
     ``rules`` orient the relations, and their confluence is certified here,
-    when the oracle is built.  A query is decided by its normal form over
-    ``mode``, which must vanish under each of ``assignments``: one
-    ``to_vector`` assignment per run a verdict must pass, as
-    ``verdict_rings`` decides (exact-symbolic, or agreement across ``draws``
-    rational specializations derived from ``seed``).
+    when the oracle is built.  A query is a member exactly when its normal
+    form over ``mode`` is zero: every verdict is exact, over the Laurent ring
+    or, in numeric mode, over Q.  ``mode`` must be for this n, as for
+    ``QuantumSpace``.
+
+    ``exact``, ``seed`` and ``draws`` are accepted and read by nothing;
+    existing callers (the benchmark workloads among them) still pass them.
     """
 
-    def __init__(self, n: int, mode: ParamMode, exact: bool = False, seed: int = 0, draws: int = 3):
+    def __init__(self, n: int, mode: ParamMode, exact: bool = True, seed: int = 0, draws: int = 3):
         self.n = n
         self.mode = mode
-        self.z = Alphabet("z", n)
-        self.seed = seed
-        self.exact, self.assignments = verdict_rings(mode, exact, seed, draws)
+        self.z = QuantumSpace(n, mode).z
         relations = build_relations(n, mode)
         self.rules = rewriting_rules(relations)
         certify_confluence(self.rules)
@@ -622,11 +506,11 @@ class IdealOracle:
             if w[0] // n < w[1] // n and w[0] % n < w[1] % n
         }
 
-    def basis(self, degree: int, draw: int, block: tuple):
+    def basis(self, degree: int, block: tuple) -> SymbolicEchelon:
         """The checked echelon basis of the ideal's component in ``block``
-        (a ``word_block`` key of total degree ``degree``) under
-        ``assignments[draw]``, built by elimination on every call: the
-        independent reference for the normal form.
+        (a ``word_block`` key of total degree ``degree``) over the oracle's
+        own ring, built by elimination on every call: the independent
+        reference for the normal form.
 
         The column pass kills every u*r*v with a column relation r, so the
         rows come from the cross relations alone: for each word w of the
@@ -634,8 +518,7 @@ class IdealOracle:
         column-reduced w[:p]*r*w[p+2:], each arising exactly once.
         """
         size = self.z.size
-        assignment = self.assignments[draw]
-        basis = SymbolicEchelon() if assignment is None else IntEchelon()
+        basis = SymbolicEchelon()
         for word in block_words(self.n, block):
             for pos in range(degree - 1):
                 rel = self._cross.get(word[pos:pos + 2])
@@ -643,9 +526,8 @@ class IdealOracle:
                     continue
                 u, v = word[:pos], word[pos + 2:]
                 row = column_reduce(NCPoly(self.z, self.mode, {u + w + v: c for w, c in rel.terms.items()}))
-                vec = to_vector([(word_rank(w, size), c) for w, c in row.terms.items()], assignment)
-                if vec:
-                    basis.insert(vec)
+                if row.terms:
+                    basis.insert({word_rank(w, size): c for w, c in row.terms.items()})
         basis.finalize()
         return basis
 
@@ -663,27 +545,18 @@ class IdealOracle:
             raise ValueError("membership is graded: input must be homogeneous")
         return d
 
-    def _vanishes(self, normal: dict) -> bool:
-        return all(not to_vector(normal.items(), a) for a in self.assignments)
-
-    def _wrapped(self, normal: dict) -> dict:
-        """A normal form's flat coefficients wrapped as scalars of this mode."""
-        from_packed = self.mode.from_packed
-        return {key: from_packed(c) for key, c in normal.items()}
-
     def contains_packed(self, terms: dict) -> bool:
         """Whether sum c*w vanishes in B, for words of one length with flat
         coefficients over this oracle's mode (``ParamScalar.packed``, built
         from exponents below 2^31 in magnitude), which ``normal_form`` takes
-        over.  Only the words that survive rewriting are turned back into
-        scalars, so the verdict is the one ``contains`` gives for the same
+        over.  The verdict is the one ``contains`` gives for the same
         element."""
         lengths = {len(w) for w in terms}
         if len(lengths) > 1:
             raise ValueError("membership is graded: input must be homogeneous")
         if not lengths or lengths.pop() < 2:
             return not any(terms.values())
-        return self._vanishes(self._wrapped(normal_form(terms, self.rules)))
+        return not normal_form(terms, self.rules)
 
     def contains(self, p: NCPoly) -> bool:
         """Whether p vanishes in B, i.e. its normal form is zero.  Nonzero
@@ -692,7 +565,8 @@ class IdealOracle:
         Every relation is homogeneous for the block of a word, so rewriting
         keeps the letter sum of a word (n * lower + upper, summed), and the
         words of each letter sum are rewritten on their own.  Only one such
-        part is held as flat coefficients at a time.
+        part is held as flat coefficients at a time, and the first part with
+        a surviving word decides.
         """
         d = self._checked_degree(p)
         if d < 2:
@@ -700,10 +574,9 @@ class IdealOracle:
         parts: dict = {}
         for w in p.terms:
             parts.setdefault(sum(w), []).append(w)
-        normal = {}
-        for words in parts.values():
-            normal.update(normal_form({w: p.terms[w].packed() for w in words}, self.rules))
-        return self._vanishes(self._wrapped(normal))
+        return not any(
+            normal_form({w: p.terms[w].packed() for w in words}, self.rules) for words in parts.values()
+        )
 
     def contains_tensor(self, tp: "TensorPoly") -> bool:
         """Membership in ideal(x)B + B(x)ideal for an element of B(x)B whose
@@ -723,11 +596,7 @@ class IdealOracle:
         for wl, right in rights.items():
             for r, c in normal_form({wr: c.packed() for wr, c in right.items()}, self.rules).items():
                 lefts.setdefault(r, {})[wl] = c
-        normal = {}
-        for r, left in lefts.items():
-            for l, c in normal_form(left, self.rules).items():
-                normal[l, r] = c
-        return self._vanishes(self._wrapped(normal))
+        return not any(normal_form(left, self.rules) for left in lefts.values())
 
 
 # ---------------------------------------------------------------------------

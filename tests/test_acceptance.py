@@ -197,10 +197,10 @@ def test_criterion_11_performance_bounds():
     comps = [c for c in product(range(5), repeat=3) if sum(c) == 4]
     blocks = [(lower, upper) for lower in comps for upper in comps]
     start = time.monotonic()
-    ranks = [sum(oracle.basis(4, draw, block).rank for block in blocks) for draw in range(3)]
+    rank = sum(oracle.basis(4, block).rank for block in blocks)
     build_time = time.monotonic() - start
     # every degree-4 block, and together the rank of the whole degree-4 ideal
-    ok = len(blocks) == 225 and ranks == [1818] * 3 and build_time < 60
+    ok = len(blocks) == 225 and rank == 1818 and build_time < 60
 
     sp = QuantumSpace(3, mode)
     residual = (bos_series(sp, 4).body * ferm_series(sp, 4).body)[4]

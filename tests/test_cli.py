@@ -185,12 +185,6 @@ def test_q_assign_needs_numeric_params(params):
     assert "--params numeric" in err
 
 
-def test_specialize_requires_at_least_one_seed():
-    code, _, err = run(["verify", "--n", "2", "--degree", "2", "--seeds", "0"])
-    assert code == 2
-    assert "draw" in err
-
-
 def test_negative_classical_degree_is_usage_error():
     code, out, err = run(["classical", "--random", "2", "--degree", "-1", "--output", "json"])
     assert code == 2
@@ -203,12 +197,32 @@ def test_nonpositive_random_count_is_usage_error():
     assert out == "" and "random" in err
 
 
-def test_too_many_parameters_to_specialize_is_usage_error():
-    # n = 8 has 28 parameters, more than the 24 odd primes the draws use
-    code, out, err = run(["verify", "--n", "8", "--degree", "2"])
-    assert code == 2
-    assert out == ""
-    assert "24" in err and "--mode exact" in err and "--params single" in err
+def test_verify_has_no_draws_to_run_out_of():
+    # n = 8 has 28 parameters, more than the 24 odd primes a draw would need;
+    # membership is exact, so the default mode passes
+    code, out, _ = run(["verify", "--n", "8", "--degree", "2", "--output", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert [r["oracle_mode"] for r in report["results"]] == ["exact"] * 3
+    assert report["config"]["mode"] == "exact" and "seeds" not in report["config"]
+
+
+@pytest.mark.parametrize("count", ["0", "1"])
+@pytest.mark.parametrize("n", ["1", "2"])
+@pytest.mark.parametrize("command", ["verify", "twisted", "koszul"])
+def test_no_command_takes_a_seed_count(command, n, count):
+    # nothing is drawn, so a draw count is an option no command has
+    code, out, err = run([command, "--n", n, "--degree", "2", "--seeds", count])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --seeds" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "twisted"])
+def test_specialize_is_not_a_mode(command):
+    code, out, err = run([command, "--n", "2", "--degree", "2", "--mode", "specialize", "--output", "json"])
+    assert code == 2 and out == ""
+    assert "invalid choice: 'specialize'" in err
 
 
 def test_n_beyond_byte_letters_is_usage_error():
@@ -234,21 +248,6 @@ def test_internal_defect_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr("qmm.cli.verify_master", broken)
     with pytest.raises(ModeMismatchError):
         main(["verify", "--n", "2", "--degree", "2"])
-
-
-@pytest.mark.parametrize(
-    "command",
-    [
-        (["verify", "--degree", "2"], "draw"),
-        # koszul never draws, so a seed count is refused as an option it does not have
-        (["koszul", "--ell", "2"], "unrecognized arguments: --seeds"),
-    ],
-)
-def test_specialize_requires_a_seed_even_with_nothing_to_draw(command):
-    argv, complaint = command
-    code, out, err = run([argv[0], "--n", "1", *argv[1:], "--seeds", "0"])
-    assert code == 2
-    assert out == "" and complaint in err
 
 
 CLASSICAL = ["classical", "--random", "1", "--n", "2", "--degree", "2"]
@@ -281,6 +280,7 @@ def test_options_a_command_never_reads_are_usage_errors(argv):
         (CLASSICAL + ["--seed", "4"], {"n", "degree", "random", "seed"}),
         (QDET + ["--params", "single"], {"n", "params", "subset"}),
         (KOSZUL, {"n", "params", "degree", "seed"}),
+        (["verify", "--n", "2", "--degree", "2"], {"n", "params", "mode", "seed", "degree"}),
     ],
 )
 def test_config_echoes_exactly_the_options_the_command_has(argv, keys):

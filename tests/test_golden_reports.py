@@ -17,6 +17,16 @@ and ``seeds``, each result lost ``ranks``, ``mode`` and ``seed``, and the
 entries keyed ``koszul --n 3 --degree 3 --mode exact`` and ``koszul --n 2
 --degree 3 --seeds 1`` were re-keyed without those flags, which ``koszul``
 no longer has.  Every other key and value is unchanged.
+
+The nine ``verify`` and ``twisted`` entries were rewritten when membership
+became exact in every mode and ``--seeds`` and ``--mode specialize`` were
+removed: every ``config`` lost ``seeds``, and ``mode`` reads "exact" where
+it defaulted to "specialize".  In the three entries that ran specialized
+(``verify --n 3 --degree 3 --seed 7``, ``twisted --n 2 --degree 4`` and
+``verify --n 2 --degree 5 --params single --seed 3``, which was keyed with
+``--seeds 2`` before) each result's ``oracle_mode`` reads "exact" instead
+of "specialize(seed=...,draws=...)".  Every verdict, exit code, residual
+count and other result value is unchanged.
 """
 
 import io

@@ -9,11 +9,13 @@ from test_koszul_reference import reference_rank
 from qmm import (
     IdealOracle,
     ParamMode,
+    QuantumSpace,
     build_complex,
     check_exactness,
     comodule_compat_check,
     composites_vanish,
     euler_characteristic,
+    verify_master,
 )
 from qmm.koszul import ExactnessReport
 
@@ -218,8 +220,10 @@ def test_a_row_reads_like_a_list_and_rejects_columns_outside_it():
 
 
 def test_no_parameters_to_draw_is_one_exact_run():
-    # n = 1 has no q_ij, so specialized draws would all be the same empty one
+    # n = 1 has no q_ij; the draw options are accepted and the verdicts exact
     mode = ParamMode.multi(1)
     oracle = IdealOracle(1, mode, exact=False, seed=0, draws=3)
-    assert oracle.exact and oracle.assignments == [{}]
+    report = verify_master(QuantumSpace(1, mode), 3, oracle)
+    assert report["pass"] and {r["oracle_mode"] for r in report["results"]} == {"exact"}
+    assert comodule_compat_check(1, 3, oracle)
     assert check_exactness(build_complex(1, 3, mode)).conclusive

@@ -12,8 +12,9 @@ bases and matrices is a differential check of the closed form.
 row with every entry computed afresh; it checks the sparse rows, the shared
 weights and the positions ``build_complex`` computes.
 
-``reference_rank`` is the fraction-free rank of a map, one ``to_vector``
-call per row, over the Laurent ring (over Q in numeric mode); exactness was
+``reference_rank`` is the fraction-free rank of a map, one
+``SymbolicEchelon`` insert per row, over the mode's own ring (the Laurent
+ring, or Q in numeric mode); exactness was
 first decided by it.  ``check_exactness`` certifies by a contracting
 homotopy instead, which is one-sided: it must agree with the reference on
 every intact complex, never certify a complex with d o d = 0 and nonzero
@@ -37,7 +38,7 @@ from test_coaction_reference import modes
 from qmm import IdealOracle, NCPoly, ParamMode, QuantumSpace, check_exactness, comodule_compat_check
 from qmm.cli import main
 from qmm.koszul import KoszulComplex, SparseRow, build_complex, composites_vanish
-from qmm.right_quantum import IntEchelon, SymbolicEchelon, to_vector
+from qmm.right_quantum import SymbolicEchelon
 
 
 def decompose_into_wedges(space, p):
@@ -139,13 +140,12 @@ def test_detaching_the_first_factor_breaks_d_squared(n):
             assert not composites_vanish(reference_complex(n, ell, mode, first=True)), (mode, ell)
 
 
-def reference_rank(matrix, assignment=None) -> int:
-    """Rank of a dense scalar matrix, one ``to_vector`` call per row: over
-    the Laurent ring for ``assignment`` None, else over Q at that point
-    (``{}`` for numeric mode)."""
-    basis = SymbolicEchelon() if assignment is None else IntEchelon()
+def reference_rank(matrix) -> int:
+    """Rank of a scalar matrix over its mode's own ring, one echelon insert
+    per nonzero row."""
+    basis = SymbolicEchelon()
     for row in matrix:
-        vec = to_vector(enumerate(row), assignment)
+        vec = {k: c for k, c in enumerate(row) if c}
         if vec:
             basis.insert(vec)
     return basis.rank
@@ -153,8 +153,7 @@ def reference_rank(matrix, assignment=None) -> int:
 
 def reference_homology(complex) -> list:
     """dims minus the ranks of the maps on either side, at every position."""
-    assignment = {} if complex.mode.kind == "numeric" else None
-    ranks = [0] + [reference_rank(m, assignment) for m in complex.maps[1:]] + [0]
+    ranks = [0] + [reference_rank(m) for m in complex.maps[1:]] + [0]
     return [d - ranks[i] - ranks[i + 1] for i, d in enumerate(complex.dims)]
 
 
