@@ -325,9 +325,6 @@ class TruncSeries:
             p.is_zero() for p in self.coeffs[1:]
         )
 
-    def to_jsonable(self):
-        return [p.to_jsonable() for p in self.coeffs]
-
     def __repr__(self):
         inner = " + ".join(f"({p})t^{d}" for d, p in enumerate(self.coeffs) if not p.is_zero())
         return f"TruncSeries({inner or '0'}; bound={self.bound})"

@@ -300,8 +300,11 @@ def comodule_compat_check(n: int, ell: int, oracle: IdealOracle) -> bool:
     through its normalized coefficients.  Every coefficient involved is a
     monomial, so both routes are summed straight into one difference of
     flat coefficients, {pair: {z-word: {packed exponent: coefficient}}},
-    and each pair's difference is one ``contains_packed`` query.
+    and each pair's difference is one ``contains_packed`` query.  ``n``
+    must be the oracle's.
     """
+    if n != oracle.n:
+        raise ValueError(f"the complex is for n={n}, the oracle for n={oracle.n}")
     mode = oracle.mode
     space = QuantumSpace(n, mode)
     complex = build_complex(n, ell, mode)

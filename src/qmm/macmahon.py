@@ -42,9 +42,9 @@ def g_coefficient(space: QuantumSpace, m) -> NCPoly:
 
 @dataclass(frozen=True)
 class CharacterSeries:
-    """A tagged truncated series in B[[t]] (bos/ferm, plain or twisted)."""
+    """A truncated series in B[[t]], the bosonic or fermionic character,
+    plain or twisted."""
 
-    kind: str
     body: TruncSeries
 
 
@@ -88,13 +88,13 @@ def _untwisted(_) -> int:
 
 def bos_series(space: QuantumSpace, bound: int) -> CharacterSeries:
     """Degree-l coefficient: the sum of G(m) over all |m| = l."""
-    return CharacterSeries("bos", _bos(space, bound, _untwisted))
+    return CharacterSeries(_bos(space, bound, _untwisted))
 
 
 def ferm_series(space: QuantumSpace, bound: int) -> CharacterSeries:
     """Degree-m coefficient: (-1)^m times the sum of quantum minors over all
     m-element subsets; zero above degree n."""
-    return CharacterSeries("ferm", _ferm(space, bound, _untwisted))
+    return CharacterSeries(_ferm(space, bound, _untwisted))
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +114,11 @@ def verify_master(space: QuantumSpace, degree: int, oracle: IdealOracle) -> dict
 def _verify(space: QuantumSpace, degree: int, oracle: IdealOracle, twisted: bool) -> dict:
     """The residual loop shared by the plain and the twisted identity.
 
-    Twisted, each degree also checks that the twisted coefficients are the
-    images of the plain ones under the special torus point, and passes only
-    if they are.
+    Each per-degree entry holds the degree, the residual's support size
+    before reduction and the verdict; the oracle's mode is the space's, so
+    the entry does not repeat it.  Twisted, each degree also checks that the
+    twisted coefficients are the images of the plain ones under the special
+    torus point, and passes only if they are.
     """
     if twisted and space.mode.kind != "single":
         raise ValueError("the twisted identity is stated in one-parameter mode")
@@ -133,11 +135,7 @@ def _verify(space: QuantumSpace, degree: int, oracle: IdealOracle, twisted: bool
         residual = prod[k]
         if k == 0:
             residual = residual - NCPoly.one(space.z, space.mode)
-        entry = {
-            "degree": k,
-            "residual_terms_before_reduction": residual.support_size(),
-            "oracle_mode": "numeric" if oracle.mode.kind == "numeric" else "exact",
-        }
+        entry = {"degree": k, "residual_terms_before_reduction": residual.support_size()}
         weights_match = True
         if twisted:
             weights_match = entry["twist_weights_match_torus"] = (
@@ -185,7 +183,7 @@ def verify_qdet_coaction(oracle: IdealOracle) -> bool:
     det = packed_triples(qdet(QMatrix.generic(n, oracle.mode), J))
     for jword in product(range(1, n + 1), repeat=n):
         w = space.x.x_word(jword)
-        terms = {u: c.packed() for u, c in family[w].terms.items()}
+        terms = {u: dict(c.terms) for u, c in family[w].terms.items()}
         weight = wedge.coefficient_of(w)
         if not weight.is_zero():
             add_products(terms, det, [(b"", 0, 1)], (-weight).terms.items())
@@ -207,8 +205,13 @@ class TorusElement:
 
 
 def torus_act(g: TorusElement, p: NCPoly) -> NCPoly:
-    """Rescale every word by the product of c_i d_j^{-1} over its letters."""
+    """Rescale every word by the product of c_i d_j^{-1} over its letters.
+    ``g`` must have n entries on each side for the n of ``p``."""
     z = p.alphabet
+    if len(g.left) != z.n or len(g.right) != z.n:
+        raise ValueError(
+            f"torus point has {len(g.left)} x {len(g.right)} entries, polynomial is for n={z.n}"
+        )
     right_inv = [d.inv() for d in g.right]
     terms = {}
     for word, coeff in p.terms.items():
@@ -252,11 +255,11 @@ def _twist(space: QuantumSpace, exponent):
 
 
 def twisted_bos_series(space: QuantumSpace, bound: int) -> CharacterSeries:
-    return CharacterSeries("bos_twisted", _bos(space, bound, _twist(space, bos_twist_exponent)))
+    return CharacterSeries(_bos(space, bound, _twist(space, bos_twist_exponent)))
 
 
 def twisted_ferm_series(space: QuantumSpace, bound: int) -> CharacterSeries:
-    return CharacterSeries("ferm_twisted", _ferm(space, bound, _twist(space, ferm_twist_exponent)))
+    return CharacterSeries(_ferm(space, bound, _twist(space, ferm_twist_exponent)))
 
 
 def verify_twisted(space: QuantumSpace, degree: int, oracle: IdealOracle) -> dict:

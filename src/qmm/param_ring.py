@@ -252,8 +252,8 @@ class ParamMode:
 
     def from_packed(self, terms: dict) -> "ParamScalar":
         """The scalar of a flat coefficient {packed exponent: nonzero
-        coefficient} over this mode (the inverse of ``ParamScalar.packed``):
-        ``terms`` wrapped as it is, with its bound read off the keys."""
+        coefficient} over this mode, such as a copy of some scalar's
+        ``terms``: wrapped as it is, with its bound read off the keys."""
         return ParamScalar(self, terms, max_exponent(terms))
 
 
@@ -404,11 +404,6 @@ class ParamScalar:
         if c not in (1, -1):
             raise ValueError("not a unit of the Laurent ring")
         return ParamScalar(self.mode, {-k: c}, self.bound)
-
-    def packed(self) -> dict:
-        """A copy of ``terms``, the flat coefficient {packed exponent:
-        coefficient} that ``normal_form`` takes over and changes."""
-        return dict(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, ParamScalar):

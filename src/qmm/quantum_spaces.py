@@ -136,14 +136,6 @@ class QuantumSpace:
                     w = w * (-self.mode.q(a, b)).inv()
         return w
 
-    def inversion_weight(self, subset, pi) -> ParamScalar:
-        """w(pi) for pi a permutation of positions 0..m-1 of ``subset``: the
-        exterior weight of the word J o pi, so each inversion contributes the
-        subset elements it swaps (a < b always, since the subset increases).
-        """
-        J = tuple(subset)
-        return self.exterior_weight([J[p] for p in pi])
-
     def wedge_expand(self, subset) -> NCPoly:
         """The wedge basis vector of a subset of {1..n}, as its expansion in
         the free algebra: homogeneous of degree |J|, with the increasing word
@@ -151,9 +143,7 @@ class QuantumSpace:
         J = tuple(sorted(subset))
         if any(not 1 <= j <= self.n for j in J) or len(set(J)) != len(J):
             raise ValueError(f"need a subset of 1..{self.n} without repeats")
-        terms = {}
-        for pi in permutations(range(len(J))):
-            terms[self.x.x_word([J[p] for p in pi])] = self.inversion_weight(J, pi)
+        terms = {self.x.x_word(word): self.exterior_weight(word) for word in permutations(J)}
         return NCPoly(self.x, self.mode, terms)
 
     def vanishes_on_dual_relations(self, p: NCPoly, m: int) -> bool:

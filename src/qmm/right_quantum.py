@@ -166,9 +166,9 @@ def rewriting_rules(relations) -> RewritingRules:
 
 def normal_form(terms: dict, rules: RewritingRules) -> dict:
     """The normal form of sum c*w over words of one length, each coefficient
-    flat (``ParamScalar.packed``): a dict from normal words to nonzero flat
-    coefficients.  The coefficient dicts of ``terms`` are taken over and
-    changed in place, so a large input is never held twice.
+    flat (a copy of a ``ParamScalar.terms`` dict): a dict from normal words
+    to nonzero flat coefficients.  The coefficient dicts of ``terms`` are
+    taken over and changed in place, so a large input is never held twice.
 
     Words are taken from the largest down, and each is rewritten at its
     leftmost leading word.  A rewrite only produces smaller words, so no
@@ -494,17 +494,8 @@ class IdealOracle:
         self.n = n
         self.mode = mode
         self.z = QuantumSpace(n, mode).z
-        relations = build_relations(n, mode)
-        self.rules = rewriting_rules(relations)
+        self.rules = rewriting_rules(build_relations(n, mode))
         certify_confluence(self.rules)
-        # each cross relation by its word z_i^k z_j^l (i < j, k < l), the one
-        # term of any relation whose lower and upper indices both rise
-        self._cross = {
-            w: rel
-            for rel in relations
-            for w in rel.terms
-            if w[0] // n < w[1] // n and w[0] % n < w[1] % n
-        }
 
     def basis(self, degree: int, block: tuple) -> SymbolicEchelon:
         """The checked echelon basis of the ideal's component in ``block``
@@ -515,13 +506,22 @@ class IdealOracle:
         The column pass kills every u*r*v with a column relation r, so the
         rows come from the cross relations alone: for each word w of the
         block and each position holding a cross relation's rising word, the
-        column-reduced w[:p]*r*w[p+2:], each arising exactly once.
+        column-reduced w[:p]*r*w[p+2:], each arising exactly once.  The
+        relations are read from ``build_relations``, not from the rules.
         """
-        size = self.z.size
+        n, size = self.n, self.z.size
+        # each cross relation by its word z_i^k z_j^l (i < j, k < l), the one
+        # term of any relation whose lower and upper indices both rise
+        cross = {
+            w: rel
+            for rel in build_relations(n, self.mode)
+            for w in rel.terms
+            if w[0] // n < w[1] // n and w[0] % n < w[1] % n
+        }
         basis = SymbolicEchelon()
-        for word in block_words(self.n, block):
+        for word in block_words(n, block):
             for pos in range(degree - 1):
-                rel = self._cross.get(word[pos:pos + 2])
+                rel = cross.get(word[pos:pos + 2])
                 if rel is None:
                     continue
                 u, v = word[:pos], word[pos + 2:]
@@ -547,9 +547,9 @@ class IdealOracle:
 
     def contains_packed(self, terms: dict) -> bool:
         """Whether sum c*w vanishes in B, for words of one length with flat
-        coefficients over this oracle's mode (``ParamScalar.packed``, built
-        from exponents below 2^31 in magnitude), which ``normal_form`` takes
-        over.  The verdict is the one ``contains`` gives for the same
+        coefficients over this oracle's mode (``ParamScalar.terms`` dicts,
+        built from exponents below 2^31 in magnitude), which ``normal_form``
+        takes over.  The verdict is the one ``contains`` gives for the same
         element."""
         lengths = {len(w) for w in terms}
         if len(lengths) > 1:
@@ -575,7 +575,7 @@ class IdealOracle:
         for w in p.terms:
             parts.setdefault(sum(w), []).append(w)
         return not any(
-            normal_form({w: p.terms[w].packed() for w in words}, self.rules) for words in parts.values()
+            normal_form({w: dict(p.terms[w].terms) for w in words}, self.rules) for words in parts.values()
         )
 
     def contains_tensor(self, tp: "TensorPoly") -> bool:
@@ -594,7 +594,7 @@ class IdealOracle:
             rights.setdefault(wl, {})[wr] = c
         lefts: dict = {}
         for wl, right in rights.items():
-            for r, c in normal_form({wr: c.packed() for wr, c in right.items()}, self.rules).items():
+            for r, c in normal_form({wr: dict(c.terms) for wr, c in right.items()}, self.rules).items():
                 lefts.setdefault(r, {})[wl] = c
         return not any(normal_form(left, self.rules) for left in lefts.values())
 
@@ -646,9 +646,7 @@ def qdet(Z: QMatrix, subset=None):
         raise ValueError(f"need a nonempty subset of 1..{n}")
     space = QuantumSpace(n, mode)
     z = space.z
-    terms = {}
-    for pi in permutations(range(len(J))):
-        terms[z.z_word((J[p], j) for p, j in zip(pi, J))] = space.inversion_weight(J, pi)
+    terms = {z.z_word(zip(lower, J)): space.exterior_weight(lower) for lower in permutations(J)}
     det = NCPoly(z, mode, terms)
     return det if Z.is_generic else evaluate(det, Z)
 
@@ -690,6 +688,8 @@ class TensorPoly(LinearCombination):
 
     @classmethod
     def outer(cls, a: NCPoly, b: NCPoly) -> "TensorPoly":
+        """a (x) b, for two polynomials over one alphabet and mode."""
+        a._check(b)
         terms = {}
         for wa, ca in a.terms.items():
             for wb, cb in b.terms.items():

@@ -51,16 +51,16 @@ def test_criterion_01_master_identity():
 
     mode2 = ParamMode.multi(2)
     sp2 = QuantumSpace(2, mode2)
-    ok &= verify_master(sp2, 6, IdealOracle(2, mode2, exact=False, seed=0, draws=3))["pass"]
+    ok &= verify_master(sp2, 6, IdealOracle(2, mode2))["pass"]
 
     mode3 = ParamMode.multi(3)
     sp3 = QuantumSpace(3, mode3)
-    ok &= verify_master(sp3, 4, IdealOracle(3, mode3, exact=False, seed=0, draws=3))["pass"]
+    ok &= verify_master(sp3, 4, IdealOracle(3, mode3))["pass"]
 
-    ok &= verify_master(sp2, 4, IdealOracle(2, mode2, exact=True))["pass"]
-    ok &= verify_master(sp3, 5, IdealOracle(3, mode3, exact=True))["pass"]
+    ok &= verify_master(sp2, 4, IdealOracle(2, mode2))["pass"]
+    ok &= verify_master(sp3, 5, IdealOracle(3, mode3))["pass"]
     mode4 = ParamMode.multi(4)
-    ok &= verify_master(QuantumSpace(4, mode4), 4, IdealOracle(4, mode4, exact=True))["pass"]
+    ok &= verify_master(QuantumSpace(4, mode4), 4, IdealOracle(4, mode4))["pass"]
 
     elapsed = time.monotonic() - start
     ok &= elapsed < 300
@@ -90,8 +90,8 @@ def test_criterion_03_wedge_well_definedness():
 
 
 def test_criterion_04_qdet_coaction():
-    ok = verify_qdet_coaction(IdealOracle(2, ParamMode.multi(2), exact=True))
-    ok &= verify_qdet_coaction(IdealOracle(3, ParamMode.multi(3), exact=False, seed=0, draws=3))
+    ok = verify_qdet_coaction(IdealOracle(2, ParamMode.multi(2)))
+    ok &= verify_qdet_coaction(IdealOracle(3, ParamMode.multi(3)))
     record(4, "full wedge coacts through qdet", ok)
 
 
@@ -99,7 +99,7 @@ def test_criterion_05_group_like_determinant():
     mode = ParamMode.multi(2)
     det = qdet(QMatrix.generic(2, mode), (1, 2))
     difference = comultiply(det) - TensorPoly.outer(det, det)
-    ok = IdealOracle(2, mode, exact=True).contains_tensor(difference)
+    ok = IdealOracle(2, mode).contains_tensor(difference)
     record(5, "determinant is group-like (n=2, exact)", ok)
 
 
@@ -118,7 +118,7 @@ def test_criterion_06_koszul_exactness():
 
 
 def test_criterion_07_comodule_compatibility():
-    oracle = IdealOracle(2, ParamMode.multi(2), exact=True)
+    oracle = IdealOracle(2, ParamMode.multi(2))
     ok = comodule_compat_check(2, 1, oracle) and comodule_compat_check(2, 2, oracle)
     record(7, "differential is a comodule map (n=2, ell<=2)", ok)
 
@@ -128,7 +128,7 @@ def test_criterion_08_twisted_identity():
     mode = ParamMode.single()
     for n in (2, 3):
         sp = QuantumSpace(n, mode)
-        oracle = IdealOracle(n, mode, exact=False, seed=0, draws=3)
+        oracle = IdealOracle(n, mode)
         report = verify_twisted(sp, 4, oracle)
         ok &= report["pass"]
         ok &= all(r["twist_weights_match_torus"] for r in report["results"])
@@ -193,7 +193,7 @@ def test_criterion_10_character_lemma_shadow():
 
 def test_criterion_11_performance_bounds():
     mode = ParamMode.multi(3)
-    oracle = IdealOracle(3, mode, exact=False, seed=0, draws=3)
+    oracle = IdealOracle(3, mode)
     comps = [c for c in product(range(5), repeat=3) if sum(c) == 4]
     blocks = [(lower, upper) for lower in comps for upper in comps]
     start = time.monotonic()

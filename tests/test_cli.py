@@ -94,9 +94,16 @@ def test_twisted_n1_matches_untwisted():
 
 
 def test_twisted_rejects_multiparameter():
+    # twisted always runs in one-parameter mode, so it has no --params
     code, _, err = run(["twisted", "--n", "2", "--params", "multi"])
     assert code == 2
-    assert "one-parameter" in err
+    assert "unrecognized arguments: --params" in err
+
+
+def test_koszul_takes_ell_or_degree_not_both():
+    code, out, err = run(["koszul", "--n", "2", "--ell", "2", "--degree", "3", "--output", "json"])
+    assert code == 2 and out == ""
+    assert "not allowed with" in err
 
 
 def test_classical_identity_matrix(tmp_path):
@@ -157,7 +164,14 @@ def test_missing_subcommand_is_usage_error():
 def test_numeric_mode_requires_assignment():
     code, _, err = run(["verify", "--n", "2", "--params", "numeric"])
     assert code == 2
-    assert "q-assign" in err
+    assert "q-assign" in err and "q_12" in err
+
+
+def test_numeric_mode_with_no_parameters_needs_no_assignment():
+    # n = 1 has no q_ij, so there is nothing to assign
+    code, out, _ = run(["verify", "--n", "1", "--params", "numeric", "--output", "json"])
+    assert code == 0
+    assert json.loads(out)["pass"] is True
 
 
 def test_numeric_mode_verify():
@@ -204,7 +218,7 @@ def test_verify_has_no_draws_to_run_out_of():
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True
-    assert [r["oracle_mode"] for r in report["results"]] == ["exact"] * 3
+    assert [r["pass"] for r in report["results"]] == [True] * 3
     assert report["config"]["mode"] == "exact" and "seeds" not in report["config"]
 
 
@@ -253,6 +267,7 @@ def test_internal_defect_is_not_a_usage_error(monkeypatch):
 CLASSICAL = ["classical", "--random", "1", "--n", "2", "--degree", "2"]
 QDET = ["qdet", "--n", "2", "--subset", "1,2"]
 KOSZUL = ["koszul", "--n", "2", "--degree", "2"]
+TWISTED = ["twisted", "--n", "2", "--degree", "2"]
 
 
 @pytest.mark.parametrize(
@@ -266,6 +281,8 @@ KOSZUL = ["koszul", "--n", "2", "--degree", "2"]
         QDET + ["--seed", "3"],
         QDET + ["--seeds", "2"],
         KOSZUL + ["--mode", "exact"],
+        TWISTED + ["--params", "single"],
+        TWISTED + ["--q-assign", "1,2=2"],
     ],
 )
 def test_options_a_command_never_reads_are_usage_errors(argv):
@@ -281,6 +298,9 @@ def test_options_a_command_never_reads_are_usage_errors(argv):
         (QDET + ["--params", "single"], {"n", "params", "subset"}),
         (KOSZUL, {"n", "params", "degree", "seed"}),
         (["verify", "--n", "2", "--degree", "2"], {"n", "params", "mode", "seed", "degree"}),
+        (TWISTED, {"n", "mode", "seed", "degree"}),
+        (["koszul", "--n", "2", "--ell", "2"], {"n", "params", "ell", "seed"}),
+        (["koszul", "--n", "2"], {"n", "params", "degree", "seed"}),
     ],
 )
 def test_config_echoes_exactly_the_options_the_command_has(argv, keys):

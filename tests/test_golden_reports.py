@@ -27,6 +27,14 @@ it defaulted to "specialize".  In the three entries that ran specialized
 ``--seeds 2`` before) each result's ``oracle_mode`` reads "exact" instead
 of "specialize(seed=...,draws=...)".  Every verdict, exit code, residual
 count and other result value is unchanged.
+
+The same nine entries were rewritten again when every setting came to be
+stated once: each result lost ``oracle_mode``, which only repeated whether
+``config.params`` is numeric, and the three ``twisted`` configs lost
+``params``, since ``twisted`` always runs in one-parameter mode and has no
+``--params``.  Every exit code, ``pass`` and residual count is unchanged,
+and the six ``koszul``, ``qdet`` and ``classical`` entries are
+byte-identical.
 """
 
 import io

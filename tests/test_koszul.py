@@ -120,17 +120,24 @@ def test_inconclusive_report_shape():
 
 def test_comodule_compat_small():
     mode = ParamMode.multi(2)
-    oracle = IdealOracle(2, mode, exact=True)
+    oracle = IdealOracle(2, mode)
     assert comodule_compat_check(2, 1, oracle)
     assert comodule_compat_check(2, 2, oracle)
     mode1 = ParamMode.multi(1)
-    assert comodule_compat_check(1, 2, IdealOracle(1, mode1, exact=True))
+    assert comodule_compat_check(1, 2, IdealOracle(1, mode1))
 
 
 def test_comodule_compat_specialized():
-    mode = ParamMode.multi(2)
-    oracle = IdealOracle(2, mode, exact=False, seed=0, draws=3)
+    mode = ParamMode.numeric(2, {(1, 2): 3})
+    oracle = IdealOracle(2, mode)
     assert comodule_compat_check(2, 2, oracle)
+
+
+@pytest.mark.parametrize("n, oracle_n", [(3, 2), (2, 3)])
+def test_comodule_compat_rejects_an_oracle_for_another_n(n, oracle_n):
+    # a mismatched n is bad input, not "not a comodule map"
+    with pytest.raises(ValueError, match=f"n={oracle_n}"):
+        comodule_compat_check(n, 2, IdealOracle(oracle_n, ParamMode.single()))
 
 
 @pytest.mark.parametrize("n,ell", [(2, 1), (2, 2), (3, 3), (3, 4)])
@@ -220,10 +227,10 @@ def test_a_row_reads_like_a_list_and_rejects_columns_outside_it():
 
 
 def test_no_parameters_to_draw_is_one_exact_run():
-    # n = 1 has no q_ij; the draw options are accepted and the verdicts exact
+    # n = 1 has no q_ij, and every verdict is exact
     mode = ParamMode.multi(1)
-    oracle = IdealOracle(1, mode, exact=False, seed=0, draws=3)
+    oracle = IdealOracle(1, mode)
     report = verify_master(QuantumSpace(1, mode), 3, oracle)
-    assert report["pass"] and {r["oracle_mode"] for r in report["results"]} == {"exact"}
+    assert report["pass"] and all(r["residual_terms_before_reduction"] == 0 for r in report["results"])
     assert comodule_compat_check(1, 3, oracle)
     assert check_exactness(build_complex(1, 3, mode)).conclusive

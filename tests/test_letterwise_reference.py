@@ -109,7 +109,7 @@ def reference_qdet(sp, J):
     acc = NCPoly.zero(sp.z, sp.mode)
     for pi in permutations(range(len(J))):
         word = sp.z.z_word((J[pi[k]], J[k]) for k in range(len(J)))
-        acc = acc + NCPoly.monomial(sp.z, sp.mode, word, sp.inversion_weight(J, pi))
+        acc = acc + NCPoly.monomial(sp.z, sp.mode, word, sp.exterior_weight([J[p] for p in pi]))
     return acc
 
 

@@ -123,7 +123,7 @@ def test_ferm_degree_two_single_minor():
 
 def test_master_n1_telescopes_freely():
     sp = space(1, ParamMode.multi(1))
-    oracle = IdealOracle(1, sp.mode, exact=True)
+    oracle = IdealOracle(1, sp.mode)
     report = verify_master(sp, 10, oracle)
     assert report["pass"]
     assert all(r["residual_terms_before_reduction"] == 0 for r in report["results"])
@@ -138,17 +138,15 @@ def test_master_degree_one_cancels_freely():
 
 
 def test_master_n2_d3_both_modes():
-    mode = ParamMode.multi(2)
-    sp = space(2, mode)
-    assert verify_master(sp, 3, IdealOracle(2, mode, exact=False, seed=0, draws=3))["pass"]
-    assert verify_master(sp, 3, IdealOracle(2, mode, exact=True))["pass"]
+    for mode in (ParamMode.multi(2), ParamMode.single()):
+        assert verify_master(space(2, mode), 3, IdealOracle(2, mode))["pass"]
 
 
 def test_master_detects_wrong_series():
     # sabotage: flip a weight in Ferm; the identity must fail
     mode = ParamMode.multi(2)
     sp = space(2, mode)
-    oracle = IdealOracle(2, mode, exact=True)
+    oracle = IdealOracle(2, mode)
     bos = bos_series(sp, 2).body
     ferm = ferm_series(sp, 2).body
     bad = bos[2] + bos[1] * ferm[1] + ferm[2].scale(mode.q(1, 2))
@@ -179,11 +177,11 @@ def test_wedge_coaction_diagonal_equals_qdet_everywhere():
 
 def test_verify_qdet_coaction_small():
     mode1 = ParamMode.multi(1)
-    assert verify_qdet_coaction(IdealOracle(1, mode1, exact=True))
+    assert verify_qdet_coaction(IdealOracle(1, mode1))
     mode2 = ParamMode.multi(2)
-    assert verify_qdet_coaction(IdealOracle(2, mode2, exact=True))
+    assert verify_qdet_coaction(IdealOracle(2, mode2))
     mode3 = ParamMode.multi(3)
-    assert verify_qdet_coaction(IdealOracle(3, mode3, exact=False, seed=0, draws=3))
+    assert verify_qdet_coaction(IdealOracle(3, mode3))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -258,6 +256,19 @@ def test_torus_is_algebra_map_and_rescales_relations():
             assert acted.terms[w] == rel.terms[w] * ratio
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_a_torus_point_for_another_n_is_rejected(size):
+    # a point for n=3 must not drop its third entry's factor silently, nor
+    # one for n=1 fail with an IndexError
+    mode = ParamMode.single()
+    det = qdet(QMatrix.generic(2, mode))
+    with pytest.raises(ValueError, match="n=2"):
+        torus_act(special_torus(size, mode), det)
+    lopsided = TorusElement((mode.one(), mode.one()), (mode.one(),) * size)
+    with pytest.raises(ValueError, match="n=2"):
+        torus_act(lopsided, det)
+
+
 def test_twist_exponents_match_spec_examples():
     assert bos_twist_exponent(2, (1, 1)) == 0
     assert bos_twist_exponent(1, (5,)) == 0
@@ -290,7 +301,7 @@ def test_verify_twisted_small():
     mode = ParamMode.single()
     for n in (2, 3):
         sp = space(n, mode)
-        oracle = IdealOracle(n, mode, exact=False, seed=0, draws=3)
+        oracle = IdealOracle(n, mode)
         report = verify_twisted(sp, 3, oracle)
         assert report["pass"]
         assert all(r["twist_weights_match_torus"] for r in report["results"])
@@ -300,7 +311,7 @@ def test_verify_twisted_requires_single_mode():
     mode = ParamMode.multi(2)
     sp = space(2, mode)
     with pytest.raises(ValueError):
-        verify_twisted(sp, 2, IdealOracle(2, mode, exact=True))
+        verify_twisted(sp, 2, IdealOracle(2, mode))
 
 
 def test_classical_identity_matrix():
@@ -357,29 +368,24 @@ def test_classical_random_rationals():
 def test_report_format_keys():
     mode = ParamMode.multi(2)
     sp = space(2, mode)
-    report = verify_master(sp, 2, IdealOracle(2, mode, exact=True))
+    report = verify_master(sp, 2, IdealOracle(2, mode))
     assert set(report) == {"results", "pass"}
     for entry in report["results"]:
-        assert set(entry) == {
-            "degree",
-            "residual_terms_before_reduction",
-            "oracle_mode",
-            "pass",
-        }
-    assert report["results"][0]["oracle_mode"] == "exact"
-    # the draw options are accepted and read by nothing
-    spec_report = verify_master(sp, 2, IdealOracle(2, mode, exact=False, seed=4, draws=2))
-    assert spec_report == report
+        assert set(entry) == {"degree", "residual_terms_before_reduction", "pass"}
+    # the oracle's mode is the space's, so no entry repeats it
+    twisted = verify_twisted(space(2, ParamMode.single()), 2, IdealOracle(2, ParamMode.single()))
+    for entry in twisted["results"]:
+        assert set(entry) == {"degree", "residual_terms_before_reduction", "twist_weights_match_torus", "pass"}
 
 
 def test_master_n4_d3_specialized():
     mode = ParamMode.multi(4)
     sp = space(4, mode)
-    oracle = IdealOracle(4, mode, exact=False, seed=0, draws=3)
+    oracle = IdealOracle(4, mode)
     assert verify_master(sp, 3, oracle)["pass"]
 
 
 def test_master_n2_d6_exact_symbolic():
     mode = ParamMode.multi(2)
     sp = space(2, mode)
-    assert verify_master(sp, 6, IdealOracle(2, mode, exact=True))["pass"]
+    assert verify_master(sp, 6, IdealOracle(2, mode))["pass"]

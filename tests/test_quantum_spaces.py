@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from qmm import NCPoly, ParamMode, ParamScalar, QuantumSpace
+from qmm import NCPoly, ParamMode, QuantumSpace
 
 
 def space(n):
@@ -281,6 +281,7 @@ def test_character_multiplicativity_on_tensor_square():
 
 
 def test_inversion_weight_identity_permutation():
+    # w(pi) is the exterior weight of the word J o pi
     sp = space(3)
-    assert sp.inversion_weight((1, 3), (0, 1)) == sp.mode.one()
-    assert isinstance(sp.inversion_weight((1, 3), (1, 0)), ParamScalar)
+    assert sp.exterior_weight((1, 3)) == sp.mode.one()
+    assert sp.exterior_weight((3, 1)) == (-sp.mode.q(1, 3)).inv()

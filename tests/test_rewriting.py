@@ -59,7 +59,7 @@ def is_column_sorted(word, n):
 
 @pytest.mark.parametrize("n, rules, overlaps", [(1, 0, 0), (2, 3, 0), (3, 18, 10), (4, 60, 80)])
 def test_rules_and_their_overlaps(n, rules, overlaps):
-    oracle = IdealOracle(n, ParamMode.multi(n), exact=True)
+    oracle = IdealOracle(n, ParamMode.multi(n))
     assert len(oracle.rules) == rules == n * math.comb(n, 2) + math.comb(n, 2) ** 2
     # a leading word: the lower index strictly falls, the upper does not rise
     size = n * n
@@ -89,9 +89,9 @@ def test_certificate_rejects_a_perturbed_rule(monkeypatch):
     monkeypatch.setattr(rq, "build_relations", perturbed)
     for mode in (ParamMode.multi(3), ParamMode.single()):
         with pytest.raises(ConfluenceError) as caught:
-            IdealOracle(3, mode, exact=True)
+            IdealOracle(3, mode)
         assert not isinstance(caught.value, ValueError)
-    assert IdealOracle(2, ParamMode.multi(2), exact=True).rules
+    assert IdealOracle(2, ParamMode.multi(2)).rules
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +143,17 @@ def random_element(rng, oracle, degree, relations):
 
 
 @pytest.mark.parametrize(
-    "n, degrees, exact, count",
+    "n, degrees, offset, count",
     [(2, (2, 3, 4, 5), True, 12), (2, (2, 3, 4, 5), False, 12),
      (3, (2, 3, 4), True, 10), (3, (2, 3, 4), False, 10), (4, (4,), False, 8)],
 )
-def test_normal_form_matches_block_elimination(n, degrees, exact, count):
+def test_normal_form_matches_block_elimination(n, degrees, offset, count):
+    # ``offset`` picks one of two random seeds; it stays a bool so that the
+    # test ids stay as they are
     mode = ParamMode.multi(n)
-    oracle = IdealOracle(n, mode, exact=exact, seed=31 + n, draws=2)
+    oracle = IdealOracle(n, mode)
     relations = build_relations(n, mode)
-    rng = Random(1000 * n + exact)
+    rng = Random(1000 * n + offset)
     bases = {}
     verdicts = []
     for degree in degrees:
@@ -188,13 +190,13 @@ def test_a_coefficient_vanishing_at_one_point_is_not_a_member(point):
     # a normal word times q12 - point: zero at q12 = point, so a verdict at
     # sample points could accept it, but not zero in the Laurent ring
     mode = ParamMode.multi(2)
-    oracle = IdealOracle(2, mode, exact=False, seed=3, draws=2)
+    oracle = IdealOracle(2, mode)
     word = NCPoly.monomial(oracle.z, mode, oracle.z.z_word([(1, 1), (2, 2)]))
     p = word.scale(mode.q(1, 2) - mode.scalar(point))
     assert not oracle.contains(p)
     assert not reference_contains(oracle, p, {})
     assert not oracle.contains_tensor(TensorPoly.outer(p, word))
-    assert not oracle.contains_packed({w: c.packed() for w, c in p.terms.items()})
+    assert not oracle.contains_packed(packed(p))
 
 
 def _normal_word_in(p, oracle):
@@ -203,11 +205,10 @@ def _normal_word_in(p, oracle):
     return max(normal_form({max(p.terms): {0: 1}}, oracle.rules))
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_master_residual_plus_a_normal_word_is_rejected(exact):
+def test_master_residual_plus_a_normal_word_is_rejected():
     mode = ParamMode.multi(3)
     space = QuantumSpace(3, mode)
-    oracle = IdealOracle(3, mode, exact=exact, seed=9, draws=2)
+    oracle = IdealOracle(3, mode)
     prod = bos_series(space, 4).body * ferm_series(space, 4).body
     for degree in (2, 3, 4):
         residual = prod[degree]
@@ -228,13 +229,12 @@ def test_twisted_residual_plus_a_normal_word_is_rejected():
         assert not oracle.contains(residual + NCPoly.monomial(space.z, mode, word))
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_group_like_tensor_plus_normal_words_is_rejected(exact):
+def test_group_like_tensor_plus_normal_words_is_rejected():
     # the full quantum determinant of degree n, for n = 2, 3, 4
     for n in (2, 3, 4):
         mode = ParamMode.multi(n)
         space = QuantumSpace(n, mode)
-        oracle = IdealOracle(n, mode, exact=exact, seed=9, draws=2)
+        oracle = IdealOracle(n, mode)
         det = qdet(QMatrix.generic(n, mode))
         group_like = comultiply(det) - TensorPoly.outer(det, det)
         assert oracle.contains_tensor(group_like)
@@ -290,7 +290,8 @@ def reference_normal_form(terms, rules):
 
 
 def packed(p):
-    return {w: c.packed() for w, c in p.terms.items()}
+    """p's coefficients as flat coefficients, copied for ``normal_form``."""
+    return {w: dict(c.terms) for w, c in p.terms.items()}
 
 
 NON_INTEGER = {(1, 2): Fraction(2, 3), (1, 3): Fraction(-5, 7), (2, 3): Fraction(7, 2)}
@@ -300,7 +301,7 @@ NON_INTEGER = {(1, 2): Fraction(2, 3), (1, 3): Fraction(-5, 7), (2, 3): Fraction
     "mode", [ParamMode.multi(3), ParamMode.single(), ParamMode.numeric(3, NON_INTEGER)], ids=repr
 )
 def test_packed_normal_form_matches_the_scalar_reference(mode):
-    oracle = IdealOracle(3, mode, exact=True)
+    oracle = IdealOracle(3, mode)
     relations = build_relations(3, mode)
     rules = reference_rules(relations)
     rng = Random(77)
@@ -333,13 +334,12 @@ def test_pack_round_trips_negative_exponents():
             pack(bad)
     mode = ParamMode.multi(3)
     s = mode.q(1, 2) ** -3 * mode.q(2, 3) - mode.q(1, 3) ** 2 + 4
-    assert mode.from_packed(s.packed()) == s
+    assert mode.from_packed(dict(s.terms)) == s
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_an_exponent_near_the_limit_raises_instead_of_a_verdict(exact):
+def test_an_exponent_near_the_limit_raises_instead_of_a_verdict():
     mode = ParamMode.multi(2)
-    oracle = IdealOracle(2, mode, exact=exact, seed=1, draws=2)
+    oracle = IdealOracle(2, mode)
     lead = max(oracle.rules)  # a leading word, so the query must rewrite
     for power, safe in ((2**20, True), (EXPONENT_LIMIT - 2, False)):
         p = NCPoly.monomial(oracle.z, mode, lead, mode.q(1, 2) ** power)
@@ -384,7 +384,7 @@ def count_normal_words(rules, size, top):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_normal_words_count_the_koszul_hilbert_series(n):
-    rules = IdealOracle(n, ParamMode.multi(n), exact=True).rules
+    rules = IdealOracle(n, ParamMode.multi(n)).rules
     assert count_normal_words(rules, n * n, 6) == hilbert_coefficients(n, 6)
 
 

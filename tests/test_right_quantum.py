@@ -113,7 +113,7 @@ def test_column_reduce_sorts_equal_uppers():
 
 def test_generators_are_members():
     mode = ParamMode.multi(2)
-    oracle = IdealOracle(2, mode, exact=False, seed=0, draws=3)
+    oracle = IdealOracle(2, mode)
     for rel in build_relations(2, mode):
         assert oracle.contains(rel)
 
@@ -123,8 +123,7 @@ def test_commutator_is_not_a_member():
     sp = QuantumSpace(2, mode)
     z = sp.z_gen
     comm = z(1, 1) * z(2, 2) - z(2, 2) * z(1, 1)
-    assert not IdealOracle(2, mode, exact=False, seed=0, draws=3).contains(comm)
-    assert not IdealOracle(2, mode, exact=True).contains(comm)
+    assert not IdealOracle(2, mode).contains(comm)
 
 
 def test_degree_two_master_combination_is_member():
@@ -136,14 +135,14 @@ def test_degree_two_master_combination_is_member():
     bos = bos_series(sp, 2).body
     ferm = ferm_series(sp, 2).body
     coeff = bos[2] + bos[1] * ferm[1] + ferm[2]
-    assert IdealOracle(2, mode, exact=True).contains(coeff)
+    assert IdealOracle(2, mode).contains(coeff)
     assert brute_member(coeff, 2, mode, dict(zip(mode.variables, [Fraction(5)])))
 
 
 def test_membership_below_degree_two():
     mode = ParamMode.multi(2)
     sp = QuantumSpace(2, mode)
-    oracle = IdealOracle(2, mode, exact=True)
+    oracle = IdealOracle(2, mode)
     assert oracle.contains(NCPoly.zero(sp.z, mode))
     assert not oracle.contains(NCPoly.one(sp.z, mode))
     assert not oracle.contains(sp.z_gen(1, 2))
@@ -152,19 +151,19 @@ def test_membership_below_degree_two():
 def test_membership_rejects_inhomogeneous():
     mode = ParamMode.multi(2)
     sp = QuantumSpace(2, mode)
-    oracle = IdealOracle(2, mode, exact=True)
+    oracle = IdealOracle(2, mode)
     p = NCPoly.one(sp.z, mode) + sp.z_gen(1, 1)
     with pytest.raises(ValueError):
         oracle.contains(p)
     with pytest.raises(ValueError, match="homogeneous"):
-        oracle.contains_packed({w: c.packed() for w, c in p.terms.items()})
+        oracle.contains_packed({w: dict(c.terms) for w, c in p.terms.items()})
 
 
 def test_membership_is_linear():
     rng = Random(99)
     mode = ParamMode.multi(2)
     sp = QuantumSpace(2, mode)
-    oracle = IdealOracle(2, mode, exact=False, seed=3, draws=3)
+    oracle = IdealOracle(2, mode)
     rels = build_relations(2, mode)
     z = sp.z_gen
     gens = [z(i, j) for i in (1, 2) for j in (1, 2)]
@@ -178,7 +177,7 @@ def test_membership_is_linear():
 def test_two_sided_stability():
     mode = ParamMode.multi(2)
     sp = QuantumSpace(2, mode)
-    oracle = IdealOracle(2, mode, exact=False, seed=1, draws=3)
+    oracle = IdealOracle(2, mode)
     z = sp.z_gen
     for rel in build_relations(2, mode):
         assert oracle.contains(rel)
@@ -189,12 +188,14 @@ def test_two_sided_stability():
 
 
 def test_specialized_and_exact_agree():
-    # the draw options are accepted and change no verdict, n=2, degrees <= 4
+    # the benchmark still builds IdealOracle(n, mode, exact=False, seed=...,
+    # draws=3); those keywords are read by nothing and change no verdict
+    # (n=2, degrees <= 4).  Every other test builds IdealOracle(n, mode).
     rng = Random(7)
     mode = ParamMode.multi(2)
     sp = QuantumSpace(2, mode)
     z = sp.z_gen
-    exact = IdealOracle(2, mode, exact=True)
+    exact = IdealOracle(2, mode)
     spec = IdealOracle(2, mode, exact=False, seed=11, draws=3)
     rels = build_relations(2, mode)
     cases = []
@@ -217,7 +218,7 @@ def test_oracle_matches_brute_force_span():
     sp = QuantumSpace(2, mode)
     z = sp.z_gen
     assignment = dict(zip(mode.variables, [Fraction(7)]))
-    exact = IdealOracle(2, mode, exact=True)
+    exact = IdealOracle(2, mode)
     rels = build_relations(2, mode)
     cases = [
         rels[2],
@@ -304,31 +305,28 @@ def test_comultiply_is_algebra_map():
 
 def test_delta_respects_relations():
     mode = ParamMode.multi(2)
-    exact = IdealOracle(2, mode, exact=True)
-    spec = IdealOracle(2, mode, exact=False, seed=0, draws=3)
+    oracle = IdealOracle(2, mode)
     for rel in build_relations(2, mode):
-        assert exact.contains_tensor(comultiply(rel))
-        assert spec.contains_tensor(comultiply(rel))
+        assert oracle.contains_tensor(comultiply(rel))
 
 
 def test_determinant_is_group_like():
     mode = ParamMode.multi(2)
     det = qdet(QMatrix.generic(2, mode), (1, 2))
     lhs = comultiply(det) - TensorPoly.outer(det, det)
-    assert IdealOracle(2, mode, exact=True).contains_tensor(lhs)
+    assert IdealOracle(2, mode).contains_tensor(lhs)
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_non_group_like_control(exact):
+def test_non_group_like_control():
     mode = ParamMode.multi(2)
     sp = QuantumSpace(2, mode)
     p = sp.z_gen(1, 1) * sp.z_gen(2, 2)
     lhs = comultiply(p) - TensorPoly.outer(p, p)
-    assert not IdealOracle(2, mode, exact=exact, seed=4, draws=3).contains_tensor(lhs)
+    assert not IdealOracle(2, mode).contains_tensor(lhs)
 
     mode = ParamMode.multi(3)
     sp = QuantumSpace(3, mode)
-    oracle = IdealOracle(3, mode, exact=exact, seed=4, draws=3)
+    oracle = IdealOracle(3, mode)
     det = qdet(QMatrix.generic(3, mode))
     group_like = comultiply(det) - TensorPoly.outer(det, det)
     assert oracle.contains_tensor(group_like)
@@ -337,6 +335,17 @@ def test_non_group_like_control(exact):
     word = NCPoly.monomial(sp.z, mode, sp.z.z_word([(1, 1), (2, 2), (3, 3)]))
     assert column_reduce(word) == word
     assert not oracle.contains_tensor(group_like + TensorPoly.outer(word, word))
+
+
+def test_outer_rejects_legs_over_another_alphabet_or_mode():
+    # legs over n=2 and n=3 would make a tensor labelled Alphabet('z', 2)
+    # holding letter id 8, which no membership verdict can be trusted on
+    single = ParamMode.single()
+    a = QuantumSpace(2, single).z_gen(1, 1)
+    b = QuantumSpace(3, single).z_gen(3, 3)
+    for left, right in ((a, b), (b, a), (a, QuantumSpace(2, ParamMode.multi(2)).z_gen(1, 1))):
+        with pytest.raises(ValueError):
+            TensorPoly.outer(left, right)
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -487,7 +496,7 @@ def test_membership_input_check(query, case):
     # rather than answering False or failing deep inside the block split
     make, message = BAD_QUERIES[case]
     p, q = make()
-    oracle = IdealOracle(2, ParamMode.multi(2), exact=True)
+    oracle = IdealOracle(2, ParamMode.multi(2))
     with pytest.raises(ValueError, match=message):
         if query == "contains":
             oracle.contains(p + q)
@@ -528,7 +537,7 @@ def test_membership_does_not_specialize_scalars(monkeypatch):
     sp = QuantumSpace(3, mode)
     residual = (bos_series(sp, 3).body * ferm_series(sp, 3).body)[3]
     monkeypatch.setattr(ParamScalar, "specialize", refuse)
-    oracle = IdealOracle(3, mode, draws=3)
+    oracle = IdealOracle(3, mode)
     assert oracle.contains(residual)
     assert not oracle.contains(residual + sp.z_gen(1, 2) * sp.z_gen(2, 1) * sp.z_gen(3, 3))
 
