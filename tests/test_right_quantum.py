@@ -317,16 +317,17 @@ def test_determinant_is_group_like():
     assert IdealOracle(2, mode).contains_tensor(lhs)
 
 
-def test_non_group_like_control():
+@pytest.mark.parametrize("exact", [True, False])
+def test_non_group_like_control(exact):
     mode = ParamMode.multi(2)
     sp = QuantumSpace(2, mode)
     p = sp.z_gen(1, 1) * sp.z_gen(2, 2)
     lhs = comultiply(p) - TensorPoly.outer(p, p)
-    assert not IdealOracle(2, mode).contains_tensor(lhs)
+    assert not IdealOracle(2, mode, exact=exact, seed=4, draws=3).contains_tensor(lhs)
 
     mode = ParamMode.multi(3)
     sp = QuantumSpace(3, mode)
-    oracle = IdealOracle(3, mode)
+    oracle = IdealOracle(3, mode, exact=exact, seed=4, draws=3)
     det = qdet(QMatrix.generic(3, mode))
     group_like = comultiply(det) - TensorPoly.outer(det, det)
     assert oracle.contains_tensor(group_like)
