@@ -1,22 +1,30 @@
 """Command-line front end: runs the verifications and emits reports.
 
-Every command accepts ``--output json`` for a machine-readable report of the
-shape {"command", "config", "results", "pass"}; identical configuration and
-seeds produce byte-identical output.  The one random choice, the matrices of
-``classical --random``, flows from ``--seed`` through Python's
-Mersenne-Twister ``random.Random``; every other verdict is exact and draws
-nothing.  Exit codes: 0 pass, 1 verified false, 2 usage error, 3
-inconclusive (a Koszul complex the contracting homotopy does not certify).
-Only bad command-line input is a usage error: numbers out of range are
-rejected before any work, and an internal defect propagates as a traceback
-instead of being reported as exit 2.
+Each command takes the parsed arguments and returns ``(results, verdict,
+lines)``: its JSON-ready results, its verdict, and the lines of its text
+report.  The verdict is True, False, or None for a Koszul complex that the
+contracting homotopy does not certify.  ``main`` alone turns that into
+output: ``--output json`` prints the report {"command", "config",
+"results", "pass"}, with ``pass`` true only for a True verdict, and text
+output prints ``[command] pass=...`` followed by the lines.  The config is
+built after the command has run, since a command may fill in a default.
+``EXIT_CODES`` maps the verdict to the exit code: 0 pass, 1 verified false,
+3 inconclusive; 2 is a usage error.  Only bad command-line input is a usage
+error: numbers out of range are rejected before any work, and an internal
+defect propagates as a traceback instead of being reported as exit 2.
+
+Identical configuration and seeds produce byte-identical output.  The one
+random choice, the matrices of ``classical --random``, flows from
+``--seed`` through Python's Mersenne-Twister ``random.Random``; every other
+verdict is exact and draws nothing.
 
 Each command has only the options it reads, and the config echoes each of
 them once.  ``twisted`` always runs in one-parameter mode, so it has no
 ``--params`` or ``--q-assign``; ``koszul`` takes ``--ell`` or ``--degree``,
-not both.  Membership is decided exactly by the certified rewriting system
-of ``right_quantum``; nothing is cached between runs or read from the
-environment.  ``verify`` and ``twisted`` still accept ``--seed`` and
+not both; ``classical --matrix`` takes its n from the matrix and has no
+seed to read.  Membership is decided exactly by the certified rewriting
+system of ``right_quantum``; nothing is cached between runs or read from
+the environment.  ``verify`` and ``twisted`` still accept ``--seed`` and
 ``--mode exact``, its only choice, and ``koszul`` accepts ``--seed``: each
 is echoed in the config and read by nothing, because existing command lines
 (the benchmark workloads among them) pass them.
@@ -31,25 +39,24 @@ from fractions import Fraction
 from random import Random
 
 from . import koszul as koszul_mod
-from .macmahon import (
-    classical_check,
-    verify_master,
-    verify_twisted,
-)
+from .macmahon import classical_check, verify_master, verify_twisted
 from .param_ring import ParamMode
-from .quantum_spaces import QuantumSpace
 from .right_quantum import IdealOracle, QMatrix, qdet
 
 MAX_N = 16  # z-letters are stored one per byte, and there are n^2 of them
 KOSZUL_DEGREE = 3  # the koszul sweep's degree when neither --ell nor --degree is given
+CLASSICAL_N = 2  # the size of the classical --random matrices when --n is not given
+EXIT_CODES = {True: 0, False: 1, None: 3}
 
 
 class UsageError(ValueError):
     """Bad command-line input; the only error reported as exit code 2."""
 
 
-def _check_ranges(args) -> None:
-    if not 1 <= args.n <= MAX_N:
+def _check_args(args) -> None:
+    """Reject out-of-range numbers, and parse ``--q-assign`` into its
+    {(i, j): value} map, before any work."""
+    if args.n is not None and not 1 <= args.n <= MAX_N:
         raise UsageError(f"--n must be between 1 and {MAX_N} (z-letters are stored one per byte)")
     if (getattr(args, "degree", None) or 0) < 0:
         raise UsageError("--degree must be >= 0")
@@ -57,8 +64,10 @@ def _check_ranges(args) -> None:
         raise UsageError("--ell must be >= 1")
     if getattr(args, "random", None) is not None and args.random < 1:
         raise UsageError("--random must be >= 1")
-    if getattr(args, "q_assign", None) is not None and args.params != "numeric":
-        raise UsageError("--q-assign is read only with --params numeric")
+    if hasattr(args, "q_assign"):
+        if args.q_assign is not None and args.params != "numeric":
+            raise UsageError("--q-assign is read only with --params numeric")
+        args.q_assign = _parse_q_assignment(args.q_assign or "")
 
 
 def _parse_q_assignment(text: str) -> dict:
@@ -83,58 +92,40 @@ def _make_mode(args) -> ParamMode:
     if args.params == "single":
         return ParamMode.single()
     try:
-        return ParamMode.numeric(args.n, _parse_q_assignment(args.q_assign or ""))
+        return ParamMode.numeric(args.n, args.q_assign)
     except ValueError as exc:
         raise UsageError(f"--q-assign: {exc}") from exc
 
 
-def _config_dict(args, mode: ParamMode | None = None) -> dict:
+def _config_dict(args) -> dict:
     """The options the command has, each as given or defaulted."""
     cfg = {}
     for key in ("n", "params", "mode", "seed", "degree", "ell", "subset", "matrix", "random"):
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
-    if mode is not None and mode.kind == "numeric":
-        cfg["q_assign"] = {f"{i},{j}": str(v) for (i, j), v in mode.assignment.items()}
+    if cfg.get("params") == "numeric":
+        cfg["q_assign"] = {f"{i},{j}": str(v) for (i, j), v in args.q_assign.items()}
     return cfg
 
 
-def _emit(args, report: dict) -> None:
-    pretty = report.pop("pretty", [])
-    if args.output == "json":
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        return
-    print(f"[{report['command']}] pass={report['pass']}")
-    for line in pretty:
-        print(line)
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (results, verdict, text lines)
 
 
-def _identity(args, mode: ParamMode, verify, pretty: str) -> int:
-    """Run verify_master or verify_twisted and report it."""
-    outcome = verify(QuantumSpace(args.n, mode), args.degree, IdealOracle(args.n, mode))
-    report = {
-        "command": args.command,
-        "config": _config_dict(args, mode),
-        "results": outcome["results"],
-        "pass": outcome["pass"],
-        "pretty": [pretty.format(**r) for r in outcome["results"]],
-    }
-    _emit(args, report)
-    return 0 if outcome["pass"] else 1
+def _identity(args, mode: ParamMode, verify, line: str):
+    """Run verify_master or verify_twisted."""
+    outcome = verify(IdealOracle(args.n, mode), args.degree)
+    return outcome["results"], outcome["pass"], [line.format(**r) for r in outcome["results"]]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     return _identity(
         args, _make_mode(args), verify_master,
         "degree {degree}: residual_terms={residual_terms_before_reduction} pass={pass}",
     )
 
 
-def cmd_qdet(args) -> int:
+def cmd_qdet(args):
     mode = _make_mode(args)
     try:
         subset = tuple(int(t) for t in args.subset.split(","))
@@ -143,18 +134,10 @@ def cmd_qdet(args) -> int:
     if not subset or min(subset) < 1 or max(subset) > args.n or len(set(subset)) != len(subset):
         raise UsageError(f"subset must be a nonempty subset of 1..{args.n}")
     det = qdet(QMatrix.generic(args.n, mode), subset)
-    report = {
-        "command": "qdet",
-        "config": _config_dict(args, mode),
-        "results": det.to_jsonable(),
-        "pass": True,
-        "pretty": [str(det)],
-    }
-    _emit(args, report)
-    return 0
+    return det.to_jsonable(), True, [str(det)]
 
 
-def cmd_koszul(args) -> int:
+def cmd_koszul(args):
     mode = _make_mode(args)
     if args.ell is None and args.degree is None:
         args.degree = KOSZUL_DEGREE
@@ -162,39 +145,20 @@ def cmd_koszul(args) -> int:
     if not ells:
         raise UsageError("give --ell or a positive --degree to sweep")
     results = []
-    all_exact = True
-    inconclusive = False
     for ell in ells:
         complex = koszul_mod.build_complex(args.n, ell, mode)
         d2 = koszul_mod.composites_vanish(complex)
-        report = koszul_mod.check_exactness(complex)
-        entry = report.to_jsonable()
+        entry = koszul_mod.check_exactness(complex).to_jsonable()
         entry["d_squared_zero"] = d2
         entry["euler_characteristic"] = koszul_mod.euler_characteristic(args.n, ell)
         results.append(entry)
-        if not report.conclusive:
-            inconclusive = True
-        elif not d2:
-            all_exact = False
-    ok = all_exact and not inconclusive
-    report = {
-        "command": "koszul",
-        "config": _config_dict(args, mode),
-        "results": results,
-        "pass": ok,
-        "pretty": [
-            "ell {ell}: dims={dims} homology={homology} "
-            "d2=0:{d_squared_zero} conclusive={conclusive}".format(**r)
-            for r in results
-        ],
-    }
-    _emit(args, report)
-    if inconclusive:
-        return 3
-    return 0 if ok else 1
+    # an uncertified complex makes the sweep inconclusive, whatever d o d is
+    verdict = all(r["d_squared_zero"] for r in results) if all(r["conclusive"] for r in results) else None
+    line = "ell {ell}: dims={dims} homology={homology} d2=0:{d_squared_zero} conclusive={conclusive}"
+    return results, verdict, [line.format(**r) for r in results]
 
 
-def cmd_twisted(args) -> int:
+def cmd_twisted(args):
     return _identity(
         args, ParamMode.single(), verify_twisted,
         "degree {degree}: residual_terms={residual_terms_before_reduction} "
@@ -226,44 +190,36 @@ def _random_rational_matrix(rng: Random, n: int) -> list:
     ]
 
 
-def cmd_classical(args) -> int:
+def cmd_classical(args):
     if (args.matrix is None) == (args.random is None):
         raise UsageError("give exactly one of --matrix or --random")
-    matrices = []
     if args.matrix is not None:
-        matrices.append(_parse_matrix_file(args.matrix))
-        args.n = len(matrices[0])
+        if args.seed is not None:
+            raise UsageError("--seed is read only with --random")
+        matrices = [_parse_matrix_file(args.matrix)]
+        size = len(matrices[0])
+        if args.n not in (None, size):
+            raise UsageError(f"--n {args.n} differs from the size of the {size}x{size} matrix")
+        args.n = size
     else:
+        args.n = CLASSICAL_N if args.n is None else args.n
+        args.seed = 0 if args.seed is None else args.seed
         rng = Random(args.seed)
         matrices = [_random_rational_matrix(rng, args.n) for _ in range(args.random)]
     results = []
     for idx, entries in enumerate(matrices):
-        ok = classical_check(entries, args.degree)
-        results.append(
-            {
-                "index": idx,
-                "matrix": [[str(e) for e in row] for row in entries],
-                "pass": ok,
-            }
-        )
-    ok = all(r["pass"] for r in results)
-    report = {
-        "command": "classical",
-        "config": _config_dict(args),
-        "results": results,
-        "pass": ok,
-        "pretty": [f"matrix {r['index']}: pass={r['pass']}" for r in results],
-    }
-    _emit(args, report)
-    return 0 if ok else 1
+        matrix = [[str(e) for e in row] for row in entries]
+        results.append({"index": idx, "matrix": matrix, "pass": classical_check(entries, args.degree)})
+    lines = [f"matrix {r['index']}: pass={r['pass']}" for r in results]
+    return results, all(r["pass"] for r in results), lines
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(sub, degree_default=None):
-    sub.add_argument("--n", type=int, default=2, help="number of generators")
+def _add_common(sub, degree_default=None, n_default=2):
+    sub.add_argument("--n", type=int, default=n_default, help="number of generators")
     if degree_default is not None:
         sub.add_argument("--degree", type=int, default=degree_default, help="truncation degree")
     sub.add_argument("--output", choices=("json", "text"), default="text")
@@ -325,8 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_twisted)
 
     sub = subs.add_parser("classical", help="check the commutative q=1 identity")
-    _add_common(sub, degree_default=6)
-    sub.add_argument("--seed", type=int, default=0, help="PRNG seed of the --random matrices")
+    # --n and --seed default to CLASSICAL_N and 0 with --random; with
+    # --matrix, --n must be its size and --seed is a usage error
+    _add_common(sub, degree_default=6, n_default=None)
+    sub.add_argument("--seed", type=int, help="PRNG seed of the --random matrices (default 0)")
     sub.add_argument("--matrix", help="JSON file: array of arrays of rational strings")
     sub.add_argument("--random", type=int, help="number of random rational matrices")
     sub.set_defaults(func=cmd_classical)
@@ -341,11 +299,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        _check_ranges(args)
-        return args.func(args)
+        _check_args(args)
+        results, verdict, lines = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = {"command": args.command, "config": _config_dict(args), "results": results, "pass": verdict is True}
+    if args.output == "json":
+        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    else:
+        print("\n".join([f"[{args.command}] pass={report['pass']}", *lines]))
+    return EXIT_CODES[verdict]
 
 
 if __name__ == "__main__":

@@ -233,9 +233,10 @@ class ExactnessReport:
         return {**asdict(self), "homology": self.homology}
 
 
-def _homotopy_certifies(complex: KoszulComplex) -> bool:
-    """dh + hd = id on every component, exactly, with each entry h divides
-    by read from the maps as they stand.
+def check_exactness(complex: KoszulComplex) -> ExactnessReport:
+    """Certify exactness by the contracting homotopy of the module
+    docstring: dh + hd = id on every component, exactly, with each entry h
+    divides by read from the maps as they stand.
 
     (I + j0, r - e_j0) determines (I, r), since j0 is its smallest index, so
     h is injective: ``back[i][t] = (p, s)`` when h sends basis vector p of
@@ -245,6 +246,7 @@ def _homotopy_certifies(complex: KoszulComplex) -> bool:
     """
     bases, maps, ell, dims = complex.bases, complex.maps, complex.ell, complex.dims
     zero, one = complex.mode.zero(), complex.mode.one()
+    report = ExactnessReport(complex.n, ell, dims, conclusive=False)
     back: list = [{}]
     for i in range(1, ell + 1):
         index = {key: pos for pos, key in enumerate(bases[i - 1])}
@@ -257,7 +259,7 @@ def _homotopy_certifies(complex: KoszulComplex) -> bool:
             try:
                 inverse[t] = (p, maps[i][p][t].inv())
             except ValueError:  # zero, or not a unit of the coefficient ring
-                return False
+                return report
         back.append(inverse)
     back.append({})  # no component above ell
     for i in range(ell + 1):
@@ -277,13 +279,9 @@ def _homotopy_certifies(complex: KoszulComplex) -> bool:
                     y = acc.get(p)
                     acc[p] = x * s if y is None else y + x * s
             if acc.pop(a, zero) != one or any(acc.values()):
-                return False
-    return True
-
-
-def check_exactness(complex: KoszulComplex) -> ExactnessReport:
-    """Certify exactness by the contracting homotopy of the module docstring."""
-    return ExactnessReport(complex.n, complex.ell, complex.dims, _homotopy_certifies(complex))
+                return report
+    report.conclusive = True
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -101,31 +101,31 @@ def ferm_series(space: QuantumSpace, bound: int) -> CharacterSeries:
 # master identity
 
 
-def verify_master(space: QuantumSpace, degree: int, oracle: IdealOracle) -> dict:
-    """Check that Bos(Z) * Ferm(Z) = 1 in B[[t]] up to the given degree.
+def verify_master(oracle: IdealOracle, degree: int) -> dict:
+    """Check that Bos(Z) * Ferm(Z) = 1 in B[[t]] up to the given degree, over
+    the oracle's n and mode.
 
     The degree-0 coefficient must be exactly 1, and every higher coefficient
     must lie in the relation ideal.  Each per-degree entry records how many
     words survive the free-level cancellation before any reduction runs.
     """
-    return _verify(space, degree, oracle, twisted=False)
+    return _verify(oracle, degree, twisted=False)
 
 
-def _verify(space: QuantumSpace, degree: int, oracle: IdealOracle, twisted: bool) -> dict:
+def _verify(oracle: IdealOracle, degree: int, twisted: bool) -> dict:
     """The residual loop shared by the plain and the twisted identity.
 
     Each per-degree entry holds the degree, the residual's support size
-    before reduction and the verdict; the oracle's mode is the space's, so
-    the entry does not repeat it.  Twisted, each degree also checks that the
-    twisted coefficients are the images of the plain ones under the special
-    torus point, and passes only if they are.
+    before reduction and the verdict.  Twisted, each degree also checks that
+    the twisted coefficients are the images of the plain ones under the
+    special torus point, and passes only if they are; ``special_torus``
+    rejects any mode but one-parameter before a series is built.
     """
-    if twisted and space.mode.kind != "single":
-        raise ValueError("the twisted identity is stated in one-parameter mode")
+    space = QuantumSpace(oracle.n, oracle.mode)
+    tau = special_torus(space.n, space.mode) if twisted else None
     bos = bos_series(space, degree).body
     ferm = ferm_series(space, degree).body
     if twisted:
-        tau = special_torus(space.n, space.mode)
         plain_bos, plain_ferm = bos, ferm
         bos = twisted_bos_series(space, degree).body
         ferm = twisted_ferm_series(space, degree).body
@@ -262,10 +262,11 @@ def twisted_ferm_series(space: QuantumSpace, bound: int) -> CharacterSeries:
     return CharacterSeries(_ferm(space, bound, _twist(space, ferm_twist_exponent)))
 
 
-def verify_twisted(space: QuantumSpace, degree: int, oracle: IdealOracle) -> dict:
+def verify_twisted(oracle: IdealOracle, degree: int) -> dict:
     """Check the twisted identity Bos~ * Ferm~ = 1 modulo the ideal, and that
-    its weights are exactly the torus eigenvalues at the special point."""
-    return _verify(space, degree, oracle, twisted=True)
+    its weights are exactly the torus eigenvalues at the special point, over
+    the oracle's n and its one-parameter mode."""
+    return _verify(oracle, degree, twisted=True)
 
 
 # ---------------------------------------------------------------------------

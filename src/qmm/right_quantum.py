@@ -50,7 +50,8 @@ reference for tests.  Every relation is homogeneous for the block of a word,
 the pair (lower-index counts, upper-index counts), so the ideal is the
 direct sum of its blocks.  ``IdealOracle.basis`` row-reduces one block's
 span of u*r*v over the same ring with the one sparse fraction-free echelon
-core.
+core, ``SymbolicEchelon``; its subclass ``IntEchelon`` adds nothing and is a
+name kept for the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -326,17 +327,6 @@ def block_words(n: int, block: tuple) -> list[Word]:
 # sparse echelon structures
 
 
-def _strip_int(vec: dict) -> None:
-    g = 0
-    for v in vec.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for k in vec:
-            vec[k] //= g
-
-
 def _strip_symbolic(vec: dict) -> None:
     """Divide a symbolic row by its content: the common monomial factor (a
     unit of the Laurent ring) and, when every coefficient is an integer, the
@@ -356,14 +346,15 @@ def _strip_symbolic(vec: dict) -> None:
         vec[k] = s.mode.from_packed({e - shift: c // g for e, c in s.terms.items()})
 
 
-class _Echelon:
-    """Sparse fraction-free row echelon form over an integral domain.
+class SymbolicEchelon:
+    """Sparse fraction-free row echelon form over a mode's own ring (the
+    Laurent ring, or Q in numeric mode).
 
-    Rows are keyed by their pivot (smallest column index).  Eliminating a
-    pivot scales the working vector by a cofactor instead of dividing, so
-    only ring operations occur; content stripping keeps entries small.  A
-    subclass supplies the scalar hooks: ``_cofactors``, ``_strip`` and
-    ``_negative``.
+    Rows are keyed by their pivot (smallest column index), divided by their
+    monomial and integer content, with a positive lowest term in the pivot
+    entry.  Eliminating a pivot scales the working vector by the row's pivot
+    entry instead of dividing, so only ring operations occur; content
+    stripping keeps entries small.
     """
 
     __slots__ = ("pivots", "rows")
@@ -376,33 +367,32 @@ class _Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _eliminate(self, vec: dict, row: dict, pivot) -> None:
-        """vec <- fa * vec - fb * row, which clears vec[pivot]."""
-        fa, fb = self._cofactors(vec[pivot], row[pivot])
-        if fa != 1:
-            for k in vec:
-                vec[k] = vec[k] * fa
-        for k, rv in row.items():
-            nv = vec.get(k)
-            nv = -(fb * rv) if nv is None else nv - fb * rv
-            if nv:
-                vec[k] = nv
-            else:
-                vec.pop(k, None)
-
     def reduce(self, vec: dict) -> dict:
         """Eliminate every pivot from vec (in place) and return the
         remainder, divided by its content as it goes: enough for zero tests
-        and insertion."""
+        and insertion.  Each step is vec <- row[p] * vec - vec[p] * row,
+        which clears vec[p]."""
         if vec:
             steps = 0
             for p in self.pivots[bisect_left(self.pivots, min(vec)):]:
-                if p in vec:
-                    self._eliminate(vec, self.rows[p], p)
-                    steps += 1
-                    if steps % 16 == 0:
-                        self._strip(vec)
-            self._strip(vec)
+                if p not in vec:
+                    continue
+                row = self.rows[p]
+                fa, fb = row[p], vec[p]
+                if fa != 1:
+                    for k in vec:
+                        vec[k] = vec[k] * fa
+                for k, rv in row.items():
+                    nv = vec.get(k)
+                    nv = -(fb * rv) if nv is None else nv - fb * rv
+                    if nv:
+                        vec[k] = nv
+                    else:
+                        vec.pop(k, None)
+                steps += 1
+                if steps % 16 == 0:
+                    _strip_symbolic(vec)
+            _strip_symbolic(vec)
         return vec
 
     def contains(self, vec: dict) -> bool:
@@ -413,7 +403,7 @@ class _Echelon:
         if not vec:
             return False
         pivot = min(vec)
-        if self._negative(vec[pivot]):
+        if vec[pivot].sorted_terms()[0][1] < 0:
             for k in vec:
                 vec[k] = -vec[k]
         self.rows[pivot] = vec
@@ -428,49 +418,13 @@ class _Echelon:
             raise RuntimeError("echelon invariant violated")
 
 
-class IntEchelon(_Echelon):
-    """Rows over Z: primitive integer vectors with a positive pivot entry
-    (the same row space over Q).  Nothing in the package builds one; the
-    class stays because the benchmark tracer resolves it by name."""
+class IntEchelon(SymbolicEchelon):
+    """A name kept for the benchmark tracer, which wraps ``insert`` and
+    ``finalize`` as they stand in this class body; nothing builds one."""
 
     __slots__ = ()
-
-    @staticmethod
-    def _cofactors(a: int, b: int):
-        g = math.gcd(a, b)
-        return b // g, a // g
-
-    _strip = staticmethod(_strip_int)
-
-    @staticmethod
-    def _negative(c: int) -> bool:
-        return c < 0
-
-    # the benchmark tracer wraps these per class, looking in the class body
-    insert = _Echelon.insert
-    finalize = _Echelon.finalize
-
-
-class SymbolicEchelon(_Echelon):
-    """Rows over a mode's own ring (the Laurent ring, or Q in numeric mode),
-    divided by their monomial and integer content, with a positive lowest
-    term in the pivot entry."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _cofactors(a: ParamScalar, b: ParamScalar):
-        return b, a
-
-    _strip = staticmethod(_strip_symbolic)
-
-    @staticmethod
-    def _negative(c: ParamScalar) -> bool:
-        return c.sorted_terms()[0][1] < 0
-
-    # the benchmark tracer wraps these per class, looking in the class body
-    insert = _Echelon.insert
-    finalize = _Echelon.finalize
+    insert = SymbolicEchelon.insert
+    finalize = SymbolicEchelon.finalize
 
 
 # ---------------------------------------------------------------------------

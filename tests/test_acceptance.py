@@ -50,17 +50,15 @@ def test_criterion_01_master_identity():
     ok = True
 
     mode2 = ParamMode.multi(2)
-    sp2 = QuantumSpace(2, mode2)
-    ok &= verify_master(sp2, 6, IdealOracle(2, mode2))["pass"]
+    ok &= verify_master(IdealOracle(2, mode2), 6)["pass"]
 
     mode3 = ParamMode.multi(3)
-    sp3 = QuantumSpace(3, mode3)
-    ok &= verify_master(sp3, 4, IdealOracle(3, mode3))["pass"]
+    ok &= verify_master(IdealOracle(3, mode3), 4)["pass"]
 
-    ok &= verify_master(sp2, 4, IdealOracle(2, mode2))["pass"]
-    ok &= verify_master(sp3, 5, IdealOracle(3, mode3))["pass"]
+    ok &= verify_master(IdealOracle(2, mode2), 4)["pass"]
+    ok &= verify_master(IdealOracle(3, mode3), 5)["pass"]
     mode4 = ParamMode.multi(4)
-    ok &= verify_master(QuantumSpace(4, mode4), 4, IdealOracle(4, mode4))["pass"]
+    ok &= verify_master(IdealOracle(4, mode4), 4)["pass"]
 
     elapsed = time.monotonic() - start
     ok &= elapsed < 300
@@ -128,8 +126,7 @@ def test_criterion_08_twisted_identity():
     mode = ParamMode.single()
     for n in (2, 3):
         sp = QuantumSpace(n, mode)
-        oracle = IdealOracle(n, mode)
-        report = verify_twisted(sp, 4, oracle)
+        report = verify_twisted(IdealOracle(n, mode), 4)
         ok &= report["pass"]
         ok &= all(r["twist_weights_match_torus"] for r in report["results"])
         tau = special_torus(n, mode)

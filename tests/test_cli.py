@@ -308,3 +308,90 @@ def test_config_echoes_exactly_the_options_the_command_has(argv, keys):
     assert code == 0
     config = json.loads(out)["config"]
     assert set(config) == keys and None not in config.values()
+
+
+def _false_identity(*args):
+    entry = {"degree": 0, "residual_terms_before_reduction": 1, "twist_weights_match_torus": True, "pass": False}
+    return {"results": [entry], "pass": False}
+
+
+def _false(*args):
+    return False
+
+
+@pytest.mark.parametrize(
+    "argv, target, fake",
+    [
+        (["verify", "--n", "2", "--degree", "2"], "qmm.cli.verify_master", _false_identity),
+        (TWISTED, "qmm.cli.verify_twisted", _false_identity),
+        (KOSZUL, "qmm.koszul.composites_vanish", _false),
+        (CLASSICAL, "qmm.cli.classical_check", _false),
+    ],
+    ids=["verify", "twisted", "koszul", "classical"],
+)
+def test_a_false_verdict_exits_1(monkeypatch, argv, target, fake):
+    monkeypatch.setattr(target, fake)
+    code, out, _ = run(argv + ["--output", "json"])
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+
+
+TEXT_REPORTS = {
+    "verify --n 2 --degree 2": [
+        "[verify] pass=True",
+        "degree 0: residual_terms=0 pass=True",
+        "degree 1: residual_terms=0 pass=True",
+        "degree 2: residual_terms=4 pass=True",
+    ],
+    "qdet --n 2 --subset 1,2": ["[qdet] pass=True", "z11*z22 - q12^-1*z21*z12"],
+    "koszul --n 2 --degree 2": [
+        "[koszul] pass=True",
+        "ell 1: dims=[2, 2] homology=[0, 0] d2=0:True conclusive=True",
+        "ell 2: dims=[1, 4, 3] homology=[0, 0, 0] d2=0:True conclusive=True",
+    ],
+    "twisted --n 2 --degree 2": [
+        "[twisted] pass=True",
+        "degree 0: residual_terms=0 weights_match=True pass=True",
+        "degree 1: residual_terms=0 weights_match=True pass=True",
+        "degree 2: residual_terms=4 weights_match=True pass=True",
+    ],
+    "classical --random 2 --n 2 --degree 2 --seed 1": [
+        "[classical] pass=True",
+        "matrix 0: pass=True",
+        "matrix 1: pass=True",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TEXT_REPORTS))
+def test_text_output_is_unchanged(argv):
+    code, out, err = run(argv.split())
+    assert code == 0 and err == ""
+    assert out.splitlines() == TEXT_REPORTS[argv]
+
+
+@pytest.fixture
+def matrix_file(tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps([["1", "2"], ["3", "4"]]))
+    return str(path)
+
+
+def test_classical_matrix_rejects_another_n(matrix_file):
+    code, out, err = run(["classical", "--matrix", matrix_file, "--n", "5", "--output", "json"])
+    assert code == 2 and out == ""
+    assert "--n 5" in err
+
+
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_classical_matrix_rejects_a_seed(matrix_file, seed):
+    # nothing is drawn for a given matrix, so a seed would be echoed and never read
+    code, out, err = run(["classical", "--matrix", matrix_file, "--seed", seed, "--output", "json"])
+    assert code == 2 and out == ""
+    assert "--seed" in err
+
+
+def test_classical_matrix_config_has_its_size_and_no_seed(matrix_file):
+    code, out, _ = run(["classical", "--matrix", matrix_file, "--n", "2", "--degree", "3", "--output", "json"])
+    assert code == 0
+    assert json.loads(out)["config"] == {"degree": 3, "matrix": matrix_file, "n": 2}

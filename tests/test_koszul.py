@@ -9,7 +9,6 @@ from test_koszul_reference import reference_rank
 from qmm import (
     IdealOracle,
     ParamMode,
-    QuantumSpace,
     build_complex,
     check_exactness,
     comodule_compat_check,
@@ -230,7 +229,7 @@ def test_no_parameters_to_draw_is_one_exact_run():
     # n = 1 has no q_ij, and every verdict is exact
     mode = ParamMode.multi(1)
     oracle = IdealOracle(1, mode)
-    report = verify_master(QuantumSpace(1, mode), 3, oracle)
+    report = verify_master(oracle, 3)
     assert report["pass"] and all(r["residual_terms_before_reduction"] == 0 for r in report["results"])
     assert comodule_compat_check(1, 3, oracle)
     assert check_exactness(build_complex(1, 3, mode)).conclusive

@@ -225,6 +225,17 @@ def test_the_two_cube_control_is_inconclusive_not_exact(monkeypatch):
     assert '"conclusive":false' in out.getvalue() and '"homology":null' in out.getvalue()
 
 
+def test_an_inconclusive_complex_outranks_a_failed_d_squared(monkeypatch):
+    # nothing is known of an uncertified complex, so the sweep is
+    # inconclusive (exit 3), not verified false, even where d o d fails
+    monkeypatch.setattr("qmm.koszul.build_complex", lambda *_: two_cube_control())
+    monkeypatch.setattr("qmm.koszul.composites_vanish", lambda complex: False)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["koszul", "--n", "2", "--ell", "2", "--output", "json"]) == 3
+    assert '"d_squared_zero":false' in out.getvalue() and '"pass":false' in out.getvalue()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_zeroing_a_row_of_the_top_map_breaks_exactness(n):
     # the top map d_ell onto A_ell is surjective, so every row's basis vector

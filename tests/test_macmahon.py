@@ -122,9 +122,7 @@ def test_ferm_degree_two_single_minor():
 
 
 def test_master_n1_telescopes_freely():
-    sp = space(1, ParamMode.multi(1))
-    oracle = IdealOracle(1, sp.mode)
-    report = verify_master(sp, 10, oracle)
+    report = verify_master(IdealOracle(1, ParamMode.multi(1)), 10)
     assert report["pass"]
     assert all(r["residual_terms_before_reduction"] == 0 for r in report["results"])
 
@@ -139,7 +137,7 @@ def test_master_degree_one_cancels_freely():
 
 def test_master_n2_d3_both_modes():
     for mode in (ParamMode.multi(2), ParamMode.single()):
-        assert verify_master(space(2, mode), 3, IdealOracle(2, mode))["pass"]
+        assert verify_master(IdealOracle(2, mode), 3)["pass"]
 
 
 def test_master_detects_wrong_series():
@@ -300,18 +298,14 @@ def test_twisted_identity_n1_reduces_to_untwisted():
 def test_verify_twisted_small():
     mode = ParamMode.single()
     for n in (2, 3):
-        sp = space(n, mode)
-        oracle = IdealOracle(n, mode)
-        report = verify_twisted(sp, 3, oracle)
+        report = verify_twisted(IdealOracle(n, mode), 3)
         assert report["pass"]
         assert all(r["twist_weights_match_torus"] for r in report["results"])
 
 
 def test_verify_twisted_requires_single_mode():
-    mode = ParamMode.multi(2)
-    sp = space(2, mode)
-    with pytest.raises(ValueError):
-        verify_twisted(sp, 2, IdealOracle(2, mode))
+    with pytest.raises(ValueError, match="one-parameter mode"):
+        verify_twisted(IdealOracle(2, ParamMode.multi(2)), 2)
 
 
 def test_classical_identity_matrix():
@@ -366,26 +360,19 @@ def test_classical_random_rationals():
 
 
 def test_report_format_keys():
-    mode = ParamMode.multi(2)
-    sp = space(2, mode)
-    report = verify_master(sp, 2, IdealOracle(2, mode))
+    report = verify_master(IdealOracle(2, ParamMode.multi(2)), 2)
     assert set(report) == {"results", "pass"}
     for entry in report["results"]:
         assert set(entry) == {"degree", "residual_terms_before_reduction", "pass"}
-    # the oracle's mode is the space's, so no entry repeats it
-    twisted = verify_twisted(space(2, ParamMode.single()), 2, IdealOracle(2, ParamMode.single()))
+    # the series are over the oracle's mode, so no entry repeats it
+    twisted = verify_twisted(IdealOracle(2, ParamMode.single()), 2)
     for entry in twisted["results"]:
         assert set(entry) == {"degree", "residual_terms_before_reduction", "twist_weights_match_torus", "pass"}
 
 
 def test_master_n4_d3_specialized():
-    mode = ParamMode.multi(4)
-    sp = space(4, mode)
-    oracle = IdealOracle(4, mode)
-    assert verify_master(sp, 3, oracle)["pass"]
+    assert verify_master(IdealOracle(4, ParamMode.multi(4)), 3)["pass"]
 
 
 def test_master_n2_d6_exact_symbolic():
-    mode = ParamMode.multi(2)
-    sp = space(2, mode)
-    assert verify_master(sp, 6, IdealOracle(2, mode))["pass"]
+    assert verify_master(IdealOracle(2, ParamMode.multi(2)), 6)["pass"]
