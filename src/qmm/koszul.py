@@ -37,6 +37,37 @@ dense list (``maps[i][r][k]``).  d o d = 0, dh + hd = id and the comodule
 check read only the stored entries, so their cost follows the |J| entries
 per column rather than rows times columns, and an entry assigned in place
 is seen by every check as it stands.
+
+The comodule check asks whether d commutes with the coaction of B, on
+every basis vector (J, r), coefficientwise modulo the relation ideal.  Both
+routes live over the codomain's tensor pairs (x-word w of the wedge leg,
+affine multidegree r3): the wedge leg coacts by the free-level tensor
+coaction, with L_I[w] the coefficient of wedge(I) at w, and the affine leg
+through its coefficients b_{r3,r2}.  Expanding a column in full costs
+|J|! n^|J| wedge words times the affine terms, so the check first certifies
+it leg by leg.  Let omega_J,j be the coefficient of wedge(J) at the word
+sorted(J - j) j.  When
+
+    (F)  wedge(J) = sum over j in J of omega_J,j wedge(J - j) x_j
+
+holds in the free algebra, the free coaction, multiplicative on words,
+gives L_J[w x_last] = sum over j of omega_J,j L_{J-j}[w] z_j^last.  When
+also every stored row (I, r2) of the column has I = J - j for some j, the
+difference of the two routes at (w, r3) regroups as
+
+    Delta(w, r3) = sum over j in J of L_{J-j}[w] E_{J-j}(r3),
+    E_{J-j}(r3) = omega_J,j sum over r4 + e_last = r3 of
+                      z_j^last b_{r4,r} c_last(r4)
+                  - sum over stored rows (J - j, r2) of alpha b_{r3,r2},
+
+with c_last(r4) the factor of x_last x^r4 in A.  The ideal is two-sided, so
+if every E lies in it, so does every Delta of the column.  E / omega_J,j
+depends on the column only through (j, r) and the stored entries over
+omega_J,j, so one E serves every column that shares them.  Where the
+certificate does not apply ((F) fails, a row's leg is no J - j, or an E is
+not in the ideal, which a cancellation between the L_{J-j}[w] could still
+make up for), the column is expanded in full.  So the check still answers
+exactly whether every Delta lies in the ideal.
 """
 
 from __future__ import annotations
@@ -46,6 +77,7 @@ from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import combinations
 
+from .free_algebra import NCPoly
 from .param_ring import ParamMode
 from .quantum_spaces import QuantumSpace
 from .right_quantum import IdealOracle, add_products, packed_triples
@@ -288,18 +320,61 @@ def check_exactness(complex: KoszulComplex) -> ExactnessReport:
 # comodule compatibility of the differential
 
 
+def _face_weights(space: QuantumSpace, J: tuple) -> dict | None:
+    """{J - j: (j, 1 / omega_J,j)} for j in J when (F) wedge(J) = sum over j
+    in J of omega_J,j wedge(J - j) x_j holds exactly in the free algebra,
+    omega_J,j read off wedge(J) at the word sorted(J - j) j; None when (F)
+    fails or some omega_J,j is not a unit."""
+    x, mode = space.x, space.mode
+    wedge = space.wedge_expand(J)
+    rest = NCPoly.zero(x, mode)
+    faces = {}
+    for j in J:
+        face = tuple(a for a in J if a != j)
+        omega = wedge.coefficient_of(x.x_word(face + (j,)))
+        rest = rest + space.wedge_expand(face) * NCPoly.monomial(x, mode, x.x_word((j,)), omega)
+        try:
+            faces[face] = (j, omega.inv())
+        except ValueError:  # zero, or not a unit of the coefficient ring
+            return None
+    return faces if rest == wedge else None
+
+
+def _expand_column(oracle: IdealOracle, space: QuantumSpace, affine, tensor, J, r, rows) -> bool:
+    """Whether every difference of the column (J, r) lies in the ideal, with
+    both routes expanded over the codomain's tensor pairs (x-word of the
+    wedge leg, affine multidegree): one ``contains_packed`` query per pair.
+    ``rows`` holds the column's stored entries as ((I, r2), alpha)."""
+    diff: dict = {}
+    affine_family = affine(r)
+    for w4, left in tensor(J).items():
+        prefix, last = w4[:-1], w4[-1]
+        for r4, right in affine_family.items():
+            c, r3 = space.affine_prepend(last, r4)
+            add_products(diff.setdefault((prefix, r3), {}), left, right, c.terms.items())
+    for (I, r2), alpha in rows:
+        scale = (-alpha).terms.items()
+        affine_i = affine(r2)
+        for w, left in tensor(I).items():
+            for r3, right in affine_i.items():
+                add_products(diff.setdefault((w, r3), {}), left, right, scale)
+    return all(oracle.contains_packed(terms) for terms in diff.values() if any(terms.values()))
+
+
 def comodule_compat_check(n: int, ell: int, oracle: IdealOracle) -> bool:
     """Whether coaction-then-differential and differential-then-coaction agree
     on every basis vector, coefficientwise modulo the relation ideal.
 
-    Both routes are expanded over the codomain's underlying tensor pairs
-    (x-word of the wedge leg, affine multidegree), where the coaction of the
-    wedge leg is the free-level tensor coaction and the affine leg coacts
-    through its normalized coefficients.  Every coefficient involved is a
-    monomial, so both routes are summed straight into one difference of
-    flat coefficients, {pair: {z-word: {packed exponent: coefficient}}},
-    and each pair's difference is one ``contains_packed`` query.  ``n``
-    must be the oracle's.
+    Each column (J, r) is first certified by the factorization of the module
+    docstring: (F) wedge(J) = sum over j of omega_J,j wedge(J - j) x_j holds
+    (``_face_weights``), every stored row's leg is some J - j, and every
+    E_{J-j} lies in the ideal.  Each E / omega_J,j is built once per call,
+    keyed by j, r and the stored entries over omega_J,j, and its parts for
+    distinct r3 lie in distinct blocks (upper-index counts r3), so one
+    ``contains_packed`` query decides them all.  A column the certificate
+    cannot clear is expanded in full (``_expand_column``), so the verdict is
+    True exactly when every difference lies in the ideal, with the maps read
+    as they stand.  ``n`` must be the oracle's.
     """
     if n != oracle.n:
         raise ValueError(f"the complex is for n={n}, the oracle for n={oracle.n}")
@@ -310,28 +385,45 @@ def comodule_compat_check(n: int, ell: int, oracle: IdealOracle) -> bool:
     def flat(family: dict) -> dict:
         return {key: packed_triples(p) for key, p in family.items()}
 
-    # each coaction once per call; both caches go with the call
+    # each coaction, face split and E once per call; the caches go with the call
     affine = cache(lambda r: flat(space.coaction_affine(r)))
     tensor = cache(lambda J: flat(space.coaction_tensor_poly(space.wedge_expand(J))))
+    faces = cache(lambda J: _face_weights(space, J))
+    prepend = cache(space.affine_prepend)
+    unit = [(b"", 0, 1)]
+
+    @cache
+    def leg_vanishes(j: int, r: tuple, entries: frozenset) -> bool:
+        """Whether E / omega for the letter j, the domain multidegree r and
+        the stored entries {(r2, alpha / omega)} lies in the ideal."""
+        acc: dict = {}
+        for last in range(n):
+            letter = [(bytes([(j - 1) * n + last]), 0, 1)]
+            for r4, right in affine(r).items():
+                add_products(acc, letter, right, prepend(last, r4)[0].terms.items())
+        for r2, beta in entries:
+            scale = (-beta).terms.items()
+            for right in affine(r2).values():
+                add_products(acc, unit, right, scale)
+        return oracle.contains_packed(acc)
+
+    def certified(J, r, rows) -> bool:
+        split = faces(J)
+        if split is None:
+            return False
+        legs = {j: set() for j, _ in split.values()}
+        for (I, r2), alpha in rows:
+            if I not in split:
+                return False
+            j, inverse = split[I]
+            legs[j].add((r2, alpha * inverse))
+        return all(leg_vanishes(j, r, frozenset(entries)) for j, entries in legs.items())
+
     for i in range(1, ell + 1):
         domain, codomain = complex.bases[i - 1], complex.bases[i]
         columns = _columns(complex.maps[i], len(domain))
         for col, (J, r) in enumerate(domain):
-            diff: dict = {}
-            affine_family = affine(r)
-            for w4, left in tensor(J).items():
-                prefix, last = w4[:-1], w4[-1]
-                for r4, right in affine_family.items():
-                    c, r3 = space.affine_prepend(last, r4)
-                    add_products(diff.setdefault((prefix, r3), {}), left, right, c.terms.items())
-            for row, alpha in columns[col]:
-                I, r2 = codomain[row]
-                scale = (-alpha).terms.items()
-                affine_i = affine(r2)
-                for w, left in tensor(I).items():
-                    for r3, right in affine_i.items():
-                        add_products(diff.setdefault((w, r3), {}), left, right, scale)
-            for terms in diff.values():
-                if any(terms.values()) and not oracle.contains_packed(terms):
-                    return False
+            rows = [(codomain[row], alpha) for row, alpha in columns[col]]
+            if not certified(J, r, rows) and not _expand_column(oracle, space, affine, tensor, J, r, rows):
+                return False
     return True

@@ -134,6 +134,7 @@ def test_classical_bad_matrix_file(tmp_path):
     path.write_text("[[1, 2], [3]]")
     code, _, err = run(["classical", "--matrix", str(path)])
     assert code == 2
+    assert "matrix must be square" in err
 
 
 def test_classical_requires_exactly_one_source():

@@ -1,6 +1,7 @@
 """Koszul complex assembly, d^2 = 0, exactness, comodule compatibility."""
 
 import math
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -9,6 +10,7 @@ from test_koszul_reference import reference_rank
 from qmm import (
     IdealOracle,
     ParamMode,
+    QuantumSpace,
     build_complex,
     check_exactness,
     comodule_compat_check,
@@ -16,6 +18,7 @@ from qmm import (
     euler_characteristic,
     verify_master,
 )
+from qmm import koszul
 from qmm.koszul import ExactnessReport
 
 
@@ -157,6 +160,103 @@ def test_comodule_compat_rejects_a_perturbed_differential(monkeypatch, n, ell, e
     assert comodule_compat_check(n, ell, oracle)
     monkeypatch.setattr("qmm.koszul.build_complex", perturbed)
     assert not comodule_compat_check(n, ell, oracle)
+
+
+CERTIFIED = [
+    (n, ell, mode)
+    for n in (1, 2, 3)
+    for ell in range(1, 5)
+    for mode in (ParamMode.multi(n), ParamMode.single())
+] + [(2, ell, ParamMode.numeric(2, {(1, 2): 3})) for ell in range(1, 5)]
+
+
+@pytest.mark.parametrize("n, ell, mode", CERTIFIED)
+def test_comodule_certificate_clears_every_column_of_a_valid_complex(monkeypatch, n, ell, mode):
+    # with the full expansion made to raise, a True verdict means that the
+    # leg-by-leg certificate cleared every column by itself
+    def expand(*args):
+        raise AssertionError(f"column {args[4:6]} was not certified")
+
+    oracle = IdealOracle(n, mode)
+    monkeypatch.setattr("qmm.koszul._expand_column", expand)
+    assert comodule_compat_check(n, ell, oracle)
+
+
+def scaled_wedge_12(monkeypatch):
+    """wedge(1, 2) times q_12, every other wedge as it is."""
+    wedge_expand = QuantumSpace.wedge_expand
+
+    def scaled(self, subset):
+        p = wedge_expand(self, subset)
+        return p.scale(self.mode.q(1, 2)) if tuple(sorted(subset)) == (1, 2) else p
+
+    monkeypatch.setattr(QuantumSpace, "wedge_expand", scaled)
+
+
+def inverted_prepend(monkeypatch):
+    """x_j x^m = c^{-1} x^{m + e_j}: A with every q_ij replaced by q_ij^{-1},
+    in the differential and the prepend alike, while B still coacts on the
+    true A."""
+    affine_prepend = QuantumSpace.affine_prepend
+
+    def inverted(self, letter, m):
+        c, r = affine_prepend(self, letter, m)
+        return c.inv(), r
+
+    monkeypatch.setattr(QuantumSpace, "affine_prepend", inverted)
+
+
+@pytest.mark.parametrize("n, ell", [(2, 2), (3, 3)])
+@pytest.mark.parametrize("control", [scaled_wedge_12, inverted_prepend])
+def test_comodule_check_and_full_expansion_reject_the_controls(monkeypatch, n, ell, control):
+    oracle = IdealOracle(n, ParamMode.multi(n))
+    assert comodule_compat_check(n, ell, oracle)
+    control(monkeypatch)
+    space = QuantumSpace(n, oracle.mode)
+    splits = {J: koszul._face_weights(space, J) for m in range(1, n + 1) for J in combinations(range(1, n + 1), m)}
+    # the scaled wedge(1, 2) breaks (F) for J = {1, 2, 3}; every split of a
+    # J with at most two elements holds whatever the wedges, and the
+    # inverted prepend leaves every wedge alone, so E must catch the rest
+    broken = {J for J, split in splits.items() if split is None}
+    assert broken == ({(1, 2, 3)} if control is scaled_wedge_12 and n == 3 else set())
+
+    expanded = []
+    expand_column = koszul._expand_column
+
+    def counted(*args):
+        expanded.append(args[4:6])
+        return expand_column(*args)
+
+    monkeypatch.setattr("qmm.koszul._expand_column", counted)
+    assert not comodule_compat_check(n, ell, oracle)
+    assert expanded  # the certificate refused, and the fallback decided
+    monkeypatch.setattr("qmm.koszul._face_weights", lambda space, J: None)
+    assert not comodule_compat_check(n, ell, oracle)  # the full expansion alone
+
+
+@pytest.mark.parametrize("n, ell", [(3, 2), (4, 2), (4, 3)])
+def test_comodule_check_sees_a_row_whose_leg_is_no_face_of_the_column(monkeypatch, n, ell):
+    # a unit stored in a row (I, r2) of d_1 whose I is no J - j of the
+    # column's J: the certificate must not clear that column
+    mode = ParamMode.multi(n)
+    complex = build_complex(n, ell, mode)
+    domain, codomain = complex.bases[0], complex.bases[1]
+    row, col = next(
+        (row, col)
+        for col, (J, _) in enumerate(domain)
+        for row, (I, _) in enumerate(codomain)
+        if not set(I) <= set(J)
+    )
+    complex.maps[1][row][col] = mode.one()
+    monkeypatch.setattr("qmm.koszul.build_complex", lambda *_: complex)
+    assert not comodule_compat_check(n, ell, IdealOracle(n, mode))
+
+
+def test_full_expansion_alone_passes_valid_complexes(monkeypatch):
+    # the fallback is the reference the certificate stands in for
+    monkeypatch.setattr("qmm.koszul._face_weights", lambda space, J: None)
+    for n, ell in ((2, 3), (3, 3)):
+        assert comodule_compat_check(n, ell, IdealOracle(n, ParamMode.multi(n)))
 
 
 def test_build_complex_rejects_bad_ell():

@@ -199,7 +199,6 @@ def test_verify_qdet_coaction_rejects_a_perturbed_determinant(monkeypatch, n, ex
 
 def test_torus_diagonal_fixes_qdet():
     mode = ParamMode.multi(2)
-    sp = space(2, mode)
     tau = (mode.q(1, 2), mode.q(1, 2) ** 3)
     g = TorusElement(tau, tau)
     det = qdet(QMatrix.generic(2, mode), (1, 2))
@@ -208,7 +207,6 @@ def test_torus_diagonal_fixes_qdet():
 
 def test_torus_left_scales_qdet_by_subset_product():
     mode = ParamMode.multi(3)
-    sp = space(3, mode)
     cs = (mode.q(1, 2), mode.q(1, 3) ** 2, mode.q(2, 3).inv())
     g = TorusElement(cs, tuple(mode.one() for _ in range(3)))
     Z = QMatrix.generic(3, mode)
