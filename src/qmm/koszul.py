@@ -31,6 +31,25 @@ the Laurent ring itself, which is stronger than a rank over its fraction
 field.  The certificate is one-sided: an exact complex with a zero or
 non-unit entry on an edge h divides by fails it, as inconclusive.
 
+Both verdicts on a cube depend only on its support S = supp alpha, so the
+unit cube e_S, which lies in K^{|S|}, stands for every cube with support S.
+Proof: write r = beta + e_{S - J} on the cube of alpha, with
+beta = alpha - e_S fixed.  c_j is a unit-valued character of r, c_j(0) = 1
+and c_j(r + s) = c_j(r) c_j(s) (``affine_prepend`` counts letters), so the
+edge of letter j, from (J, r) to (J - j, r + e_j), is c_j(beta) times the
+edge of letter j on the cube of e_S.  A term of d o d from (J, r) runs
+along letters j and k in either order, so both terms carry
+c_j(beta) c_k(beta), and their sum vanishes exactly when the sum on e_S
+does (a unit cancels).  j0 = min S is the same on both cubes, so h picks
+the same edges, and each is a unit exactly when its twin on e_S is.  A term
+of dh + hd from v to u runs along one edge of d, of some letter k, and
+against one edge of h, of letter j0, so it carries c_k(beta) / c_j0(beta),
+which is 1 on the diagonal (k = j0); every entry is a unit times its twin
+on e_S, and the diagonal is equal to it.  Every alpha with |alpha| = l has
+|supp alpha| <= min(l, n), and every S with 1 <= |S| <= min(l, n) is the
+support of some alpha in K^l, so K^l passes either check exactly when
+every unit cube e_S with |S| <= l does (``support_sweep``).
+
 Each map is stored sparse, as a list of ``SparseRow``: a row keeps only its
 nonzero entries, {column: scalar}, and still reads and assigns like a
 dense list (``maps[i][r][k]``).  d o d = 0, dh + hd = id and the comodule
@@ -189,18 +208,59 @@ def build_complex(n: int, ell: int, mode: ParamMode) -> KoszulComplex:
         rows = [SparseRow(len(bases[i - 1]), zero) for _ in bases[i]]
         col = 0
         for J in subsets[i - 1]:
-            faces = []  # (letter id of j, offset of J - j, w(J - j, j)) for j in J
-            for j in J:
-                I = tuple(a for a in J if a != j)
-                faces.append((j - 1, offset[I], space.exterior_weight(I + (j,))))
-            for factors in prepends:
-                for letter, base, w in faces:
-                    c, pos = factors[letter]
-                    # a unit times a unit, never zero, so it is stored as it is
-                    rows[base + pos].entries[col] = w * c
-                col += 1
+            col = _store_columns(space.exterior_weight, rows, col, J, offset, prepends)
         maps.append(rows)
     return KoszulComplex(n, ell, mode, bases, maps)
+
+
+def _store_columns(weight, rows: list, col: int, J: tuple, offset: dict, prepends: list) -> int:
+    """Store the columns (J, r) of d in closed form, one per entry of
+    ``prepends`` in order from column ``col`` on, and return the next
+    column.  Column (J, r) holds w(J - j, j) c_j(r) for j in J at row
+    offset[J - j] + p, where prepends[.][j - 1] = (c_j(r), p) and p is the
+    position of r + e_j within the block of J - j.  ``weight`` is the
+    exterior weight of a sequence (``QuantumSpace.exterior_weight``), called
+    once per j."""
+    faces = []  # (letter id of j, offset of J - j, w(J - j, j)) for j in J
+    for j in J:
+        I = tuple(a for a in J if a != j)
+        faces.append((j - 1, offset[I], weight(I + (j,))))
+    for factors in prepends:
+        for letter, base, w in faces:
+            c, pos = factors[letter]
+            # a unit times a unit, never zero, so it is stored as it is
+            rows[base + pos].entries[col] = w * c
+        col += 1
+    return col
+
+
+def unit_cubes(n: int, top: int, mode: ParamMode):
+    """Yield (S, cube) for every unit cube e_S of the module docstring with
+    1 <= |S| <= min(top, n), by size.  The cube is the part of K^{|S|} on
+    the basis vectors (I, e_{S - I}) for I a subset of S, with d from the
+    same closed form as ``build_complex``.  Component i holds the I with
+    |S| - i elements in ``combinations`` order, one multidegree each, so the
+    row of (I, r) is the position of I.  Each weight w(J - j, j) and factor
+    c_j(r) is computed once for all the cubes."""
+    space = QuantumSpace(n, mode)
+    weight, prepend = cache(space.exterior_weight), cache(space.affine_prepend)
+    zero = mode.zero()
+    for k in range(1, min(top, n) + 1):
+        for S in combinations(range(1, n + 1), k):
+            subsets = [list(combinations(S, k - i)) for i in range(k + 1)]
+            bases = [
+                [(I, tuple(int(a in S and a not in I) for a in range(1, n + 1))) for I in subsets[i]]
+                for i in range(k + 1)
+            ]
+            maps: list = [None]
+            for i in range(1, k + 1):
+                offset = {I: pos for pos, I in enumerate(subsets[i])}
+                rows = [SparseRow(len(bases[i - 1]), zero) for _ in bases[i]]
+                for col, (J, r) in enumerate(bases[i - 1]):
+                    factors = {j - 1: (prepend(j - 1, r)[0], 0) for j in J}
+                    _store_columns(weight, rows, col, J, offset, [factors])
+                maps.append(rows)
+            yield S, KoszulComplex(n, k, mode, bases, maps)
 
 
 def _columns(matrix, width: int) -> list:
@@ -233,13 +293,15 @@ def composites_vanish(complex: KoszulComplex) -> bool:
     return True
 
 
+def component_dims(n: int, ell: int) -> list[int]:
+    """The dimensions of the components of K^{ell,*} in closed form:
+    C(n, ell - i) subsets times C(n + i - 1, i) multidegrees."""
+    return [math.comb(n, ell - i) * math.comb(n + i - 1, i) for i in range(ell + 1)]
+
+
 def euler_characteristic(n: int, ell: int) -> int:
     """Alternating sum of the component dimensions; 0 for every ell >= 1."""
-    total = 0
-    for i in range(ell + 1):
-        dim = math.comb(n, ell - i) * math.comb(n + i - 1, i)
-        total += dim if i % 2 == 0 else -dim
-    return total
+    return sum(-dim if i % 2 else dim for i, dim in enumerate(component_dims(n, ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +376,24 @@ def check_exactness(complex: KoszulComplex) -> ExactnessReport:
                 return report
     report.conclusive = True
     return report
+
+
+def support_sweep(n: int, ells, mode: ParamMode) -> list[tuple[bool, bool]]:
+    """(d o d = 0, certified by the homotopy) for each K^ell in ``ells``,
+    decided on the unit cubes of the module docstring: each field is the AND
+    of ``composites_vanish`` or of ``check_exactness`` over the cubes e_S
+    with |S| <= ell.  Each cube up to size min(max(ells), n) is built once
+    and goes through both checks."""
+    d2: dict = {}  # by |S|: whether d o d = 0 on every cube of that size
+    certified: dict = {}  # by |S|: whether the homotopy certifies every one
+    for S, cube in unit_cubes(n, max(ells), mode):
+        k = len(S)
+        d2[k] = composites_vanish(cube) and d2.get(k, True)
+        certified[k] = check_exactness(cube).conclusive and certified.get(k, True)
+    return [
+        (all(v for k, v in d2.items() if k <= ell), all(v for k, v in certified.items() if k <= ell))
+        for ell in ells
+    ]
 
 
 # ---------------------------------------------------------------------------
