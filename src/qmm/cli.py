@@ -178,6 +178,9 @@ def _parse_matrix_file(path: str) -> list:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read matrix file {path!r}: {exc}") from exc
+    # strings and objects iterate too, so check the shape before reading rows
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise UsageError("matrix must be a JSON array of JSON arrays")
     try:
         matrix = [[Fraction(str(e)) for e in row] for row in data]
     except (ValueError, ZeroDivisionError, TypeError) as exc:

@@ -282,21 +282,15 @@ def evaluate_z_poly(p: NCPoly, entries):
     straight from the entries, so an integer matrix and integer coefficients
     stay in int arithmetic.
     """
-    coeffs = {}
+    z = p.alphabet
+    flat = [entries[i - 1][j - 1] for i, j in map(z.z_indices, range(z.size))]
+    total = 0
     for word, coeff in p.terms.items():
         ((key, value),) = coeff.terms.items()  # a constant has one term, at key 0
         if key:
             raise ValueError(f"coefficient {coeff} depends on the parameters")
-        coeffs[word] = value
-    z = p.alphabet
-    return _evaluate_words(coeffs, [entries[i - 1][j - 1] for i, j in map(z.z_indices, range(z.size))])
-
-
-def _evaluate_words(coeffs: dict, flat: list):
-    """The sum over the z-words of ``coeffs`` of the coefficient times the
-    product of its letters' values, ``flat`` listing the value of each
-    letter id."""
-    return sum(prod(map(flat.__getitem__, word), start=c) for word, c in coeffs.items())
+        total += prod(map(flat.__getitem__, word), start=value)
+    return total
 
 
 def _char_poly_of_identity_minus_tz(entries) -> list:
@@ -328,20 +322,55 @@ def _char_poly_of_identity_minus_tz(entries) -> list:
 
 
 @lru_cache(maxsize=8)
-def _classical_g_coefficients(n: int, degree: int) -> tuple:
-    """For each l <= degree, the G(m) over |m| = l with every q_ij = 1, as
-    maps from z-words to int coefficients.
+def _classical_recursion(n: int, degree: int) -> tuple:
+    """For each l <= degree and each m with |m| = l (in PBW order), the
+    states of the coaction recursion for G(m) at q = 1.
 
-    The words of G(m) are the same in every mode and each carries one q
-    monomial, which is 1 at q = 1, so each map is read off the words of the
-    coaction pass.  They depend only on (n, degree), so every matrix checked
-    at that size shares them and pays only for their evaluation.
+    The pass of ``QuantumSpace._upper_sequences(m, m)`` reads the sorted
+    word of x^m left to right and appends an upper index j while its count
+    c_j is below m_j.  With every q_ij = 1 and commuting entries, the sum
+    over the completions of a prefix depends only on its count vector
+    c <= m, so the pass collapses to
+
+        V(m) = 1,   V(c) = sum over j with c_j < m_j of z_{lower(|c|)}^j V(c + e_j),
+
+    with G(m) = V(0) and lower(t) the t-th letter of the sorted word.  The
+    states c <= m are listed from c = m down in mixed-radix order, so every
+    c + e_j comes before c; each state after the first is the tuple of its
+    transitions (letter id of z_{lower(|c|)}^j, position of c + e_j).
+    Degree l has C(l + 2n - 1, 2n - 1) states over all m, with at most n
+    transitions each, against the n^l words of the expansion.  They depend
+    only on (n, degree), so every matrix checked at that size shares them
+    and pays only for their evaluation.
     """
     space = QuantumSpace(n, ParamMode.single())
-    return tuple(
-        tuple(dict.fromkeys(space._upper_sequences(m, m).get(m, ()), 1) for m in space.affine_basis(l))
-        for l in range(degree + 1)
-    )
+    recursion = []
+    for l in range(degree + 1):
+        programs = []
+        for m in space.affine_basis(l):
+            lowers = [i * n for i, e in enumerate(m) for _ in range(e)]
+            strides = [prod(e + 1 for e in m[:j]) for j in range(n)]
+            # c reversed, c_1 the fastest digit; position 0 holds c = m
+            counts = product(*(range(e, -1, -1) for e in reversed(m)))
+            next(counts)
+            programs.append(tuple(
+                tuple((lowers[sum(c)] + j, s - strides[j]) for j in range(n) if c[n - 1 - j] < m[j])
+                for s, c in enumerate(counts, 1)
+            ))
+        recursion.append(tuple(programs))
+    return tuple(recursion)
+
+
+def _recursion_value(states: tuple, flat: list):
+    """V(0) of one G(m) recursion, ``flat`` listing the value of each letter
+    id."""
+    values = [1]
+    for state in states:
+        v = 0
+        for letter, s in state:
+            v += flat[letter] * values[s]
+        values.append(v)
+    return values[-1]
 
 
 def classical_check(entries, degree: int) -> bool:
@@ -349,8 +378,9 @@ def classical_check(entries, degree: int) -> bool:
     sum_l (sum_{|m|=l} G(m)(Z)) t^l times det(I - tZ) is 1 + O(t^{degree+1}).
 
     Runs with every q_ij fixed to 1; the two sides come from independent code
-    paths (the coaction recursion versus the commutative determinant).  Both
-    run over Z at Z' = D Z, D the lcm of the entry denominators: G(m)(Z') =
+    paths (the coaction recursion of ``_classical_recursion``, memoized on
+    the upper-index counts, versus the commutative determinant).  Both run
+    over Z at Z' = D Z, D the lcm of the entry denominators: G(m)(Z') =
     D^|m| G(m)(Z) and the t^j coefficient of det(I - tZ') is D^j times that
     of det(I - tZ), so the degree-k coefficient of the product is D^k times
     the one of the identity, and the test sum_j S'_{k-j} det'_j = delta_k0
@@ -365,7 +395,7 @@ def classical_check(entries, degree: int) -> bool:
     denom = lcm(*(e.denominator for row in entries for e in row))
     scaled = [[e.numerator * (denom // e.denominator) for e in row] for row in entries]
     flat = [e for row in scaled for e in row]  # letter id (i - 1) n + (j - 1) of z_i^j
-    gsums = [sum(_evaluate_words(g, flat) for g in gs) for gs in _classical_g_coefficients(n, degree)]
+    gsums = [sum(_recursion_value(states, flat) for states in ms) for ms in _classical_recursion(n, degree)]
     det = _char_poly_of_identity_minus_tz(scaled)
     for k in range(degree + 1):
         acc = sum(gsums[k - j] * det[j] for j in range(min(k, n) + 1))

@@ -6,13 +6,18 @@ Q, and ``reference_evaluate_z_poly`` evaluates a z-polynomial one letter at
 a time in ``Fraction`` arithmetic, after specializing each coefficient.
 Both are the code the integer paths replaced; they share no arithmetic with
 Berkowitz's algorithm or with the int letter products, so agreement on
-seeded matrices is a differential check of both rewrites.  The int word
-maps of the q = 1 G(m) are checked against ``g_coefficient`` in numeric
-mode at q = 1, which multiplies out every q factor.
+seeded matrices is a differential check of both rewrites.
+
+The recursion of ``classical_check``, memoized on the upper-index counts,
+is checked per m against ``g_coefficient`` in numeric mode at q = 1, which
+multiplies out every q factor, and per degree against ``reference_g_sums``:
+the word route it replaced, which expands each G(m) into the words of the
+coaction pass and multiplies every word out letter by letter.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from math import comb, lcm, prod
 from random import Random
 
 import pytest
@@ -111,14 +116,64 @@ def test_integer_evaluation_matches_the_fraction_reference(n, degree):
                     assert got == reference_evaluate_z_poly(g, entries), (mode, m, entries)
 
 
-@pytest.mark.parametrize("n,degree", [(1, 4), (2, 5), (3, 4)])
-def test_q_one_word_maps_match_the_numeric_g_coefficients(n, degree):
+def reference_g_sums(n, degree, entries) -> list:
+    """For each l <= degree, the sum over |m| = l of G(m) at a commutative
+    matrix, from the words of the coaction pass, each multiplied out."""
+    sp = QuantumSpace(n, ParamMode.single())
+    flat = [e for row in entries for e in row]
+    return [
+        sum(prod(flat[letter] for letter in word) for m in sp.affine_basis(l) for word in sp._upper_sequences(m, m)[m])
+        for l in range(degree + 1)
+    ]
+
+
+def scaled_flat(entries):
+    """Z' = D Z as a flat int list, D the lcm of the denominators, and D."""
+    entries = [Fraction(e) for row in entries for e in row]
+    denom = lcm(*(e.denominator for e in entries))
+    return [e.numerator * (denom // e.denominator) for e in entries], denom
+
+
+def recursion_matrices(rng, n):
+    """Integer, rational, zero-row and negative matrices."""
+    zero_row = random_matrix(rng, n, "rational")
+    zero_row[rng.randrange(n)] = [0] * n
+    return [random_matrix(rng, n, kind) for kind in ("integer", "rational", "negative")] + [zero_row]
+
+
+@pytest.mark.parametrize("n,degree", [(1, 5), (2, 5), (3, 5)])
+def test_q_one_recursion_matches_the_numeric_g_coefficients(n, degree):
     sp = QuantumSpace(n, q_one(n))
-    got = macmahon._classical_g_coefficients(n, degree)
-    for l in range(degree + 1):
-        expected = [{w: c.specialize({}) for w, c in g_coefficient(sp, m).terms.items()} for m in sp.affine_basis(l)]
-        assert list(got[l]) == expected, l
-        assert all(type(c) is int for g in got[l] for c in g.values())
+    recursion = macmahon._classical_recursion(n, degree)
+    assert len(recursion) == degree + 1
+    rng = Random(900 + n)
+    for entries in recursion_matrices(rng, n):
+        flat, denom = scaled_flat(entries)
+        for l in range(degree + 1):
+            ms = sp.affine_basis(l)
+            assert len(recursion[l]) == len(ms)
+            for m, states in zip(ms, recursion[l]):
+                expected = evaluate_z_poly(g_coefficient(sp, m), entries)
+                got = macmahon._recursion_value(states, flat)
+                assert type(got) is int, "integer input left Z"
+                assert got == denom**l * expected, (m, entries)
+
+
+@pytest.mark.parametrize("n,degree", [(1, 6), (2, 6), (3, 6), (4, 5)])
+def test_recursion_sums_match_the_word_route(n, degree):
+    rng = Random(950 + n)
+    for entries in recursion_matrices(rng, n):
+        flat, _ = scaled_flat(entries)
+        got = [sum(macmahon._recursion_value(states, flat) for states in ms) for ms in macmahon._classical_recursion(n, degree)]
+        assert got == reference_g_sums(n, degree, [flat[i : i + n] for i in range(0, n * n, n)]), entries
+
+
+def test_recursion_state_count():
+    # C(l + 2n - 1, 2n - 1) states over all m of degree l, against n^l words
+    for n in (1, 2, 3):
+        recursion = macmahon._classical_recursion(n, 6)
+        for l, ms in enumerate(recursion):
+            assert sum(1 + len(states) for states in ms) == comb(l + 2 * n - 1, 2 * n - 1)
 
 
 def test_evaluation_rejects_coefficients_with_parameters():
@@ -135,9 +190,9 @@ def test_evaluation_rejects_coefficients_with_parameters():
 
 @pytest.fixture
 def fresh_g_cache():
-    macmahon._classical_g_coefficients.cache_clear()
+    macmahon._classical_recursion.cache_clear()
     yield
-    macmahon._classical_g_coefficients.cache_clear()
+    macmahon._classical_recursion.cache_clear()
 
 
 def positive_matrix(rng, n):
@@ -170,15 +225,27 @@ def test_raised_determinant_coefficient_is_rejected(n, degree, monkeypatch, fres
 def test_dropped_g_coefficient_is_rejected(n, degree, monkeypatch, fresh_g_cache):
     entries = positive_matrix(Random(20 * n + degree), n)
     assert classical_check(entries, degree)
-    true_gs = macmahon._classical_g_coefficients(n, degree)
+    true_recursion = macmahon._classical_recursion(n, degree)
+
+    def rejects(l, ms):
+        perturbed = true_recursion[:l] + (ms,) + true_recursion[l + 1 :]
+        monkeypatch.setattr(macmahon, "_classical_recursion", lambda *_: perturbed)
+        rejected = not classical_check(entries, degree)
+        monkeypatch.undo()
+        return rejected
+
     for l in range(1, degree + 1):
-        for drop in range(len(true_gs[l])):
-            dropped = tuple(
-                gs if k != l else gs[:drop] + gs[drop + 1 :] for k, gs in enumerate(true_gs)
-            )
-            monkeypatch.setattr(macmahon, "_classical_g_coefficients", lambda *_, d=dropped: d)
-            assert not classical_check(entries, degree), (l, drop)
-            monkeypatch.undo()
+        ms = true_recursion[l]
+        for drop in range(len(ms)):
+            # one G(m) missing from the degree's sum
+            assert rejects(l, ms[:drop] + ms[drop + 1 :]), (l, drop)
+            # one transition missing from one state of G(m)
+            states = ms[drop]
+            for s, state in enumerate(states):
+                for t in range(len(state)):
+                    cut = states[:s] + (state[:t] + state[t + 1 :],) + states[s + 1 :]
+                    assert rejects(l, ms[:drop] + (cut,) + ms[drop + 1 :]), (l, drop, s, t)
+    assert classical_check(entries, degree)
 
 
 def test_n8_envelope():

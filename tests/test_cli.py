@@ -137,6 +137,16 @@ def test_classical_bad_matrix_file(tmp_path):
     assert "matrix must be square" in err
 
 
+@pytest.mark.parametrize("data", [["12", "34"], {"12": 0, "34": 0}, "1234", [[1, 2], "34"], [[1, 2], {"3": 4}]])
+def test_classical_matrix_must_be_an_array_of_arrays(tmp_path, data):
+    # strings and objects iterate, and once read [[1,2],[3,4]]
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["classical", "--matrix", str(path), "--output", "json"])
+    assert code == 2 and out == ""
+    assert "array of JSON arrays" in err
+
+
 def test_classical_requires_exactly_one_source():
     code, _, _ = run(["classical", "--n", "2"])
     assert code == 2
