@@ -349,14 +349,16 @@ def _classical_recursion(n: int, degree: int) -> tuple:
         programs = []
         for m in space.affine_basis(l):
             lowers = [i * n for i, e in enumerate(m) for _ in range(e)]
-            strides = [prod(e + 1 for e in m[:j]) for j in range(n)]
+            # per upper index j: its digit in the reversed counts, its stride, its cap
+            digits = [(n - 1 - j, j, prod(e + 1 for e in m[:j]), e) for j, e in enumerate(m)]
             # c reversed, c_1 the fastest digit; position 0 holds c = m
             counts = product(*(range(e, -1, -1) for e in reversed(m)))
             next(counts)
-            programs.append(tuple(
-                tuple((lowers[sum(c)] + j, s - strides[j]) for j in range(n) if c[n - 1 - j] < m[j])
-                for s, c in enumerate(counts, 1)
-            ))
+            states = []
+            for s, c in enumerate(counts, 1):
+                base = lowers[sum(c)]
+                states.append(tuple([(base + j, s - stride) for r, j, stride, e in digits if c[r] < e]))
+            programs.append(tuple(states))
         recursion.append(tuple(programs))
     return tuple(recursion)
 
