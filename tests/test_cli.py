@@ -139,7 +139,7 @@ def test_classical_bad_matrix_file(tmp_path):
 
 @pytest.mark.parametrize("data", [["12", "34"], {"12": 0, "34": 0}, "1234", [[1, 2], "34"], [[1, 2], {"3": 4}]])
 def test_classical_matrix_must_be_an_array_of_arrays(tmp_path, data):
-    # strings and objects iterate, and once read [[1,2],[3,4]]
+    # strings and objects iterate, so without a shape check "12" would read as the row [1, 2]
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(data))
     code, out, err = run(["classical", "--matrix", str(path), "--output", "json"])
