@@ -12,13 +12,10 @@ from .koszul import (
 )
 from .macmahon import (
     CharacterSeries,
-    TorusElement,
     bos_series,
     classical_check,
     ferm_series,
     g_coefficient,
-    special_torus,
-    torus_act,
     twisted_bos_series,
     twisted_ferm_series,
     verify_master,
@@ -54,7 +51,6 @@ __all__ = [
     "QMatrix",
     "QuantumSpace",
     "TensorPoly",
-    "TorusElement",
     "TruncSeries",
     "bos_series",
     "build_complex",
@@ -72,8 +68,6 @@ __all__ = [
     "g_coefficient",
     "is_right_quantum",
     "qdet",
-    "special_torus",
-    "torus_act",
     "twisted_bos_series",
     "twisted_ferm_series",
     "verify_master",

@@ -18,7 +18,10 @@ homotopy once per sweep on each unit cube e_S with |S| <= min(max l, n)
 (``koszul.support_sweep``; the module docstring of ``koszul`` proves that
 the cube e_S decides every cube on the support S).  Each K^l reports the
 AND over |S| <= l of either check, and its ``dims`` in closed form, so the
-report matches the one the full complexes give, byte for byte.
+report matches the one the full complexes give, byte for byte.  Likewise
+``twisted`` builds no twisted series: it decides the plain residual and the
+integer twist-exponent identities that make the twisted residual its torus
+image (``macmahon.verify_twisted``; the ``macmahon`` docstring proves it).
 
 Identical configuration and seeds produce byte-identical output.  The one
 random choice, the matrices of ``classical --random``, flows from

@@ -29,8 +29,6 @@ from qmm import (
     euler_characteristic,
     ferm_series,
     qdet,
-    special_torus,
-    torus_act,
     twisted_bos_series,
     twisted_ferm_series,
     verify_master,
@@ -38,6 +36,7 @@ from qmm import (
     verify_twisted,
     wedge_coaction_diagonal,
 )
+from test_twisted_reference import special_torus, torus_act
 
 
 def record(number, name, ok):

@@ -12,14 +12,11 @@ from qmm import (
     ParamMode,
     QMatrix,
     QuantumSpace,
-    TorusElement,
     bos_series,
     classical_check,
     ferm_series,
     g_coefficient,
     qdet,
-    special_torus,
-    torus_act,
     twisted_bos_series,
     twisted_ferm_series,
     verify_master,
@@ -28,6 +25,7 @@ from qmm import (
     wedge_coaction_diagonal,
 )
 from qmm.macmahon import bos_twist_exponent, evaluate_z_poly, ferm_twist_exponent
+from test_twisted_reference import TorusElement, special_torus, torus_act
 
 
 def g_via_product(sp, m):
@@ -301,9 +299,14 @@ def test_verify_twisted_small():
         assert all(r["twist_weights_match_torus"] for r in report["results"])
 
 
-def test_verify_twisted_requires_single_mode():
+def test_verify_twisted_requires_single_mode(monkeypatch):
+    # the guard runs before any series is built: every series goes through these
+    monkeypatch.setattr("qmm.macmahon._bos", None)
+    monkeypatch.setattr("qmm.macmahon._ferm", None)
     with pytest.raises(ValueError, match="one-parameter mode"):
         verify_twisted(IdealOracle(2, ParamMode.multi(2)), 2)
+    with pytest.raises(ValueError, match="one-parameter mode"):
+        verify_twisted(IdealOracle(2, ParamMode.numeric(2, {(1, 2): 3})), 2)
 
 
 def test_classical_identity_matrix():
