@@ -14,14 +14,16 @@ error: numbers out of range are rejected before any work, and an internal
 defect propagates as a traceback instead of being reported as exit 2.
 
 ``koszul`` builds no complex K^l.  It checks d o d = 0 and the contracting
-homotopy once per sweep on each unit cube e_S with |S| <= min(max l, n)
-(``koszul.support_sweep``; the module docstring of ``koszul`` proves that
-the cube e_S decides every cube on the support S).  Each K^l reports the
-AND over |S| <= l of either check, and its ``dims`` in closed form, so the
-report matches the one the full complexes give, byte for byte.  Likewise
-``twisted`` builds no twisted series: it decides the plain residual and the
-integer twist-exponent identities that make the twisted residual its torus
-image (``macmahon.verify_twisted``; the ``macmahon`` docstring proves it).
+homotopy once per sweep on each singleton and pair cube e_S, |S| <= 2 and
+|S| <= max l (``koszul.support_sweep``): at most n + C(n, 2) cubes,
+whatever l.  The module docstring of ``koszul`` proves that the cube e_S
+decides every cube on the support S, and that the pairs inside S decide
+e_S.  Each K^l reports the AND over |S| <= min(l, 2) of either check, and
+its ``dims`` in closed form, so the report matches the one the full
+complexes give, byte for byte.  Likewise ``twisted`` builds no twisted
+series: it decides the plain residual and the integer twist-exponent
+identities that make the twisted residual its torus image
+(``macmahon.verify_twisted``; the ``macmahon`` docstring proves it).
 
 Identical configuration and seeds produce byte-identical output.  The one
 random choice, the matrices of ``classical --random``, flows from
@@ -37,7 +39,9 @@ system of ``right_quantum``; nothing is cached between runs or read from
 the environment.  ``verify`` and ``twisted`` still accept ``--seed`` and
 ``--mode exact``, its only choice, and ``koszul`` accepts ``--seed``: each
 is echoed in the config and read by nothing, because existing command lines
-(the benchmark workloads among them) pass them.
+(the benchmark workloads among them) pass them.  ``main`` builds the
+subparser of the command it runs and no other (``build_parser(command)``);
+usage, help and errors read as they do from the parser of all five.
 """
 
 from __future__ import annotations
@@ -253,26 +257,21 @@ def _add_oracle(sub):
     sub.add_argument("--seed", type=int, default=0, help="accepted and echoed; nothing is drawn")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qmm",
-        description="Exact verification of quantum master identities and Koszul exactness.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("verify", help="check Bos(Z)*Ferm(Z) = 1 degree by degree")
+def _verify_options(sub):
     _add_common(sub, degree_default=4)
     _add_params(sub)
     _add_oracle(sub)
     sub.set_defaults(func=cmd_verify)
 
-    sub = subs.add_parser("qdet", help="print a quantum minor")
+
+def _qdet_options(sub):
     _add_common(sub)
     _add_params(sub)
     sub.add_argument("--subset", required=True, help="comma-separated row labels, e.g. 1,3")
     sub.set_defaults(func=cmd_qdet)
 
-    sub = subs.add_parser("koszul", help="build complexes and certify exactness")
+
+def _koszul_options(sub):
     _add_common(sub)
     _add_params(sub)
     # no draws: exactness is certified over the coefficient ring.  --seed is
@@ -287,12 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     ells.add_argument("--ell", type=int, help="one complex degree")
     sub.set_defaults(func=cmd_koszul)
 
-    sub = subs.add_parser("twisted", help="check the torus-twisted identity (one-parameter)")
+
+def _twisted_options(sub):
     _add_common(sub, degree_default=3)
     _add_oracle(sub)
     sub.set_defaults(func=cmd_twisted)
 
-    sub = subs.add_parser("classical", help="check the commutative q=1 identity")
+
+def _classical_options(sub):
     # --n and --seed default to CLASSICAL_N and 0 with --random; with
     # --matrix, --n must be its size and --seed is a usage error
     _add_common(sub, degree_default=6, n_default=None)
@@ -301,11 +302,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--random", type=int, help="number of random rational matrices")
     sub.set_defaults(func=cmd_classical)
 
+
+# each command: (its help line, the function that adds its options)
+COMMANDS = {
+    "verify": ("check Bos(Z)*Ferm(Z) = 1 degree by degree", _verify_options),
+    "qdet": ("print a quantum minor", _qdet_options),
+    "koszul": ("build complexes and certify exactness", _koszul_options),
+    "twisted": ("check the torus-twisted identity (one-parameter)", _twisted_options),
+    "classical": ("check the commutative q=1 identity", _classical_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names
+    one.  A one-command parser parses that command's arguments as the full
+    one does and prints the same usage, help and errors: the command list
+    is spelled out as the full parser's metavar would spell it."""
+    parser = argparse.ArgumentParser(
+        prog="qmm",
+        description="Exact verification of quantum master identities and Koszul exactness.",
+    )
+    if command in COMMANDS:
+        names = [command]
+        subs = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
+    else:
+        names = list(COMMANDS)
+        subs = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        summary, add_options = COMMANDS[name]
+        add_options(subs.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # only the running command's subparser: the other four would be a
+    # measurable share of a small job
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -48,7 +48,47 @@ which is 1 on the diagonal (k = j0); every entry is a unit times its twin
 on e_S, and the diagonal is equal to it.  Every alpha with |alpha| = l has
 |supp alpha| <= min(l, n), and every S with 1 <= |S| <= min(l, n) is the
 support of some alpha in K^l, so K^l passes either check exactly when
-every unit cube e_S with |S| <= l does (``support_sweep``).
+every unit cube e_S with |S| <= l does.
+
+Those cubes are in turn decided by the singletons and the pairs, so
+``support_sweep`` builds only the e_S with |S| <= min(l, 2).  On e_S the
+edge of letter j leaves J (j in J) with the entry e(J, j) = w(J - j, j)
+c_j(e_{S - J}).  A square (J; a < b), a and b in J, has the two paths
+e(J, a) e(J - a, b) and e(J, b) e(J - b, a) from J to J - a - b.
+
+(a) d o d = 0 on a cube says that every square anticommutes: its two
+paths sum to zero.  The homotopy needs a little more.  With x = min S,
+h(J) for x not in J is (J + x) / e(J + x, x), so dh + hd = id says: the
+edges of letter x are units (h divides by them), and every square
+(J; x, j) anticommutes; the diagonal is then e / e = 1, and the entry at
+J + x - j is that square's path sum over the unit e(J + x, x)
+e(J + x - j, x).  So on a cube whose edges are units, anticommuting
+squares give exactness.
+
+(b) w(I + (j,)) for I sorted is the product of w((i, j)) over i in I:
+``exterior_weight`` takes one factor per inversion, the inversions of
+I + (j,) are the pairs (j, i) with i > j, and w((j,)) = 1.  With c_j a
+character, e(J, j) is the product of w((i, j)) over i in J - j and of
+c_j(e_k) over k in S - J, one pair factor per other index.  In the square
+(J; a < b) every factor that involves a third index lies on both paths,
+so
+
+    e(J, a) e(J - a, b)  =  common * w((b, a)) c_b(e_a),
+    e(J, b) e(J - b, a)  =  common * w((a, b)) c_a(e_b),
+
+with the same ``common``.  The two products after it are the two paths of
+the one square of the pair cube e_{a,b}, where they are
+(-q_ab)^{-1} q_ab = -1 and 1 * 1 = 1.  So every square of e_S
+anticommutes when the square of each pair cube inside S does.  The edges
+of letter x = min S are products of w((i, x)) and c_x(e_k), which are
+edges h divides by on the pair cubes e_{x,i} and e_{x,k} (x is their
+minimum too).  Hence e_S passes d o d = 0, or the homotopy check,
+whenever every pair cube inside S passes it.  The pairs are cubes of K^l
+for l >= 2, so K^l is decided by the n singletons and the C(n, 2) pairs,
+and K^1 by the singletons.  The pair product and the character are
+properties of the closed form, not of a given q, and the tests check
+both; they also show that a weight off the pair product (a factor on a
+triple alone) is invisible to the pairs.
 
 Each map is stored sparse, as a list of ``SparseRow``: a row keeps only its
 nonzero entries, {column: scalar}, and still reads and assigns like a
@@ -382,11 +422,12 @@ def support_sweep(n: int, ells, mode: ParamMode) -> list[tuple[bool, bool]]:
     """(d o d = 0, certified by the homotopy) for each K^ell in ``ells``,
     decided on the unit cubes of the module docstring: each field is the AND
     of ``composites_vanish`` or of ``check_exactness`` over the cubes e_S
-    with |S| <= ell.  Each cube up to size min(max(ells), n) is built once
+    with |S| <= min(ell, 2), the n singletons and the C(n, 2) pairs, which
+    decide every e_S with |S| <= ell.  Each of those cubes is built once
     and goes through both checks."""
     d2: dict = {}  # by |S|: whether d o d = 0 on every cube of that size
     certified: dict = {}  # by |S|: whether the homotopy certifies every one
-    for S, cube in unit_cubes(n, max(ells), mode):
+    for S, cube in unit_cubes(n, min(max(ells), 2), mode):
         k = len(S)
         d2[k] = composites_vanish(cube) and d2.get(k, True)
         certified[k] = check_exactness(cube).conclusive and certified.get(k, True)

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
-from qmm.cli import main
+from qmm.cli import COMMANDS, build_parser, main
 
 
 def run(argv):
@@ -406,3 +406,48 @@ def test_classical_matrix_config_has_its_size_and_no_seed(matrix_file):
     code, out, _ = run(["classical", "--matrix", matrix_file, "--n", "2", "--degree", "3", "--output", "json"])
     assert code == 0
     assert json.loads(out)["config"] == {"degree": 3, "matrix": matrix_file, "n": 2}
+
+
+def parse_with_every_command(argv):
+    """(exit code, stdout, stderr) of the parser of all five commands on
+    ``argv``, for argv that the parser itself ends."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    return int(exc.value.code or 0), out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["verify", "-h"],
+        ["koszul", "-h"],
+        [],
+        ["bogus"],
+        ["verify", "--bogus"],
+        ["koszul", "--ell", "2", "--degree", "3"],
+    ],
+)
+def test_the_one_command_parser_prints_what_the_full_parser_prints(argv):
+    assert run(argv) == parse_with_every_command(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "3", "--params", "numeric", "--q-assign", "1,2=2"],
+        ["qdet", "--subset", "1,2"],
+        ["koszul", "--ell", "2", "--seed", "4"],
+        ["twisted", "--degree", "2", "--output", "json"],
+        ["classical", "--random", "2"],
+    ],
+)
+def test_the_one_command_parser_parses_as_the_full_parser(argv):
+    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+    # and it has no other command
+    for other in set(COMMANDS) - {argv[0]}:
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit):
+            build_parser(argv[0]).parse_args([other, "-h"])
+        assert f"invalid choice: '{other}'" in err.getvalue()

@@ -1,26 +1,30 @@
-"""The unit-cube route of ``qmm koszul`` against the full complexes.
+"""The pair-cube route of ``qmm koszul`` against the cubes and the full complexes.
 
 ``support_sweep`` decides d o d = 0 and the homotopy certificate of K^l on
-the unit cubes e_S with |S| <= l, one per support, instead of on K^l.  The
-reduction rests on one hypothesis, that the factor c_j(r) of x_j x^r is a
-unit-valued character of r; the first test checks it.  The others check
-that each cube is the restriction of its complex, and that the CLI's
-verdicts, exit codes and bytes match the full route (``build_complex``,
-``composites_vanish`` and ``check_exactness`` on every K^l), on the intact
-closed form and on closed forms perturbed so that the checks fail.
+the singleton and pair cubes e_S, |S| <= min(l, 2), instead of on K^l.
+The reduction rests on two hypotheses about the closed form: the factor
+c_j(r) of x_j x^r is a unit-valued character of r, and the exterior weight
+w(I + (j,)) with I sorted is the product of the pair weights w((i, j)).
+The first two tests check them.  ``cube_sweep``, the sweep over every unit
+cube e_S with |S| <= l, is the reference for the pair route, and the full
+route (``build_complex``, ``composites_vanish`` and ``check_exactness`` on
+every K^l) the reference for the CLI's verdicts, exit codes and bytes, on
+the intact closed form and on closed forms perturbed so that the checks
+fail.  A weight perturbed on a triple alone breaks the pair product; the
+pairs cannot see it, and the hypothesis test and the cube reference must.
 """
 
 import io
 import json
 from contextlib import redirect_stdout
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from test_coaction_reference import modes
 
 from qmm import ParamMode, QuantumSpace, build_complex, check_exactness, composites_vanish, euler_characteristic
 from qmm.cli import EXIT_CODES, main
-from qmm.koszul import unit_cubes
+from qmm.koszul import support_sweep, unit_cubes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -37,6 +41,30 @@ def test_the_prepend_factor_is_a_unit_valued_character(n):
             for r, s in product(degrees, repeat=2):
                 rs = tuple(a + b for a, b in zip(r, s))
                 assert space.affine_prepend(j, rs)[0] == factor[r] * factor[s], (mode, j, r, s)
+
+
+def pair_product_failures(space) -> list:
+    """The (I, j), I sorted and j not in I, where w(I + (j,)) differs from
+    the product of w((i, j)) over i in I."""
+    n, one = space.n, space.mode.one()
+    failures = []
+    for j in range(1, n + 1):
+        pair = {i: space.exterior_weight((i, j)) for i in range(1, n + 1) if i != j}
+        others = [i for i in range(1, n + 1) if i != j]
+        for size in range(n):
+            for I in combinations(others, size):
+                product = one
+                for i in I:
+                    product = product * pair[i]
+                if space.exterior_weight(I + (j,)) != product:
+                    failures.append((I, j))
+    return failures
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_exterior_weight_is_a_product_of_pair_weights(n):
+    for mode in modes(n, seed=60 + n):
+        assert pair_product_failures(QuantumSpace(n, mode)) == [], mode
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -103,7 +131,25 @@ CONTROLS = {
     # cube of size <= 2, so only the certificate fails there
     "cube edges (2,1) and (1) zeroed": _change_weights({(2, 1), (1,)}, lambda mode, w: mode.zero()),
 }
+# a factor on the triple (2, 3, 1) alone: it sits on the edges of letter 1
+# out of J = {1, 2, 3}, so only cubes on supports holding 1, 2 and 3 see it
+TRIPLE_ONLY = _change_weights({(2, 3, 1)}, lambda mode, w: w * mode.q(1, 2))
 ELLS = range(1, 7)
+
+
+def cube_sweep(n, ells, mode) -> list:
+    """(d o d = 0, certified) for each K^l in ``ells``, from every unit cube
+    e_S with |S| <= l: the sweep before the pair reduction."""
+    d2: dict = {}  # by |S|: whether d o d = 0 on every cube of that size
+    certified: dict = {}  # by |S|: whether the homotopy certifies every one
+    for S, cube in unit_cubes(n, max(ells), mode):
+        k = len(S)
+        d2[k] = composites_vanish(cube) and d2.get(k, True)
+        certified[k] = check_exactness(cube).conclusive and certified.get(k, True)
+    return [
+        (all(v for k, v in d2.items() if k <= ell), all(v for k, v in certified.items() if k <= ell))
+        for ell in ells
+    ]
 
 
 def full_route(n, mode) -> list:
@@ -141,6 +187,25 @@ def test_the_cube_route_matches_the_full_route(monkeypatch, n, control):
         assert (verdict is True) == (control == "intact" or n == 1 and not two_edges), mode
         if two_edges:
             assert (True, False) in expected, mode
+
+
+@pytest.mark.parametrize("control", list(CONTROLS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_pair_sweep_matches_the_cube_reference(monkeypatch, n, control):
+    CONTROLS[control](monkeypatch)
+    ells = range(1, n + 2)
+    for mode in modes(n, seed=50 + n):
+        assert support_sweep(n, ells, mode) == cube_sweep(n, ells, mode), mode
+
+
+def test_a_weight_on_a_triple_alone_is_invisible_to_the_pairs(monkeypatch):
+    n, ells = 3, range(1, 5)
+    TRIPLE_ONLY(monkeypatch)
+    for mode in modes(n, seed=53):
+        assert pair_product_failures(QuantumSpace(n, mode)) == [((2, 3), 1)], mode
+        assert support_sweep(n, ells, mode) == [(True, True)] * 4, mode
+        # the pairs pass, the triple fails both checks from K^3 on
+        assert cube_sweep(n, ells, mode) == [(True, True)] * 2 + [(False, False)] * 2, mode
 
 
 def test_the_benchmark_report_is_byte_identical_to_the_full_route():
