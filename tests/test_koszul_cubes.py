@@ -53,10 +53,10 @@ def pair_product_failures(space) -> list:
         others = [i for i in range(1, n + 1) if i != j]
         for size in range(n):
             for I in combinations(others, size):
-                product = one
+                expected = one
                 for i in I:
-                    product = product * pair[i]
-                if space.exterior_weight(I + (j,)) != product:
+                    expected = expected * pair[i]
+                if space.exterior_weight(I + (j,)) != expected:
                     failures.append((I, j))
     return failures
 
