@@ -21,7 +21,6 @@ from .macmahon import (
     verify_master,
     verify_qdet_coaction,
     verify_twisted,
-    wedge_coaction_diagonal,
 )
 from .param_ring import ModeMismatchError, ParamMode, ParamScalar
 from .quantum_spaces import QuantumSpace
@@ -73,7 +72,6 @@ __all__ = [
     "verify_master",
     "verify_qdet_coaction",
     "verify_twisted",
-    "wedge_coaction_diagonal",
     "word_rank",
 ]
 

@@ -11,14 +11,17 @@ built after the command has run, since a command may fill in a default.
 ``EXIT_CODES`` maps the verdict to the exit code: 0 pass, 1 verified false,
 3 inconclusive; 2 is a usage error.  Only bad command-line input is a usage
 error: numbers out of range are rejected before any work, and an internal
-defect propagates as a traceback instead of being reported as exit 2.
+defect propagates as a traceback instead of being reported as exit 2.  A
+report that cannot be written because stdout was closed (a reader such as
+``head`` exited) is ``EXIT_BROKEN_PIPE``, 141 (128 + SIGPIPE), with no
+traceback, so it never reads as a verdict.
 
-``koszul`` builds no complex K^l.  It checks d o d = 0 and the contracting
-homotopy once per sweep on each singleton and pair cube e_S, |S| <= 2 and
-|S| <= max l (``koszul.support_sweep``): at most n + C(n, 2) cubes,
-whatever l.  The module docstring of ``koszul`` proves that the cube e_S
-decides every cube on the support S, and that the pairs inside S decide
-e_S.  Each K^l reports the AND over |S| <= min(l, 2) of either check, and
+``koszul`` reads every K^l off K^1 and K^2.  It builds each of the two at
+most once per sweep and checks d o d = 0 and the contracting homotopy on
+it (``koszul.support_sweep``), whatever l.  The module docstring of
+``koszul`` proves that the cube e_S decides every cube on the support S,
+that the pairs inside S decide e_S, and that K^2 holds the cubes of every
+support with |S| <= 2.  Each K^l reports the checks of K^min(l, 2), and
 its ``dims`` in closed form, so the report matches the one the full
 complexes give, byte for byte.  Likewise ``twisted`` builds no twisted
 series: it decides the plain residual and the integer twist-exponent
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from random import Random
@@ -61,6 +65,7 @@ MAX_N = 16  # z-letters are stored one per byte, and there are n^2 of them
 KOSZUL_DEGREE = 3  # the koszul sweep's degree when neither --ell nor --degree is given
 CLASSICAL_N = 2  # the size of the classical --random matrices when --n is not given
 EXIT_CODES = {True: 0, False: 1, None: 3}
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout closed before the report was written
 
 
 class UsageError(ValueError):
@@ -350,10 +355,17 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {"command": args.command, "config": _config_dict(args), "results": results, "pass": verdict is True}
-    if args.output == "json":
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    else:
-        print("\n".join([f"[{args.command}] pass={report['pass']}", *lines]))
+    try:
+        if args.output == "json":
+            print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        else:
+            print("\n".join([f"[{args.command}] pass={report['pass']}", *lines]))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull, so the
+        # interpreter's last flush of stdout cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return EXIT_CODES[verdict]
 
 

@@ -51,10 +51,11 @@ support of some alpha in K^l, so K^l passes either check exactly when
 every unit cube e_S with |S| <= l does.
 
 Those cubes are in turn decided by the singletons and the pairs, so
-``support_sweep`` builds only the e_S with |S| <= min(l, 2).  On e_S the
-edge of letter j leaves J (j in J) with the entry e(J, j) = w(J - j, j)
-c_j(e_{S - J}).  A square (J; a < b), a and b in J, has the two paths
-e(J, a) e(J - a, b) and e(J, b) e(J - b, a) from J to J - a - b.
+``support_sweep`` builds only K^1 and K^2, which hold the cubes of every
+support with |S| <= 2.  On e_S the edge of letter j leaves J (j in J)
+with the entry e(J, j) = w(J - j, j) c_j(e_{S - J}).  A square
+(J; a < b), a and b in J, has the two paths e(J, a) e(J - a, b) and
+e(J, b) e(J - b, a) from J to J - a - b.
 
 (a) d o d = 0 on a cube says that every square anticommutes: its two
 paths sum to zero.  The homotopy needs a little more.  With x = min S,
@@ -85,10 +86,13 @@ edges h divides by on the pair cubes e_{x,i} and e_{x,k} (x is their
 minimum too).  Hence e_S passes d o d = 0, or the homotopy check,
 whenever every pair cube inside S passes it.  The pairs are cubes of K^l
 for l >= 2, so K^l is decided by the n singletons and the C(n, 2) pairs,
-and K^1 by the singletons.  The pair product and the character are
-properties of the closed form, not of a given q, and the tests check
-both; they also show that a weight off the pair product (a factor on a
-triple alone) is invisible to the pairs.
+and K^1 by the singletons.  K^1 is the sum of the singleton cubes e_a,
+and K^2 of the pair cubes e_{a,b} and the cubes of 2 e_a, one on each
+singleton support, so K^l passes either check exactly when K^min(l, 2)
+does.  The pair product and the character are properties of the closed
+form, not of a given q, and the tests check both; they also show that a
+weight off the pair product (a factor on a triple alone) is invisible to
+the pairs.
 
 Each map is stored sparse, as a list of ``SparseRow``: a row keeps only its
 nonzero entries, {column: scalar}, and still reads and assigns like a
@@ -248,59 +252,18 @@ def build_complex(n: int, ell: int, mode: ParamMode) -> KoszulComplex:
         rows = [SparseRow(len(bases[i - 1]), zero) for _ in bases[i]]
         col = 0
         for J in subsets[i - 1]:
-            col = _store_columns(space.exterior_weight, rows, col, J, offset, prepends)
+            faces = []  # (letter id of j, offset of J - j, w(J - j, j)) for j in J
+            for j in J:
+                I = tuple(a for a in J if a != j)
+                faces.append((j - 1, offset[I], space.exterior_weight(I + (j,))))
+            for factors in prepends:
+                for letter, base, w in faces:
+                    c, pos = factors[letter]
+                    # a unit times a unit, never zero, so it is stored as it is
+                    rows[base + pos].entries[col] = w * c
+                col += 1
         maps.append(rows)
     return KoszulComplex(n, ell, mode, bases, maps)
-
-
-def _store_columns(weight, rows: list, col: int, J: tuple, offset: dict, prepends: list) -> int:
-    """Store the columns (J, r) of d in closed form, one per entry of
-    ``prepends`` in order from column ``col`` on, and return the next
-    column.  Column (J, r) holds w(J - j, j) c_j(r) for j in J at row
-    offset[J - j] + p, where prepends[.][j - 1] = (c_j(r), p) and p is the
-    position of r + e_j within the block of J - j.  ``weight`` is the
-    exterior weight of a sequence (``QuantumSpace.exterior_weight``), called
-    once per j."""
-    faces = []  # (letter id of j, offset of J - j, w(J - j, j)) for j in J
-    for j in J:
-        I = tuple(a for a in J if a != j)
-        faces.append((j - 1, offset[I], weight(I + (j,))))
-    for factors in prepends:
-        for letter, base, w in faces:
-            c, pos = factors[letter]
-            # a unit times a unit, never zero, so it is stored as it is
-            rows[base + pos].entries[col] = w * c
-        col += 1
-    return col
-
-
-def unit_cubes(n: int, top: int, mode: ParamMode):
-    """Yield (S, cube) for every unit cube e_S of the module docstring with
-    1 <= |S| <= min(top, n), by size.  The cube is the part of K^{|S|} on
-    the basis vectors (I, e_{S - I}) for I a subset of S, with d from the
-    same closed form as ``build_complex``.  Component i holds the I with
-    |S| - i elements in ``combinations`` order, one multidegree each, so the
-    row of (I, r) is the position of I.  Each weight w(J - j, j) and factor
-    c_j(r) is computed once for all the cubes."""
-    space = QuantumSpace(n, mode)
-    weight, prepend = cache(space.exterior_weight), cache(space.affine_prepend)
-    zero = mode.zero()
-    for k in range(1, min(top, n) + 1):
-        for S in combinations(range(1, n + 1), k):
-            subsets = [list(combinations(S, k - i)) for i in range(k + 1)]
-            bases = [
-                [(I, tuple(int(a in S and a not in I) for a in range(1, n + 1))) for I in subsets[i]]
-                for i in range(k + 1)
-            ]
-            maps: list = [None]
-            for i in range(1, k + 1):
-                offset = {I: pos for pos, I in enumerate(subsets[i])}
-                rows = [SparseRow(len(bases[i - 1]), zero) for _ in bases[i]]
-                for col, (J, r) in enumerate(bases[i - 1]):
-                    factors = {j - 1: (prepend(j - 1, r)[0], 0) for j in J}
-                    _store_columns(weight, rows, col, J, offset, [factors])
-                maps.append(rows)
-            yield S, KoszulComplex(n, k, mode, bases, maps)
 
 
 def _columns(matrix, width: int) -> list:
@@ -420,21 +383,16 @@ def check_exactness(complex: KoszulComplex) -> ExactnessReport:
 
 def support_sweep(n: int, ells, mode: ParamMode) -> list[tuple[bool, bool]]:
     """(d o d = 0, certified by the homotopy) for each K^ell in ``ells``,
-    decided on the unit cubes of the module docstring: each field is the AND
-    of ``composites_vanish`` or of ``check_exactness`` over the cubes e_S
-    with |S| <= min(ell, 2), the n singletons and the C(n, 2) pairs, which
-    decide every e_S with |S| <= ell.  Each of those cubes is built once
-    and goes through both checks."""
-    d2: dict = {}  # by |S|: whether d o d = 0 on every cube of that size
-    certified: dict = {}  # by |S|: whether the homotopy certifies every one
-    for S, cube in unit_cubes(n, min(max(ells), 2), mode):
-        k = len(S)
-        d2[k] = composites_vanish(cube) and d2.get(k, True)
-        certified[k] = check_exactness(cube).conclusive and certified.get(k, True)
-    return [
-        (all(v for k, v in d2.items() if k <= ell), all(v for k, v in certified.items() if k <= ell))
-        for ell in ells
-    ]
+    read off K^min(ell, 2): K^1 holds the cube of each singleton support,
+    and K^2 the cube of every support S with |S| <= 2, which by the module
+    docstring decides every K^ell with ell >= 2.  Each of K^1 and K^2 is
+    built at most once and goes through ``composites_vanish`` and
+    ``check_exactness``."""
+    verdicts = {}
+    for k in sorted({min(ell, 2) for ell in ells}):
+        complex = build_complex(n, k, mode)
+        verdicts[k] = (composites_vanish(complex), check_exactness(complex).conclusive)
+    return [verdicts[min(ell, 2)] for ell in ells]
 
 
 # ---------------------------------------------------------------------------

@@ -131,25 +131,7 @@ def verify_master(oracle: IdealOracle, degree: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# determinant via the wedge coaction
-
-
-def wedge_coaction_diagonal(space: QuantumSpace, subset) -> NCPoly:
-    """Coefficient of the increasing tensor word in the free-level coaction of
-    wedge(J); equals qdet on J exactly, with no reduction, by the leading-term
-    computation.
-
-    Only that one target coefficient is built: each word u of wedge(J) goes
-    to z_{u_1}^{j_1} ... z_{u_m}^{j_m}, and distinct u give distinct z-words,
-    so it is one dict fill.
-    """
-    J = tuple(sorted(subset))
-    n = space.n
-    upper = [j - 1 for j in J]
-    terms = {
-        bytes(a * n + j for a, j in zip(u, upper)): c for u, c in space.wedge_expand(J).terms.items()
-    }
-    return NCPoly(space.z, space.mode, terms)
+# the coaction of the full wedge
 
 
 def verify_qdet_coaction(oracle: IdealOracle) -> bool:

@@ -34,8 +34,8 @@ from qmm import (
     verify_master,
     verify_qdet_coaction,
     verify_twisted,
-    wedge_coaction_diagonal,
 )
+from test_macmahon import wedge_coaction_diagonal
 from test_twisted_reference import special_torus, torus_act
 
 

@@ -2,11 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout, redirect_stderr
+from pathlib import Path
 
 import pytest
 
-from qmm.cli import COMMANDS, build_parser, main
+from qmm.cli import COMMANDS, EXIT_BROKEN_PIPE, EXIT_CODES, build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -451,3 +457,20 @@ def test_the_one_command_parser_parses_as_the_full_parser(argv):
         with redirect_stderr(err), pytest.raises(SystemExit):
             build_parser(argv[0]).parse_args([other, "-h"])
         assert f"invalid choice: '{other}'" in err.getvalue()
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_a_closed_stdout_is_not_a_verdict(output):
+    # the read end is closed before the CLI starts, so writing the report
+    # fails whatever its size
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-m", "qmm.cli", "koszul", "--n", "3", "--degree", "3", "--output", output]
+    try:
+        done = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    assert done.returncode == EXIT_BROKEN_PIPE
+    assert EXIT_BROKEN_PIPE not in [*EXIT_CODES.values(), 2]
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr

@@ -1,17 +1,18 @@
-"""The pair-cube route of ``qmm koszul`` against the cubes and the full complexes.
+"""The K^1 and K^2 route of ``qmm koszul`` against the full complexes.
 
 ``support_sweep`` decides d o d = 0 and the homotopy certificate of K^l on
-the singleton and pair cubes e_S, |S| <= min(l, 2), instead of on K^l.
-The reduction rests on two hypotheses about the closed form: the factor
-c_j(r) of x_j x^r is a unit-valued character of r, and the exterior weight
-w(I + (j,)) with I sorted is the product of the pair weights w((i, j)).
-The first two tests check them.  ``cube_sweep``, the sweep over every unit
-cube e_S with |S| <= l, is the reference for the pair route, and the full
-route (``build_complex``, ``composites_vanish`` and ``check_exactness`` on
-every K^l) the reference for the CLI's verdicts, exit codes and bytes, on
-the intact closed form and on closed forms perturbed so that the checks
-fail.  A weight perturbed on a triple alone breaks the pair product; the
-pairs cannot see it, and the hypothesis test and the cube reference must.
+K^min(l, 2), which holds the cubes of the singleton and pair supports,
+instead of on K^l.  The reduction rests on two hypotheses about the closed
+form: the factor c_j(r) of x_j x^r is a unit-valued character of r, and
+the exterior weight w(I + (j,)) with I sorted is the product of the pair
+weights w((i, j)).  The first two tests check them.  The full route
+(``build_complex``, ``composites_vanish`` and ``check_exactness`` on every
+K^l, so on every cube) is the reference for the sweep and for the CLI's
+verdicts, exit codes and bytes, on the intact closed form and on closed
+forms perturbed so that the checks fail.  A weight perturbed on a triple
+alone breaks the pair product; K^1 and K^2 cannot see it, and the
+hypothesis test and the full route must.  A recorder pins the route: the
+CLI builds K^1 and K^2 at most once each, whatever l.
 """
 
 import io
@@ -24,7 +25,7 @@ from test_coaction_reference import modes
 
 from qmm import ParamMode, QuantumSpace, build_complex, check_exactness, composites_vanish, euler_characteristic
 from qmm.cli import EXIT_CODES, main
-from qmm.koszul import support_sweep, unit_cubes
+from qmm.koszul import support_sweep
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -65,24 +66,6 @@ def pair_product_failures(space) -> list:
 def test_the_exterior_weight_is_a_product_of_pair_weights(n):
     for mode in modes(n, seed=60 + n):
         assert pair_product_failures(QuantumSpace(n, mode)) == [], mode
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_each_unit_cube_is_the_restriction_of_its_complex(n):
-    for mode in modes(n, seed=90 + n):
-        seen = 0
-        for S, cube in unit_cubes(n, n + 1, mode):
-            full = build_complex(n, len(S), mode)
-            e_S = tuple(int(a in S) for a in range(1, n + 1))
-            for i, basis in enumerate(full.bases):
-                on_cube = [(I, r) for I, r in basis if tuple(int(a in I) + b for a, b in zip(range(1, n + 1), r)) == e_S]
-                assert sorted(cube.bases[i]) == sorted(on_cube), (mode, S, i)
-            for i in range(1, len(S) + 1):
-                rows = [full.bases[i].index(key) for key in cube.bases[i]]
-                cols = [full.bases[i - 1].index(key) for key in cube.bases[i - 1]]
-                assert cube.maps[i] == [[full.maps[i][r][c] for c in cols] for r in rows], (mode, S, i)
-            seen += 1
-        assert seen == 2**n - 1, mode
 
 
 def _invert_prepend(monkeypatch):
@@ -137,25 +120,10 @@ TRIPLE_ONLY = _change_weights({(2, 3, 1)}, lambda mode, w: w * mode.q(1, 2))
 ELLS = range(1, 7)
 
 
-def cube_sweep(n, ells, mode) -> list:
-    """(d o d = 0, certified) for each K^l in ``ells``, from every unit cube
-    e_S with |S| <= l: the sweep before the pair reduction."""
-    d2: dict = {}  # by |S|: whether d o d = 0 on every cube of that size
-    certified: dict = {}  # by |S|: whether the homotopy certifies every one
-    for S, cube in unit_cubes(n, max(ells), mode):
-        k = len(S)
-        d2[k] = composites_vanish(cube) and d2.get(k, True)
-        certified[k] = check_exactness(cube).conclusive and certified.get(k, True)
-    return [
-        (all(v for k, v in d2.items() if k <= ell), all(v for k, v in certified.items() if k <= ell))
-        for ell in ells
-    ]
-
-
-def full_route(n, mode) -> list:
-    """(d o d = 0, certified) for each K^l, l in ELLS, from the full complex."""
+def full_route(n, mode, ells=ELLS) -> list:
+    """(d o d = 0, certified) for each K^l in ``ells``, from the full complex."""
     out = []
-    for ell in ELLS:
+    for ell in ells:
         complex = build_complex(n, ell, mode)
         out.append((composites_vanish(complex), check_exactness(complex).conclusive))
     return out
@@ -192,10 +160,13 @@ def test_the_cube_route_matches_the_full_route(monkeypatch, n, control):
 @pytest.mark.parametrize("control", list(CONTROLS))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_the_pair_sweep_matches_the_cube_reference(monkeypatch, n, control):
+    # the full complexes hold every cube; at n = 6 the one-parameter mode,
+    # the cheapest, runs through K^7, whose cubes reach every support size,
+    # and the other two through K^3
     CONTROLS[control](monkeypatch)
-    ells = range(1, n + 2)
     for mode in modes(n, seed=50 + n):
-        assert support_sweep(n, ells, mode) == cube_sweep(n, ells, mode), mode
+        ells = range(1, n + 2) if n < 6 or mode.kind == "single" else range(1, 4)
+        assert support_sweep(n, ells, mode) == full_route(n, mode, ells), mode
 
 
 def test_a_weight_on_a_triple_alone_is_invisible_to_the_pairs(monkeypatch):
@@ -204,8 +175,25 @@ def test_a_weight_on_a_triple_alone_is_invisible_to_the_pairs(monkeypatch):
     for mode in modes(n, seed=53):
         assert pair_product_failures(QuantumSpace(n, mode)) == [((2, 3), 1)], mode
         assert support_sweep(n, ells, mode) == [(True, True)] * 4, mode
-        # the pairs pass, the triple fails both checks from K^3 on
-        assert cube_sweep(n, ells, mode) == [(True, True)] * 2 + [(False, False)] * 2, mode
+        # K^1 and K^2 pass, the triple fails both checks from K^3 on
+        assert full_route(n, mode, ells) == [(True, True)] * 2 + [(False, False)] * 2, mode
+
+
+@pytest.mark.parametrize("selection,built", [(["--degree", "16"], [1, 2]), (["--ell", "7"], [2])])
+def test_the_sweep_builds_k1_and_k2_once_each(monkeypatch, selection, built):
+    calls = []
+    build = build_complex
+
+    def recorder(n, ell, mode):
+        calls.append((n, ell))
+        # fail before building: K^16 at n = 16 would not fit in memory
+        assert ell <= 2, f"the sweep built K^{ell}"
+        return build(n, ell, mode)
+
+    monkeypatch.setattr("qmm.koszul.build_complex", recorder)
+    with redirect_stdout(io.StringIO()):
+        assert main(["koszul", "--n", "16", *selection]) == 0
+    assert calls == [(16, ell) for ell in built]
 
 
 def test_the_benchmark_report_is_byte_identical_to_the_full_route():

@@ -218,8 +218,8 @@ def test_the_two_cube_control_is_inconclusive_not_exact(monkeypatch):
     assert reference_homology(complex) == [0, 0, 0]
     report = check_exactness(complex)
     assert report.conclusive is False and report.homology is None
-    # the CLI checks the unit cubes; the control stands in for the 2-cube
-    monkeypatch.setattr("qmm.koszul.unit_cubes", lambda *_: [((1, 2), two_cube_control())])
+    # the CLI checks K^2 for --ell 2; the control stands in for it
+    monkeypatch.setattr("qmm.koszul.build_complex", lambda *_: two_cube_control())
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(["koszul", "--n", "2", "--ell", "2", "--output", "json"]) == 3
@@ -229,7 +229,7 @@ def test_the_two_cube_control_is_inconclusive_not_exact(monkeypatch):
 def test_an_inconclusive_complex_outranks_a_failed_d_squared(monkeypatch):
     # nothing is known of an uncertified complex, so the sweep is
     # inconclusive (exit 3), not verified false, even where d o d fails
-    monkeypatch.setattr("qmm.koszul.unit_cubes", lambda *_: [((1, 2), two_cube_control())])
+    monkeypatch.setattr("qmm.koszul.build_complex", lambda *_: two_cube_control())
     monkeypatch.setattr("qmm.koszul.composites_vanish", lambda complex: False)
     out = io.StringIO()
     with redirect_stdout(out):

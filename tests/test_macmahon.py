@@ -22,10 +22,19 @@ from qmm import (
     verify_master,
     verify_qdet_coaction,
     verify_twisted,
-    wedge_coaction_diagonal,
 )
 from qmm.macmahon import bos_twist_exponent, evaluate_z_poly, ferm_twist_exponent
 from test_twisted_reference import TorusElement, special_torus, torus_act
+
+
+def wedge_coaction_diagonal(sp, subset):
+    """Test-only route to qdet on J: the coefficient of the increasing
+    tensor word in the free-level coaction of wedge(J), with no reduction.
+    Each word u of wedge(J) goes to z_{u_1}^{j_1} ... z_{u_m}^{j_m}, and
+    distinct u give distinct z-words."""
+    J = tuple(sorted(subset))
+    terms = {bytes(a * sp.n + j - 1 for a, j in zip(u, J)): c for u, c in sp.wedge_expand(J).terms.items()}
+    return NCPoly(sp.z, sp.mode, terms)
 
 
 def g_via_product(sp, m):
