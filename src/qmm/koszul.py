@@ -67,12 +67,12 @@ e(J + x - j, x).  So on a cube whose edges are units, anticommuting
 squares give exactness.
 
 (b) w(I + (j,)) for I sorted is the product of w((i, j)) over i in I:
-``exterior_weight`` takes one factor per inversion, the inversions of
-I + (j,) are the pairs (j, i) with i > j, and w((j,)) = 1.  With c_j a
-character, e(J, j) is the product of w((i, j)) over i in J - j and of
-c_j(e_k) over k in S - J, one pair factor per other index.  In the square
-(J; a < b) every factor that involves a third index lies on both paths,
-so
+``exterior_weight`` adds 1 to a pair's exponent per inversion, so it is
+one factor (-q_ab)^{-1} per inversion; the inversions of I + (j,) are the
+pairs (j, i) with i > j, and w((j,)) = 1.  With c_j a character, e(J, j)
+is the product of w((i, j)) over i in J - j and of c_j(e_k) over k in
+S - J, one pair factor per other index.  In the square (J; a < b) every
+factor that involves a third index lies on both paths, so
 
     e(J, a) e(J - a, b)  =  common * w((b, a)) c_b(e_a),
     e(J, b) e(J - b, a)  =  common * w((a, b)) c_a(e_b),

@@ -19,12 +19,15 @@ relations are spanned by u r v with r a square or a q-anticommutator, and
 pairing with u r v reads only the words that agree with u and v outside
 positions |u|, |u| + 1.
 
-Every q factor on the affine side comes from letter counts: appending x_j
-to a word holding counts[k] copies of each x_k multiplies the normal form
-by q_jk^{counts[k]} for each k > j.  The coaction on x^m is one depth-first
-pass over the upper-index sequences of the sorted word of x^m that applies
-this rule letter by letter, with shared prefixes; capping the upper counts
-at m gives exactly the words of the diagonal coefficient G(m).
+Both sides' q factors come from letter counts: appending x_j to a word
+holding counts[k] copies of each x_k adds counts[k] inversions of the pair
+(j, k) for each k > j, and each costs q_jk in A and (-q_jk)^{-1} in A^!,
+whose relations are the negated inverses of A's.  ``affine_normalize`` and
+``exterior_weight`` read the counts off one pass, ``_inversions``.  The
+coaction on x^m is one depth-first pass over the upper-index sequences of
+the sorted word of x^m that applies the rule letter by letter, with shared
+prefixes; capping the upper counts at m gives exactly the words of the
+diagonal coefficient G(m).
 
 The free-level coaction on tensor words normalizes nothing: it relabels
 each word u with each target t into the z-word z_{u_1}^{t_1}...z_{u_m}^{t_m},
@@ -62,20 +65,23 @@ class QuantumSpace:
 
     # -- the affine side -------------------------------------------------------
 
-    def affine_normalize(self, word: Word) -> tuple[ParamScalar, tuple[int, ...]]:
-        """PBW normal form of a free word: word = c * x^m in A.
-
-        Moving x_j leftwards past x_i (i < j) costs q_ij, so c is the product
-        of q over the inversion pairs of the word.  One left-to-right pass
-        counts them: appending x_j after counts[k] copies of each x_k adds
-        counts[k] to the exponent of q_jk for every k > j.
-        """
+    def _inversions(self, letters) -> tuple[list, list]:
+        """(per-pair inversion counts, letter counts) of a word of letter
+        ids, in one left-to-right pass: appending x_j after counts[k] copies
+        of each x_k adds counts[k] to the count of the pair (j, k), k > j."""
         counts = [0] * self.n
         exps = [0] * self._npairs
-        for c in bytes(word):
+        for c in letters:
             for k, slot in self._above[c]:
                 exps[slot] += counts[k]
             counts[c] += 1
+        return exps, counts
+
+    def affine_normalize(self, word: Word) -> tuple[ParamScalar, tuple[int, ...]]:
+        """PBW normal form of a free word: word = c * x^m in A.  Moving x_j
+        leftwards past x_i (i < j) costs q_ij, so c is q^e for the per-pair
+        inversion counts e of ``_inversions``."""
+        exps, counts = self._inversions(bytes(word))
         return self.mode.q_monomial(exps), tuple(counts)
 
     def affine_prepend(self, letter: int, m) -> tuple[ParamScalar, tuple[int, ...]]:
@@ -128,13 +134,13 @@ class QuantumSpace:
 
     def exterior_weight(self, indices) -> ParamScalar:
         """One factor (-q_ab)^{-1} per inversion of a sequence of distinct
-        indices, with a < b the two inverted values."""
-        w = self.mode.one()
-        for p, b in enumerate(indices):
-            for a in indices[p + 1:]:
-                if b > a:
-                    w = w * (-self.mode.q(a, b)).inv()
-        return w
+        indices in 1..n, a < b the inverted values: (-1)^{sum e} q^{-e} for
+        the per-pair inversion counts e of ``_inversions``."""
+        if any(not 1 <= j <= self.n for j in indices):
+            raise ValueError(f"need indices in 1..{self.n}, got {tuple(indices)}")
+        exps, _ = self._inversions([j - 1 for j in indices])
+        w = self.mode.q_monomial([-e for e in exps])
+        return -w if sum(exps) % 2 else w
 
     def wedge_expand(self, subset) -> NCPoly:
         """The wedge basis vector of a subset of {1..n}, as its expansion in

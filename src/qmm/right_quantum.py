@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
-from itertools import permutations, product
+from itertools import product
 from operator import add
 
 from .free_algebra import Alphabet, LinearCombination, NCPoly, Word, word_rank
@@ -586,22 +586,19 @@ class QMatrix:
 
 def qdet(Z: QMatrix, subset=None):
     """The quantum determinant of the submatrix on ``subset`` (default all of
-    1..n): the inversion-weighted permutation sum
-
-        sum over pi of w(pi) z^{j_1}_{j_pi(1)} ... z^{j_m}_{j_pi(m)},
-
-    sharing the J-mapped weight convention with the wedge basis.  Distinct
-    permutations give distinct words, so the sum is a dict fill.  Returns an
-    NCPoly for the generic matrix, else the value of that NCPoly at Z.
+    1..n): wedge(J) relabeled, each word x_{pi_1} ... x_{pi_m} of
+    ``wedge_expand(J)`` going with its weight to z_{pi_1}^{j_1} ...
+    z_{pi_m}^{j_m}.  The relabeling is injective, so the sum is a dict fill.
+    Returns an NCPoly for the generic matrix, else the value of that NCPoly
+    at Z.
     """
     n, mode = Z.n, Z.mode
     J = tuple(sorted(subset)) if subset is not None else tuple(range(1, n + 1))
     if not J or J[0] < 1 or J[-1] > n or len(set(J)) != len(J):
         raise ValueError(f"need a nonempty subset of 1..{n}")
     space = QuantumSpace(n, mode)
-    z = space.z
-    terms = {z.z_word(zip(lower, J)): space.exterior_weight(lower) for lower in permutations(J)}
-    det = NCPoly(z, mode, terms)
+    terms = {bytes(a * n + j - 1 for a, j in zip(u, J)): c for u, c in space.wedge_expand(J).terms.items()}
+    det = NCPoly(space.z, mode, terms)
     return det if Z.is_generic else evaluate(det, Z)
 
 

@@ -6,10 +6,12 @@ pairing with the degree-m relations of the exterior dual as one local
 identity per support word and position.  The references below are those
 maps as they were first written: the coaction adds one monomial per target
 word, the comultiplication multiplies one ``TensorPoly`` per letter, the
-minors and the series add one ``NCPoly`` at a time, and the pairing runs
-over every spanner u * r * v of the relation space.  They share no code
-with the fills, so the two agreeing on whole outputs is a differential
-check of the claim that nothing there needs summing.
+minors and the series add one ``NCPoly`` at a time, with each minor's
+weights multiplied out one (-q_ab)^{-1} per inversion pair rather than read
+off the count rule, and the pairing runs over every spanner u * r * v of
+the relation space.  They share no code with the fills, so the two agreeing
+on whole outputs is a differential check of the claim that nothing there
+needs summing.
 """
 
 from itertools import combinations, permutations, product
@@ -104,12 +106,25 @@ def reference_vanishes_on_dual_relations(sp, p, m):
     return True
 
 
+def reference_exterior_weight(mode, indices, signed=True):
+    """One factor (-q_ab)^{-1} per inversion, pair by pair, a < b the two
+    inverted values.  ``signed=False`` is the control: q_ab^{-1}."""
+    w = mode.one()
+    for p, b in enumerate(indices):
+        for a in indices[p + 1:]:
+            if b > a:
+                q = mode.q(a, b)
+                w = w * (-q if signed else q).inv()
+    return w
+
+
 def reference_qdet(sp, J):
     """The minor on J, one monomial added at a time."""
     acc = NCPoly.zero(sp.z, sp.mode)
     for pi in permutations(range(len(J))):
         word = sp.z.z_word((J[pi[k]], J[k]) for k in range(len(J)))
-        acc = acc + NCPoly.monomial(sp.z, sp.mode, word, sp.exterior_weight([J[p] for p in pi]))
+        weight = reference_exterior_weight(sp.mode, [J[p] for p in pi])
+        acc = acc + NCPoly.monomial(sp.z, sp.mode, word, weight)
     return acc
 
 
@@ -150,6 +165,35 @@ def subsets(n):
 
 
 N_RANGE = [1, 2, 3, 4]
+
+
+def distinct_sequences(n) -> list:
+    """Every sequence of distinct indices in 1..n of length <= 4."""
+    return [s for m in range(5) for s in permutations(range(1, n + 1), m)]
+
+
+def weight_mismatches(sp, reference) -> list:
+    """The sequences where ``exterior_weight`` differs from ``reference``."""
+    return [s for s in distinct_sequences(sp.n) if sp.exterior_weight(s) != reference(sp.mode, s)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_count_rule_weight_matches_the_pairwise_loop(n):
+    for mode in modes(n, seed=350 + n):
+        assert weight_mismatches(QuantumSpace(n, mode), reference_exterior_weight) == [], mode
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_unsigned_weight_disagrees(n):
+    # the control: without the sign, exactly the sequences with an odd
+    # number of inversions change weight, and the comparison finds them
+    def unsigned(mode, indices):
+        return reference_exterior_weight(mode, indices, signed=False)
+
+    odd = [s for s in distinct_sequences(n) if sum(a > b for i, a in enumerate(s) for b in s[i + 1:]) % 2]
+    assert odd
+    for mode in modes(n, seed=360 + n):
+        assert weight_mismatches(QuantumSpace(n, mode), unsigned) == odd, mode
 
 
 @pytest.mark.parametrize("n", N_RANGE)

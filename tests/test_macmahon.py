@@ -28,10 +28,12 @@ from test_twisted_reference import TorusElement, special_torus, torus_act
 
 
 def wedge_coaction_diagonal(sp, subset):
-    """Test-only route to qdet on J: the coefficient of the increasing
-    tensor word in the free-level coaction of wedge(J), with no reduction.
-    Each word u of wedge(J) goes to z_{u_1}^{j_1} ... z_{u_m}^{j_m}, and
-    distinct u give distinct z-words."""
+    """The coefficient of the increasing tensor word in the free-level
+    coaction of wedge(J), with no reduction.  Each word u of wedge(J) goes
+    to z_{u_1}^{j_1} ... z_{u_m}^{j_m}, and distinct u give distinct
+    z-words.  This is the relabeling ``qdet`` itself makes, so it is not an
+    independent route; ``test_letterwise_reference`` checks qdet against the
+    permutation sum with the pairwise weights."""
     J = tuple(sorted(subset))
     terms = {bytes(a * sp.n + j - 1 for a, j in zip(u, J)): c for u, c in sp.wedge_expand(J).terms.items()}
     return NCPoly(sp.z, sp.mode, terms)

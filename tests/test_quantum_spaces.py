@@ -280,6 +280,16 @@ def test_character_multiplicativity_on_tensor_square():
     assert square == trace * trace
 
 
+@pytest.mark.parametrize(
+    "mode", [ParamMode.multi(2), ParamMode.single(), ParamMode.numeric(2, {(1, 2): 3})], ids=["multi", "single", "numeric"]
+)
+def test_exterior_weight_rejects_an_index_outside_1_to_n(mode):
+    sp = QuantumSpace(2, mode)
+    for indices in [(5, 1), (0, -3), (3,), (0,), (1, 3), (2, 1, 0)]:
+        with pytest.raises(ValueError):
+            sp.exterior_weight(indices)
+
+
 def test_inversion_weight_identity_permutation():
     # w(pi) is the exterior weight of the word J o pi
     sp = space(3)
