@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from itertools import count
-from operator import lshift
 
 
 class ModeMismatchError(ValueError):
@@ -50,17 +48,28 @@ EXPONENT_LIMIT = 1 << 31
 _DIGIT = 1 << 32
 
 
-def _packed_and_top(exps) -> tuple[int, int]:
-    """(packed exponent, largest |e_i|) of an exponent vector."""
-    top = max(map(abs, exps)) if exps else 0
+def _slots(nvars: int) -> tuple:
+    """(struct of ``nvars`` signed 32-bit little-endian slots, the mask of
+    their sign bits): what ``_packed_and_top`` packs a vector through."""
+    return struct.Struct(f"<{nvars}i"), int.from_bytes(b"\0\0\0\x80" * nvars, "little")
+
+
+def _packed_and_top(exps, slots) -> tuple[int, int]:
+    """(packed exponent, largest |e_i|) of an exponent vector, through
+    ``slots`` = ``_slots(len(exps))``.  The slots read as one unsigned int
+    u hold e_i + 2^32 for each negative e_i, so u is the packed exponent
+    plus 2^(32 i + 32) per negative slot, which is twice its sign bit."""
+    top = max(map(abs, exps), default=0)
     if top >= EXPONENT_LIMIT:
         raise ExponentOverflowError(f"an exponent of {exps} does not fit a packed slot")
-    return sum(map(lshift, exps, count(0, 32))), top
+    packer, signs = slots
+    u = int.from_bytes(packer.pack(*exps), "little")
+    return u - ((u & signs) << 1), top
 
 
 def pack(exps) -> int:
     """The packed exponent sum of e_i * 2^(32 i) of an exponent vector."""
-    return _packed_and_top(exps)[0]
+    return _packed_and_top(exps, _slots(len(exps)))[0]
 
 
 def unpack(packed: int, nvars: int) -> tuple:
@@ -117,13 +126,14 @@ class ParamMode:
     ``single``, and empty for ``numeric``.
     """
 
-    __slots__ = ("kind", "n", "variables", "assignment", "_key")
+    __slots__ = ("kind", "n", "variables", "assignment", "_key", "_slots")
 
     def __init__(self, kind, n=None, variables=(), assignment=None):
         self.kind = kind
         self.n = n
         self.variables = variables
         self.assignment = assignment
+        self._slots = _slots(len(variables))  # every monomial is packed through it
         # every scalar operation compares modes, so the key is built once
         if kind == "multi":
             self._key = ("multi", n)
@@ -199,7 +209,7 @@ class ParamMode:
 
     def _monomial(self, exps) -> "ParamScalar":
         """The monomial q^exps with coefficient 1, one slot per variable."""
-        key, top = _packed_and_top(exps)
+        key, top = _packed_and_top(exps, self._slots)
         return ParamScalar(self, {key: 1}, top)
 
     def variable(self, label, power: int = 1) -> "ParamScalar":
@@ -242,8 +252,11 @@ class ParamMode:
             if len(exponents) != self.nvars:
                 raise ValueError(f"need {self.nvars} per-pair exponents")
             return self._monomial(exponents)
-        if self.kind == "single":
-            return self._monomial((sum(exponents),))
+        if self.kind == "single":  # one slot packs as its own exponent
+            e = sum(exponents)
+            if not -EXPONENT_LIMIT < e < EXPONENT_LIMIT:
+                raise ExponentOverflowError(f"the exponent {e} does not fit a packed slot")
+            return ParamScalar(self, {e: 1}, abs(e))
         value = Fraction(1)
         for pair, e in zip(parameter_pairs(self.n), exponents):
             if e:

@@ -38,7 +38,7 @@ coefficient is one dict fill with nothing to sum.
 from __future__ import annotations
 
 from itertools import permutations, product
-from operator import add
+from operator import add, le
 
 from .free_algebra import Alphabet, NCPoly, Word
 from .param_ring import ParamMode, ParamScalar, parameter_pairs
@@ -135,10 +135,14 @@ class QuantumSpace:
     def exterior_weight(self, indices) -> ParamScalar:
         """One factor (-q_ab)^{-1} per inversion of a sequence of distinct
         indices in 1..n, a < b the inverted values: (-1)^{sum e} q^{-e} for
-        the per-pair inversion counts e of ``_inversions``."""
-        if any(not 1 <= j <= self.n for j in indices):
-            raise ValueError(f"need indices in 1..{self.n}, got {tuple(indices)}")
-        exps, _ = self._inversions([j - 1 for j in indices])
+        the per-pair inversion counts e of ``_inversions``; 1 for a sequence
+        with no inversion, such as a sorted or a one-index one."""
+        seq = tuple(indices)
+        if seq and (min(seq) < 1 or max(seq) > self.n):
+            raise ValueError(f"need indices in 1..{self.n}, got {seq}")
+        if all(map(le, seq, seq[1:])):
+            return self.mode.one()
+        exps, _ = self._inversions([j - 1 for j in seq])
         w = self.mode.q_monomial([-e for e in exps])
         return -w if sum(exps) % 2 else w
 

@@ -590,11 +590,12 @@ def qdet(Z: QMatrix, subset=None):
     ``wedge_expand(J)`` going with its weight to z_{pi_1}^{j_1} ...
     z_{pi_m}^{j_m}.  The relabeling is injective, so the sum is a dict fill.
     Returns an NCPoly for the generic matrix, else the value of that NCPoly
-    at Z.
+    at Z.  An empty subset is a ``ValueError`` here, and an index outside
+    1..n or a repeat one in ``wedge_expand``.
     """
     n, mode = Z.n, Z.mode
     J = tuple(sorted(subset)) if subset is not None else tuple(range(1, n + 1))
-    if not J or J[0] < 1 or J[-1] > n or len(set(J)) != len(J):
+    if not J:
         raise ValueError(f"need a nonempty subset of 1..{n}")
     space = QuantumSpace(n, mode)
     terms = {bytes(a * n + j - 1 for a, j in zip(u, J)): c for u, c in space.wedge_expand(J).terms.items()}

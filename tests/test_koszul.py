@@ -1,6 +1,7 @@
 """Koszul complex assembly, d^2 = 0, exactness, comodule compatibility."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -19,6 +20,7 @@ from qmm import (
     verify_master,
 )
 from qmm import koszul
+from qmm.free_algebra import NCPoly
 from qmm.koszul import ExactnessReport
 
 
@@ -142,11 +144,9 @@ def test_comodule_compat_rejects_an_oracle_for_another_n(n, oracle_n):
         comodule_compat_check(n, 2, IdealOracle(oracle_n, ParamMode.single()))
 
 
-@pytest.mark.parametrize("n,ell", [(2, 1), (2, 2), (3, 3), (3, 4)])
-@pytest.mark.parametrize("exact", [True, False])
-def test_comodule_compat_rejects_a_perturbed_differential(monkeypatch, n, ell, exact):
-    # the control: one nonzero entry of d_ell times q_12 breaks the square
-    # of that column, and the check must say so
+def scaled_entry(monkeypatch):
+    """The first stored entry of d_ell times q_12."""
+
     def perturbed(n, ell, mode):
         complex = build_complex(n, ell, mode)
         matrix = complex.maps[ell]
@@ -156,9 +156,17 @@ def test_comodule_compat_rejects_a_perturbed_differential(monkeypatch, n, ell, e
         matrix[row][col] = matrix[row][col] * mode.q(1, 2)
         return complex
 
+    monkeypatch.setattr("qmm.koszul.build_complex", perturbed)
+
+
+@pytest.mark.parametrize("n,ell", [(2, 1), (2, 2), (3, 3), (3, 4)])
+@pytest.mark.parametrize("exact", [True, False])
+def test_comodule_compat_rejects_a_perturbed_differential(monkeypatch, n, ell, exact):
+    # the control: one nonzero entry of d_ell times q_12 breaks the square
+    # of that column, and the check must say so
     oracle = IdealOracle(n, ParamMode.multi(n), exact=exact, seed=0, draws=3)
     assert comodule_compat_check(n, ell, oracle)
-    monkeypatch.setattr("qmm.koszul.build_complex", perturbed)
+    scaled_entry(monkeypatch)
     assert not comodule_compat_check(n, ell, oracle)
 
 
@@ -257,6 +265,241 @@ def test_full_expansion_alone_passes_valid_complexes(monkeypatch):
     monkeypatch.setattr("qmm.koszul._face_weights", lambda space, J: None)
     for n, ell in ((2, 3), (3, 3)):
         assert comodule_compat_check(n, ell, IdealOracle(n, ParamMode.multi(n)))
+
+
+def perturbed_coaction(monkeypatch):
+    """The coaction on x_1^2 x_2, a degree-3 multidegree, times q_12, every
+    other as it is: (H1) fails at degree 3."""
+    coaction_affine = QuantumSpace.coaction_affine
+
+    def perturbed(self, m):
+        family = coaction_affine(self, m)
+        if tuple(m) == (2, 1) + (0,) * (self.n - 2):
+            return {r: p.scale(self.mode.q(1, 2)) for r, p in family.items()}
+        return family
+
+    monkeypatch.setattr(QuantumSpace, "coaction_affine", perturbed)
+
+
+def scaled_prepend(monkeypatch):
+    """x_2 x_1 x_2 = q_12 c_2(e_1 + e_2) x_1 x_2^2, every other factor as it
+    is: the factors are no longer a character, so (H3) fails at |m| = 2."""
+    affine_prepend = QuantumSpace.affine_prepend
+
+    def scaled(self, letter, m):
+        c, r = affine_prepend(self, letter, m)
+        if letter == 1 and tuple(m) == (1, 1) + (0,) * (self.n - 2):
+            return c * self.mode.q(1, 2), r
+        return c, r
+
+    monkeypatch.setattr(QuantumSpace, "affine_prepend", scaled)
+
+
+def moved_entry(monkeypatch):
+    """The entry of the first column of d_ell at (J - j, r + e_j) moved to
+    (J - j, r + e_k), k != j: one stored entry off the lemma's form."""
+
+    def perturbed(n, ell, mode):
+        complex = build_complex(n, ell, mode)
+        domain, codomain = complex.bases[ell - 1], complex.bases[ell]
+        row, col = next((r, c) for r, entries in enumerate(complex.maps[ell]) for c in entries.entries)
+        (I, r2), (J, r) = codomain[row], domain[col]
+        j = next(a for a in J if a not in I) - 1
+        k = (j + 1) % n
+        moved = codomain.index((I, r[:k] + (r[k] + 1,) + r[k + 1:]))
+        complex.maps[ell][moved][col] = complex.maps[ell][row][col]
+        complex.maps[ell][row][col] = mode.zero()
+        return complex
+
+    monkeypatch.setattr("qmm.koszul.build_complex", perturbed)
+
+
+def inverted_a(monkeypatch):
+    """A with every q_ij replaced by q_ij^{-1} in the prepend factors and
+    the coaction alike, while B stays the algebra of the true A: (H1) and
+    (H3) hold, and (C), so (H2), fails."""
+    affine_prepend, coaction_affine = QuantumSpace.affine_prepend, QuantumSpace.coaction_affine
+
+    def prepend(self, letter, m):
+        c, r = affine_prepend(self, letter, m)
+        return c.inv(), r
+
+    def coaction(self, m):
+        family = coaction_affine(self, m)
+        return {r: NCPoly(p.alphabet, p.mode, {w: c.inv() for w, c in p.terms.items()}) for r, p in family.items()}
+
+    monkeypatch.setattr(QuantumSpace, "affine_prepend", prepend)
+    monkeypatch.setattr(QuantumSpace, "coaction_affine", coaction)
+
+
+def numeric_mode(n: int) -> ParamMode:
+    return ParamMode.numeric(n, {(i, j): Fraction(i + 2 * j, j + 1) for i, j in combinations(range(1, n + 1), 2)})
+
+
+MODES = {"multi": ParamMode.multi, "single": lambda n: ParamMode.single(), "numeric": numeric_mode}
+CONTROLS = [
+    scaled_wedge_12,
+    inverted_prepend,
+    scaled_entry,
+    perturbed_coaction,
+    scaled_prepend,
+    moved_entry,
+    inverted_a,
+]
+
+
+@pytest.mark.parametrize("control", [None] + CONTROLS)
+@pytest.mark.parametrize("kind", list(MODES))
+def test_the_lemma_route_returns_the_leg_by_leg_verdicts(monkeypatch, kind, control):
+    # every verdict for n <= 3, ell <= 5 is the same with the lemma patched
+    # off, when every leg goes through a normal form
+    cases = [(n, ell) for n in range(1 if control is None else 2, 4) for ell in range(1, 6)]
+    if control is not None:
+        control(monkeypatch)
+    oracles = {n: IdealOracle(n, MODES[kind](n)) for n, _ in cases}
+    verdicts = [comodule_compat_check(n, ell, oracles[n]) for n, ell in cases]
+    monkeypatch.setattr("qmm.koszul._lemma_holds", lambda *args: False)
+    assert [comodule_compat_check(n, ell, oracles[n]) for n, ell in cases] == verdicts
+    assert all(verdicts) if control is None else not all(verdicts)
+
+
+LEMMA_CASES = [(n, ell, kind) for n in (1, 2, 3) for ell in range(1, 6) for kind in MODES]
+
+
+@pytest.mark.parametrize("n, ell, kind", LEMMA_CASES)
+def test_a_valid_complex_decides_only_the_degree_2_legs(monkeypatch, n, ell, kind):
+    # the lemma clears every leg above degree 2, so the only normal forms
+    # are those of (C), the C(n, 2) legs E(j, e_i) with i < j, each once
+    decided = []
+    leg_vanishes = koszul._leg_vanishes
+
+    def recorded(oracle, affine, prepend, j, r, entries):
+        decided.append((j, r))
+        return leg_vanishes(oracle, affine, prepend, j, r, entries)
+
+    def expand(*args):
+        raise AssertionError(f"column {args[4:6]} was not certified")
+
+    monkeypatch.setattr("qmm.koszul._leg_vanishes", recorded)
+    monkeypatch.setattr("qmm.koszul._expand_column", expand)
+    assert comodule_compat_check(n, ell, IdealOracle(n, MODES[kind](n)))
+    units = [tuple(int(a == i) for a in range(n)) for i in range(n)]
+    pairs = [(j + 1, units[i]) for i, j in combinations(range(n), 2)]
+    assert sorted(decided) == (sorted(pairs) if ell >= 2 else [])
+
+
+@pytest.mark.parametrize("n, ell", [(2, 3), (3, 3), (3, 4)])
+@pytest.mark.parametrize("control", [perturbed_coaction, scaled_prepend, inverted_a, moved_entry])
+def test_the_lemma_controls_are_rejected_through_the_fallback(monkeypatch, n, ell, control):
+    control(monkeypatch)
+    oracle = IdealOracle(n, ParamMode.multi(n))
+    lemma, expanded = [], []
+    lemma_holds, expand_column = koszul._lemma_holds, koszul._expand_column
+
+    def recorded(*args):
+        lemma.append(lemma_holds(*args))
+        return lemma[-1]
+
+    def counted(*args):
+        expanded.append(args[4:6])
+        return expand_column(*args)
+
+    monkeypatch.setattr("qmm.koszul._lemma_holds", recorded)
+    monkeypatch.setattr("qmm.koszul._expand_column", counted)
+    assert not comodule_compat_check(n, ell, oracle)
+    # a broken hypothesis turns the lemma off; an entry off its form keeps
+    # the lemma on and takes its leg to a normal form
+    assert lemma == [control is moved_entry]
+    assert expanded
+
+
+def recursive_coaction(monkeypatch, unit=1):
+    """coaction_affine rebuilt from affine_prepend by the recursion
+    D(r) = M_i(D(r - e_i)), i = min supp r, from D(0) = unit (x) 1: the
+    recursion part of (H1) holds whatever the prepend factors are."""
+
+    def coaction(self, m):
+        m = tuple(m)
+        if not any(m):
+            return {m: NCPoly.monomial(self.z, self.mode, b"", unit)}
+        i = next(k for k, e in enumerate(m) if e)
+        out = {}
+        for t, p in coaction(self, m[:i] + (m[i] - 1,) + m[i + 1:]).items():
+            for l in range(self.n):
+                c, target = self.affine_prepend(l, t)
+                term = NCPoly.monomial(self.z, self.mode, bytes([i * self.n + l]), c) * p
+                out[target] = out[target] + term if target in out else term
+        return out
+
+    monkeypatch.setattr(QuantumSpace, "coaction_affine", coaction)
+
+
+def doubled_unit(monkeypatch):
+    """D(0) = 2 (x) 1 and every D(r) rebuilt from it: only D(0) = 1 (x) 1
+    of (H1) fails, and every leg is twice a leg in the ideal."""
+    recursive_coaction(monkeypatch, unit=2)
+
+
+def scaled_prepend_recursively(monkeypatch):
+    """``scaled_prepend`` with the coaction rebuilt from it: (H1) holds and
+    (H3) fails at |m| = 2."""
+    scaled_prepend(monkeypatch)
+    recursive_coaction(monkeypatch)
+
+
+def diagonal_prepend_recursively(monkeypatch):
+    """c_l(m) q_12^{m_l}, still a character but c_l(e_l) != 1, with the
+    coaction rebuilt from it: (H1), (H2) and the product rule of (H3) hold,
+    and c_l(e_k) = 1 for k >= l fails."""
+    affine_prepend = QuantumSpace.affine_prepend
+
+    def diagonal(self, letter, m):
+        c, r = affine_prepend(self, letter, m)
+        return c * self.mode.q(1, 2) ** m[letter], r
+
+    monkeypatch.setattr(QuantumSpace, "affine_prepend", diagonal)
+    recursive_coaction(monkeypatch)
+
+
+def moved_target_recursively(monkeypatch):
+    """x_2 x_1 x_2 sent to x_1^3 instead of x_1 x_2^2, with its factor, and
+    the coaction rebuilt from that: (H1) and the factors of (H3) hold, and
+    the target m + e_l of (H3) fails at |m| = 2."""
+    affine_prepend = QuantumSpace.affine_prepend
+
+    def moved(self, letter, m):
+        c, r = affine_prepend(self, letter, m)
+        if letter == 1 and tuple(m) == (1, 1) + (0,) * (self.n - 2):
+            return c, (3,) + (0,) * (self.n - 1)
+        return c, r
+
+    monkeypatch.setattr(QuantumSpace, "affine_prepend", moved)
+    recursive_coaction(monkeypatch)
+
+
+HYPOTHESIS_CONTROLS = [doubled_unit, scaled_prepend_recursively, diagonal_prepend_recursively, moved_target_recursively]
+
+
+@pytest.mark.parametrize("n, ell", [(2, 3), (3, 3), (3, 4)])
+@pytest.mark.parametrize("control", HYPOTHESIS_CONTROLS)
+def test_each_hypothesis_is_checked_where_the_others_hold(monkeypatch, n, ell, control):
+    # with (H1) made to hold by construction, each failing part of a
+    # hypothesis must turn the lemma off on its own, and the legs then
+    # decide the verdict, whatever it is
+    control(monkeypatch)
+    oracle = IdealOracle(n, ParamMode.multi(n))
+    lemma = []
+    lemma_holds = koszul._lemma_holds
+
+    def recorded(*args):
+        lemma.append(lemma_holds(*args))
+        return lemma[-1]
+
+    monkeypatch.setattr("qmm.koszul._lemma_holds", recorded)
+    verdict = comodule_compat_check(n, ell, oracle)
+    assert lemma == [False]
+    monkeypatch.setattr("qmm.koszul._lemma_holds", lambda *args: False)
+    assert comodule_compat_check(n, ell, oracle) == verdict == (control is doubled_unit)
 
 
 def test_build_complex_rejects_bad_ell():

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from qmm import ModeMismatchError, ParamMode
+from qmm.param_ring import EXPONENT_LIMIT, ExponentOverflowError, pack, unpack
 
 
 def random_scalar(mode, rng, size=3, span=4):
@@ -177,3 +178,21 @@ def test_q_monomial_is_the_product_of_powers():
             assert mode.q_monomial(exps) == expected
     with pytest.raises(ValueError):
         ParamMode.multi(n).q_monomial([1, 2])
+
+
+@pytest.mark.parametrize("mode", [ParamMode.multi(3), ParamMode.single()], ids=["multi", "single"])
+def test_q_monomial_packs_up_to_the_exponent_limit(mode):
+    # the per-mode packing agrees with pack/unpack at +-(2^31 - 1), and an
+    # exponent of magnitude 2^31 raises instead of aliasing
+    top = EXPONENT_LIMIT - 1
+    vectors = [(top, -top, 0), (-top, 0, top), (-1, 1, -1), (0, 0, 0)] if mode.kind == "multi" else [(top,), (-top,)]
+    for exps in vectors:
+        monomial = mode.q_monomial(exps)
+        slots = exps if mode.kind == "multi" else (sum(exps),)
+        ((key, coeff),) = monomial.terms.items()
+        assert key == pack(slots) and unpack(key, len(slots)) == slots and coeff == 1
+        assert monomial.bound == max(map(abs, slots))
+    bad = [(EXPONENT_LIMIT, 0, 0), (0, -EXPONENT_LIMIT, 0)] if mode.kind == "multi" else [(EXPONENT_LIMIT,), (-EXPONENT_LIMIT,)]
+    for exps in bad:
+        with pytest.raises(ExponentOverflowError):
+            mode.q_monomial(exps)

@@ -263,6 +263,14 @@ def test_qdet_subset_uses_subset_parameters():
                 assert e == 0 or k == slot
 
 
+@pytest.mark.parametrize("subset", [(), (0,), (4,), (1, 1), (2, 5), (0, 1, 2)])
+def test_qdet_rejects_every_bad_subset(subset):
+    # qdet checks only that the subset is nonempty; wedge_expand checks the
+    # range and the repeats
+    with pytest.raises(ValueError, match="subset"):
+        qdet(QMatrix.generic(3, ParamMode.multi(3)), subset)
+
+
 def test_comultiply_generator():
     mode = ParamMode.multi(2)
     sp = QuantumSpace(2, mode)
