@@ -283,7 +283,8 @@ def perturbed_coaction(monkeypatch):
 
 def scaled_prepend(monkeypatch):
     """x_2 x_1 x_2 = q_12 c_2(e_1 + e_2) x_1 x_2^2, every other factor as it
-    is: the factors are no longer a character, so (H3) fails at |m| = 2."""
+    is: the factors are no longer a character, so (H3) fails at |m| = 2,
+    and (H1) with it, since the coaction keeps the true factors."""
     affine_prepend = QuantumSpace.affine_prepend
 
     def scaled(self, letter, m):
