@@ -10,11 +10,12 @@ output prints ``[command] pass=...`` followed by the lines.  The config is
 built after the command has run, since a command may fill in a default.
 ``EXIT_CODES`` maps the verdict to the exit code: 0 pass, 1 verified false,
 3 inconclusive; 2 is a usage error.  Only bad command-line input is a usage
-error: numbers out of range are rejected before any work, and an internal
-defect propagates as a traceback instead of being reported as exit 2.  A
-report that cannot be written because stdout was closed (a reader such as
-``head`` exited) is ``EXIT_BROKEN_PIPE``, 141 (128 + SIGPIPE), with no
-traceback, so it never reads as a verdict.
+error: numbers out of range are rejected before any work.  An internal
+defect, any other exception, prints its traceback to stderr and is
+``EXIT_INTERNAL_ERROR``, 70 (EX_SOFTWARE), so it never reads as a verdict
+or a usage error.  A report that cannot be written because stdout was
+closed (a reader such as ``head`` exited) is ``EXIT_BROKEN_PIPE``, 141
+(128 + SIGPIPE), with no traceback, for the same reason.
 
 ``koszul`` reads every K^l off K^1 and K^2.  It builds each of the two at
 most once per sweep and checks d o d = 0 and the contracting homotopy on
@@ -53,6 +54,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 from random import Random
 
@@ -66,6 +68,7 @@ KOSZUL_DEGREE = 3  # the koszul sweep's degree when neither --ell nor --degree i
 CLASSICAL_N = 2  # the size of the classical --random matrices when --n is not given
 EXIT_CODES = {True: 0, False: 1, None: 3}
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout closed before the report was written
+EXIT_INTERNAL_ERROR = 70  # EX_SOFTWARE: an internal defect, its traceback on stderr
 
 
 class UsageError(ValueError):
@@ -340,6 +343,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
+
+
+def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # only the running command's subparser: the other four would be a
     # measurable share of a small job

@@ -13,11 +13,9 @@ with inversion weight w(pi) = prod over inversions of (-q_ab)^{-1}.  The
 parameters in w(pi) are indexed by the actual elements of J, pairs
 (a, b) = (j_pi(j), j_pi(i)) with a < b, not by positions 1..m: the position
 convention fails to annihilate the degree-m relations of A^! for any J other
-than {1..m}, which is machine-checked by ``wedge_pairing_check`` (and its
-negative twin in the test suite).  That check is local: the degree-m
-relations are spanned by u r v with r a square or a q-anticommutator, and
-pairing with u r v reads only the words that agree with u and v outside
-positions |u|, |u| + 1.
+than {1..m}.  The test suite pairs both conventions with every spanner
+u r v of the degree-m relations of A^!, r a square or a q-anticommutator:
+the element convention annihilates them for every J.
 
 Both sides' q factors come from letter counts: appending x_j to a word
 holding counts[k] copies of each x_k adds counts[k] inversions of the pair
@@ -94,13 +92,6 @@ class QuantumSpace:
         r[letter] += 1
         return self.mode.q_monomial(exps), tuple(r)
 
-    def monomial_word(self, m) -> Word:
-        """The sorted word of the PBW monomial x^m."""
-        out = bytearray()
-        for i, e in enumerate(m):
-            out.extend([i] * e)
-        return bytes(out)
-
     def affine_basis(self, degree: int) -> list[tuple[int, ...]]:
         """All multidegrees of total degree ``degree``, in PBW word order."""
         if degree < 0:
@@ -116,19 +107,6 @@ class QuantumSpace:
 
         rec(0, degree, ())
         return out
-
-    # -- the exterior dual ---------------------------------------------------------
-
-    def exterior_normalize(self, word: Word) -> NCPoly:
-        """Normal form in the exterior dual: repeated letters kill the word,
-        and each swap of a descending adjacent pair x^l x^k (k < l) costs
-        -q_kl^{-1}.  The result is supported on one strictly increasing word
-        (or is zero)."""
-        letters = bytes(word)
-        if len(set(letters)) != len(letters):
-            return NCPoly.zero(self.x, self.mode)
-        weight = self.exterior_weight([c + 1 for c in letters])
-        return NCPoly.monomial(self.x, self.mode, bytes(sorted(letters)), weight)
 
     # -- wedge basis -----------------------------------------------------------------
 
@@ -155,36 +133,6 @@ class QuantumSpace:
             raise ValueError(f"need a subset of 1..{self.n} without repeats")
         terms = {self.x.x_word(word): self.exterior_weight(word) for word in permutations(J)}
         return NCPoly(self.x, self.mode, terms)
-
-    def vanishes_on_dual_relations(self, p: NCPoly, m: int) -> bool:
-        """Whether a degree-m element of the free algebra pairs to zero with
-        the whole degree-m relation space of the exterior dual.
-
-        That space is spanned by u r v with r = x_l x_l or x_k x_l + q_kl x_l x_k
-        (k < l), and equal words pair to 1.  So each support word of length m
-        must have no repeated adjacent letter, and at each position, with
-        k < l its two letters there, p[u k l v] + q_kl p[u l k v] must vanish.
-        """
-        terms, zero = p.terms, self.mode.zero()
-        for w in terms:
-            if len(w) != m:
-                continue
-            for pos in range(m - 1):
-                k, l = sorted(w[pos:pos + 2])
-                if k == l:
-                    return False
-                head, tail = w[:pos], w[pos + 2:]
-                lo = terms.get(head + bytes((k, l)) + tail, zero)
-                hi = terms.get(head + bytes((l, k)) + tail, zero)
-                if not (lo + self.mode.q(k + 1, l + 1) * hi).is_zero():
-                    return False
-        return True
-
-    def wedge_pairing_check(self, subset) -> bool:
-        """True iff wedge(J) really lies in the dual of the degree-m component
-        of the exterior algebra.  Vacuously true below degree 2."""
-        J = tuple(sorted(subset))
-        return self.vanishes_on_dual_relations(self.wedge_expand(J), len(J))
 
     # -- coactions ------------------------------------------------------------------
 

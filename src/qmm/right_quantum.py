@@ -1,10 +1,16 @@
 """The bialgebra of the generic right-quantum matrix, and its relation ideal.
 
-The algebra B is generated by z_i^j subject to the column relations
+B = end(A) is the algebra that coacts universally on quantum affine space A
+(``quantum_spaces``) through delta(x_i) = sum_j z_i^j (x) x_j (Manin,
+*Quantum groups and noncommutative geometry*, 1988).  Its relations are read
+off A: ``build_relations`` coacts each relation x_j x_i - q_ij x_i x_j of A
+(i < j), brings every target word to its PBW form, and keeps the
+coefficient of each x^m with |m| = 2.  The squares x_l^2 yield the column
+relations
 
     z_j^l z_i^l = q_ij z_i^l z_j^l            (all l, i < j)
 
-and the cross relations
+and the products x_k x_l yield the cross relations
 
     q_ij z_i^k z_j^l - q_kl z_j^l z_i^k = z_j^k z_i^l - q_kl q_ij z_i^l z_j^k
                                               (i < j, k < l).
@@ -12,7 +18,7 @@ and the cross relations
 "p = 0 in B" is decided by a quadratic rewriting system.  Each relation is
 oriented by its largest word in the canonical word order (``word_rank``):
 z_j^l z_i^l for a column relation, with coefficient 1, and z_j^l z_i^k for a
-cross relation, with coefficient -q_kl.  Both are units, so each relation
+cross relation, with coefficient q_kl.  Both are units, so each relation
 becomes a rule rewriting its leading word into lex-smaller words.  The
 leading words are exactly the letter pairs whose lower index strictly falls
 while the upper index does not rise.  Rewriting terminates, and since every
@@ -62,7 +68,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from operator import add
 
-from .free_algebra import Alphabet, LinearCombination, NCPoly, Word, word_rank
+from .free_algebra import LinearCombination, NCPoly, Word, word_rank
 from .param_ring import (
     EXPONENT_LIMIT,
     ExponentOverflowError,
@@ -84,26 +90,22 @@ class ConfluenceError(RuntimeError):
 
 
 def build_relations(n: int, mode: ParamMode) -> list[NCPoly]:
-    """The defining degree-2 relations of B: n*C(n,2) column relations
-    followed by C(n,2)^2 cross relations, each as a free z-polynomial."""
-    z = Alphabet("z", n)
+    """The defining degree-2 relations of B, read off A: for each i < j, the
+    nonzero coefficients of x^m in delta(x_j x_i - c x_i x_j), c the PBW
+    factor of x_j x_i, each a free z-polynomial.  Every i < j gives n column
+    and C(n, 2) cross relations, n*C(n,2) + C(n,2)^2 in all."""
+    space = QuantumSpace(n, mode)
     rels = []
-    for l in range(1, n + 1):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                p = NCPoly.monomial(z, mode, z.z_word([(j, l), (i, l)]))
-                p = p + NCPoly.monomial(z, mode, z.z_word([(i, l), (j, l)]), -mode.q(i, j))
-                rels.append(p)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(k + 1, n + 1):
-                    qij, qkl = mode.q(i, j), mode.q(k, l)
-                    p = NCPoly.monomial(z, mode, z.z_word([(i, k), (j, l)]), qij)
-                    p = p + NCPoly.monomial(z, mode, z.z_word([(j, l), (i, k)]), -qkl)
-                    p = p + NCPoly.monomial(z, mode, z.z_word([(j, k), (i, l)]), -mode.one())
-                    p = p + NCPoly.monomial(z, mode, z.z_word([(i, l), (j, k)]), qkl * qij)
-                    rels.append(p)
+    for i in range(n):
+        for j in range(i + 1, n):
+            c, _ = space.affine_normalize(bytes((j, i)))
+            relation = NCPoly(space.x, mode, {bytes((j, i)): mode.one(), bytes((i, j)): -c})
+            by_m: dict = {}
+            for target, coeff in space.coaction_tensor_poly(relation).items():
+                ct, m = space.affine_normalize(target)
+                coeff = coeff.scale(ct)
+                by_m[m] = by_m[m] + coeff if m in by_m else coeff
+            rels += [p for p in by_m.values() if not p.is_zero()]
     return rels
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qmm.cli import COMMANDS, EXIT_BROKEN_PIPE, EXIT_CODES, build_parser, main
+from qmm.cli import COMMANDS, EXIT_BROKEN_PIPE, EXIT_CODES, EXIT_INTERNAL_ERROR, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -275,10 +275,26 @@ def test_internal_defect_is_not_a_usage_error(monkeypatch):
     def broken(*args, **kwargs):
         raise ModeMismatchError("scalars over different parameter modes")
 
-    # main must not report it as exit 2: it propagates with its traceback
+    # main must not report it as exit 2: it exits EXIT_INTERNAL_ERROR with
+    # its traceback on stderr
     monkeypatch.setattr("qmm.cli.verify_master", broken)
-    with pytest.raises(ModeMismatchError):
-        main(["verify", "--n", "2", "--degree", "2"])
+    code, out, err = run(["verify", "--n", "2", "--degree", "2"])
+    assert code == EXIT_INTERNAL_ERROR and out == ""
+    assert "Traceback" in err and "ModeMismatchError: scalars over different parameter modes" in err
+
+
+def test_a_command_that_raises_exits_with_no_verdict(monkeypatch):
+    # a MemoryError, as from `koszul --degree 100000000000` building its
+    # list of degrees, is an internal error and never a verdict (0, 1, 3)
+    # or a usage error (2)
+    def broken(args):
+        raise MemoryError
+
+    monkeypatch.setattr("qmm.cli.cmd_koszul", broken)
+    code, out, err = run(["koszul", "--n", "2"])
+    assert code == EXIT_INTERNAL_ERROR
+    assert EXIT_INTERNAL_ERROR not in [*EXIT_CODES.values(), 2, EXIT_BROKEN_PIPE]
+    assert out == "" and "Traceback" in err and "MemoryError" in err
 
 
 CLASSICAL = ["classical", "--random", "1", "--n", "2", "--degree", "2"]

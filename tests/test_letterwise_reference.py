@@ -1,17 +1,14 @@
 """The letterwise maps as relabelings, against their accumulating originals.
 
 The free-level coaction on x-words, the comultiplication of B, the quantum
-minors and the fermionic series are each built as one dict fill, and the
-pairing with the degree-m relations of the exterior dual as one local
-identity per support word and position.  The references below are those
-maps as they were first written: the coaction adds one monomial per target
-word, the comultiplication multiplies one ``TensorPoly`` per letter, the
-minors and the series add one ``NCPoly`` at a time, with each minor's
-weights multiplied out one (-q_ab)^{-1} per inversion pair rather than read
-off the count rule, and the pairing runs over every spanner u * r * v of
-the relation space.  They share no code with the fills, so the two agreeing
-on whole outputs is a differential check of the claim that nothing there
-needs summing.
+minors and the fermionic series are each built as one dict fill.  The
+references below are those maps as they were first written: the coaction
+adds one monomial per target word, the comultiplication multiplies one
+``TensorPoly`` per letter, and the minors and the series add one ``NCPoly``
+at a time, with each minor's weights multiplied out one (-q_ab)^{-1} per
+inversion pair rather than read off the count rule.  They share no code
+with the fills, so the two agreeing on whole outputs is a differential
+check of the claim that nothing there needs summing.
 """
 
 from itertools import combinations, permutations, product
@@ -76,34 +73,6 @@ def reference_comultiply(p):
             acc = acc * TensorPoly(z, mode, {pair: mode.one() for pair in pairs})
         out = out + acc.scale(coeff)
     return out
-
-
-def reference_relation_generators(sp):
-    """The n squares and C(n,2) q-anticommutators spanning the degree-2
-    relations of the exterior dual."""
-    gens = [NCPoly.monomial(sp.x, sp.mode, sp.x.x_word([l, l])) for l in range(1, sp.n + 1)]
-    for k, l in combinations(range(1, sp.n + 1), 2):
-        p = NCPoly.monomial(sp.x, sp.mode, sp.x.x_word([k, l]))
-        gens.append(p + NCPoly.monomial(sp.x, sp.mode, sp.x.x_word([l, k]), sp.mode.q(k, l)))
-    return gens
-
-
-def reference_vanishes_on_dual_relations(sp, p, m):
-    """Pair p with every u * r * v, |u| + |v| = m - 2, equal words pairing
-    to 1, and require every pairing to vanish."""
-    gens = reference_relation_generators(sp)
-    for pos in range(m - 1):
-        for u in product(range(sp.n), repeat=pos):
-            for v in product(range(sp.n), repeat=m - 2 - pos):
-                for r in gens:
-                    total = sp.mode.zero()
-                    for w, c in r.terms.items():
-                        other = p.terms.get(bytes(u) + w + bytes(v))
-                        if other is not None:
-                            total = total + c * other
-                    if not total.is_zero():
-                        return False
-    return True
 
 
 def reference_exterior_weight(mode, indices, signed=True):
@@ -246,26 +215,3 @@ def test_minor_and_ferm_fills_match_the_sums(n):
             q = mode.q(1, 2)
             expected = reference_ferm(sp, n + 1, lambda J: q ** ferm_twist_exponent(n, J))
             assert twisted_ferm_series(sp, n + 1).body.coeffs == expected
-
-
-@pytest.mark.parametrize("n", N_RANGE)
-def test_local_pairing_matches_the_spanners(n):
-    verdicts = set()
-    for mode in modes(n, seed=340 + n):
-        sp = QuantumSpace(n, mode)
-        rng = Random(20 + n)
-        inputs = [sp.wedge_expand(J) for J in subsets(n)]
-        inputs += [position_indexed_wedge(sp, J) for J in subsets(n) if J]
-        for m in range(2, n + 1):
-            combo = NCPoly.zero(sp.x, mode)
-            for J in combinations(range(1, n + 1), m):
-                combo = combo + sp.wedge_expand(J).scale(random_coefficient(sp, rng))
-            inputs.append(combo)
-            inputs.append(combo + random_poly(sp, sp.x, rng, m, terms=1))
-        inputs += [random_poly(sp, sp.x, rng, 4) for _ in range(8)]
-        for p in inputs:
-            for m in range(5):
-                got = sp.vanishes_on_dual_relations(p, m)
-                assert got == reference_vanishes_on_dual_relations(sp, p, m), (mode, p, m)
-                verdicts.add(got)
-    assert verdicts == {True, False} or n == 1

@@ -1,16 +1,57 @@
 """Affine normal form, exterior dual, wedge basis, coactions."""
 
 import math
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from random import Random
 
 import pytest
+from test_coaction_reference import monomial_word
 
 from qmm import NCPoly, ParamMode, QuantumSpace
 
 
 def space(n):
     return QuantumSpace(n, ParamMode.multi(n))
+
+
+def exterior_normalize(sp, word):
+    """Normal form in the exterior dual: repeated letters kill the word,
+    and each swap of a descending adjacent pair x^l x^k (k < l) costs
+    -q_kl^{-1}.  The result is supported on one strictly increasing word
+    (or is zero)."""
+    letters = bytes(word)
+    if len(set(letters)) != len(letters):
+        return NCPoly.zero(sp.x, sp.mode)
+    weight = sp.exterior_weight([c + 1 for c in letters])
+    return NCPoly.monomial(sp.x, sp.mode, bytes(sorted(letters)), weight)
+
+
+def reference_relation_generators(sp):
+    """The n squares and C(n,2) q-anticommutators spanning the degree-2
+    relations of the exterior dual."""
+    gens = [NCPoly.monomial(sp.x, sp.mode, sp.x.x_word([l, l])) for l in range(1, sp.n + 1)]
+    for k, l in combinations(range(1, sp.n + 1), 2):
+        p = NCPoly.monomial(sp.x, sp.mode, sp.x.x_word([k, l]))
+        gens.append(p + NCPoly.monomial(sp.x, sp.mode, sp.x.x_word([l, k]), sp.mode.q(k, l)))
+    return gens
+
+
+def reference_vanishes_on_dual_relations(sp, p, m):
+    """Pair p with every u * r * v, |u| + |v| = m - 2, equal words pairing
+    to 1, and require every pairing to vanish."""
+    gens = reference_relation_generators(sp)
+    for pos in range(m - 1):
+        for u in product(range(sp.n), repeat=pos):
+            for v in product(range(sp.n), repeat=m - 2 - pos):
+                for r in gens:
+                    total = sp.mode.zero()
+                    for w, c in r.terms.items():
+                        other = p.terms.get(bytes(u) + w + bytes(v))
+                        if other is not None:
+                            total = total + c * other
+                    if not total.is_zero():
+                        return False
+    return True
 
 
 def brute_normalize(sp, word):
@@ -60,13 +101,13 @@ def test_affine_normalize_matches_swap_oracle():
         c, m = sp.affine_normalize(word)
         oc, oword = brute_normalize(sp, word)
         assert c == oc
-        assert sp.monomial_word(m) == oword
+        assert monomial_word(m) == oword
 
 
 def test_affine_normalize_idempotent_on_sorted():
     sp = space(3)
     for m in sp.affine_basis(4):
-        c, back = sp.affine_normalize(sp.monomial_word(m))
+        c, back = sp.affine_normalize(monomial_word(m))
         assert c == sp.mode.one()
         assert back == m
 
@@ -84,19 +125,19 @@ def test_affine_basis_order_and_size():
 
 def test_exterior_normalize_square_kills():
     sp = space(2)
-    assert sp.exterior_normalize(sp.x.x_word([1, 1])).is_zero()
+    assert exterior_normalize(sp, sp.x.x_word([1, 1])).is_zero()
 
 
 def test_exterior_normalize_swap():
     sp = space(2)
-    got = sp.exterior_normalize(sp.x.x_word([2, 1]))
+    got = exterior_normalize(sp, sp.x.x_word([2, 1]))
     expected = NCPoly.monomial(sp.x, sp.mode, sp.x.x_word([1, 2]), -sp.mode.q(1, 2).inv())
     assert got == expected
 
 
 def test_exterior_normalize_repeated_after_swap():
     sp = space(2)
-    assert sp.exterior_normalize(sp.x.x_word([2, 1, 2])).is_zero()
+    assert exterior_normalize(sp, sp.x.x_word([2, 1, 2])).is_zero()
 
 
 def test_wedge_singleton():
@@ -157,12 +198,12 @@ def test_wedge_pairing_check_all_subsets():
         sp = space(n)
         for m in range(1, n + 1):
             for J in combinations(range(1, n + 1), m):
-                assert sp.wedge_pairing_check(J)
+                assert reference_vanishes_on_dual_relations(sp, sp.wedge_expand(J), m)
 
 
 def test_wedge_pairing_vacuous_below_degree_two():
     sp = space(3)
-    assert sp.wedge_pairing_check((1,))
+    assert reference_vanishes_on_dual_relations(sp, sp.wedge_expand((1,)), 1)
 
 
 def position_indexed_wedge(sp, J):
@@ -187,7 +228,7 @@ def test_position_indexed_convention_fails_off_initial_subsets():
         for m in range(2, n + 1):
             for J in combinations(range(1, n + 1), m):
                 expansion = position_indexed_wedge(sp, J)
-                ok = sp.vanishes_on_dual_relations(expansion, m)
+                ok = reference_vanishes_on_dual_relations(sp, expansion, m)
                 if J == tuple(range(1, m + 1)):
                     assert ok  # the two conventions coincide there
                 else:

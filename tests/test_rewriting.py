@@ -73,17 +73,19 @@ def test_rules_and_their_overlaps(n, rules, overlaps):
 
 
 def test_certificate_rejects_a_perturbed_rule(monkeypatch):
-    # one non-leading coefficient of one cross relation doubled: the rules
-    # still rewrite and terminate, but an overlap no longer resolves
+    # one non-leading coefficient of one cross relation (the last relation
+    # with four words) doubled: the rules still rewrite and terminate, but an
+    # overlap no longer resolves
     import qmm.right_quantum as rq
 
     real = rq.build_relations
 
     def perturbed(n, mode):
         rels = real(n, mode)
-        rel = rels[-1]
+        last = max(k for k, rel in enumerate(rels) if len(rel.terms) == 4)
+        rel = rels[last]
         word = min(rel.terms)
-        rels[-1] = rel + NCPoly.monomial(rel.alphabet, mode, word, rel.terms[word])
+        rels[last] = rel + NCPoly.monomial(rel.alphabet, mode, word, rel.terms[word])
         return rels
 
     monkeypatch.setattr(rq, "build_relations", perturbed)
@@ -205,11 +207,10 @@ def _normal_word_in(p, oracle):
     return max(normal_form({max(p.terms): {0: 1}}, oracle.rules))
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_master_residual_plus_a_normal_word_is_rejected(exact):
+def test_master_residual_plus_a_normal_word_is_rejected():
     mode = ParamMode.multi(3)
     space = QuantumSpace(3, mode)
-    oracle = IdealOracle(3, mode, exact=exact, seed=9, draws=2)
+    oracle = IdealOracle(3, mode)
     prod = bos_series(space, 4).body * ferm_series(space, 4).body
     for degree in (2, 3, 4):
         residual = prod[degree]
@@ -230,13 +231,12 @@ def test_twisted_residual_plus_a_normal_word_is_rejected():
         assert not oracle.contains(residual + NCPoly.monomial(space.z, mode, word))
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_group_like_tensor_plus_normal_words_is_rejected(exact):
+def test_group_like_tensor_plus_normal_words_is_rejected():
     # the full quantum determinant of degree n, for n = 2, 3, 4
     for n in (2, 3, 4):
         mode = ParamMode.multi(n)
         space = QuantumSpace(n, mode)
-        oracle = IdealOracle(n, mode, exact=exact, seed=9, draws=2)
+        oracle = IdealOracle(n, mode)
         det = qdet(QMatrix.generic(n, mode))
         group_like = comultiply(det) - TensorPoly.outer(det, det)
         assert oracle.contains_tensor(group_like)
@@ -339,10 +339,9 @@ def test_pack_round_trips_negative_exponents():
     assert mode.from_packed(dict(s.terms)) == s
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_an_exponent_near_the_limit_raises_instead_of_a_verdict(exact):
+def test_an_exponent_near_the_limit_raises_instead_of_a_verdict():
     mode = ParamMode.multi(2)
-    oracle = IdealOracle(2, mode, exact=exact, seed=1, draws=2)
+    oracle = IdealOracle(2, mode)
     lead = max(oracle.rules)  # a leading word, so the query must rewrite
     for power, safe in ((2**20, True), (EXPONENT_LIMIT - 2, False)):
         p = NCPoly.monomial(oracle.z, mode, lead, mode.q(1, 2) ** power)
