@@ -160,10 +160,11 @@ def scaled_entry(monkeypatch):
 
 
 @pytest.mark.parametrize("n,ell", [(2, 1), (2, 2), (3, 3), (3, 4)])
-def test_comodule_compat_rejects_a_perturbed_differential(monkeypatch, n, ell):
+@pytest.mark.parametrize("exact", [True, False])
+def test_comodule_compat_rejects_a_perturbed_differential(monkeypatch, n, ell, exact):
     # the control: one nonzero entry of d_ell times q_12 breaks the square
     # of that column, and the check must say so
-    oracle = IdealOracle(n, ParamMode.multi(n))
+    oracle = IdealOracle(n, ParamMode.multi(n), exact=exact, seed=0, draws=3)
     assert comodule_compat_check(n, ell, oracle)
     scaled_entry(monkeypatch)
     assert not comodule_compat_check(n, ell, oracle)

@@ -192,14 +192,15 @@ def test_verify_qdet_coaction_small():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_verify_qdet_coaction_rejects_a_perturbed_determinant(monkeypatch, n):
+@pytest.mark.parametrize("exact", [True, False])
+def test_verify_qdet_coaction_rejects_a_perturbed_determinant(monkeypatch, n, exact):
     # the control: det + (z_1^1)^n in place of det leaves -w (z_1^1)^n, a
     # normal word, at every target word of weight w != 0
     def perturbed(Z, subset=None):
         det = qdet(Z, subset)
         return det + NCPoly.monomial(det.alphabet, det.mode, bytes([det.alphabet.z(1, 1)]) * Z.n)
 
-    oracle = IdealOracle(n, ParamMode.multi(n))
+    oracle = IdealOracle(n, ParamMode.multi(n), exact=exact, seed=0, draws=3)
     assert verify_qdet_coaction(oracle)
     monkeypatch.setattr("qmm.macmahon.qdet", perturbed)
     assert not verify_qdet_coaction(oracle)

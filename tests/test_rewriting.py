@@ -207,10 +207,11 @@ def _normal_word_in(p, oracle):
     return max(normal_form({max(p.terms): {0: 1}}, oracle.rules))
 
 
-def test_master_residual_plus_a_normal_word_is_rejected():
+@pytest.mark.parametrize("exact", [True, False])
+def test_master_residual_plus_a_normal_word_is_rejected(exact):
     mode = ParamMode.multi(3)
     space = QuantumSpace(3, mode)
-    oracle = IdealOracle(3, mode)
+    oracle = IdealOracle(3, mode, exact=exact, seed=9, draws=2)
     prod = bos_series(space, 4).body * ferm_series(space, 4).body
     for degree in (2, 3, 4):
         residual = prod[degree]
@@ -231,12 +232,13 @@ def test_twisted_residual_plus_a_normal_word_is_rejected():
         assert not oracle.contains(residual + NCPoly.monomial(space.z, mode, word))
 
 
-def test_group_like_tensor_plus_normal_words_is_rejected():
+@pytest.mark.parametrize("exact", [True, False])
+def test_group_like_tensor_plus_normal_words_is_rejected(exact):
     # the full quantum determinant of degree n, for n = 2, 3, 4
     for n in (2, 3, 4):
         mode = ParamMode.multi(n)
         space = QuantumSpace(n, mode)
-        oracle = IdealOracle(n, mode)
+        oracle = IdealOracle(n, mode, exact=exact, seed=9, draws=2)
         det = qdet(QMatrix.generic(n, mode))
         group_like = comultiply(det) - TensorPoly.outer(det, det)
         assert oracle.contains_tensor(group_like)
@@ -339,9 +341,10 @@ def test_pack_round_trips_negative_exponents():
     assert mode.from_packed(dict(s.terms)) == s
 
 
-def test_an_exponent_near_the_limit_raises_instead_of_a_verdict():
+@pytest.mark.parametrize("exact", [True, False])
+def test_an_exponent_near_the_limit_raises_instead_of_a_verdict(exact):
     mode = ParamMode.multi(2)
-    oracle = IdealOracle(2, mode)
+    oracle = IdealOracle(2, mode, exact=exact, seed=1, draws=2)
     lead = max(oracle.rules)  # a leading word, so the query must rewrite
     for power, safe in ((2**20, True), (EXPONENT_LIMIT - 2, False)):
         p = NCPoly.monomial(oracle.z, mode, lead, mode.q(1, 2) ** power)

@@ -333,16 +333,17 @@ def test_determinant_is_group_like():
     assert IdealOracle(2, mode).contains_tensor(lhs)
 
 
-def test_non_group_like_control():
+@pytest.mark.parametrize("exact", [True, False])
+def test_non_group_like_control(exact):
     mode = ParamMode.multi(2)
     sp = QuantumSpace(2, mode)
     p = sp.z_gen(1, 1) * sp.z_gen(2, 2)
     lhs = comultiply(p) - TensorPoly.outer(p, p)
-    assert not IdealOracle(2, mode).contains_tensor(lhs)
+    assert not IdealOracle(2, mode, exact=exact, seed=4, draws=3).contains_tensor(lhs)
 
     mode = ParamMode.multi(3)
     sp = QuantumSpace(3, mode)
-    oracle = IdealOracle(3, mode)
+    oracle = IdealOracle(3, mode, exact=exact, seed=4, draws=3)
     det = qdet(QMatrix.generic(3, mode))
     group_like = comultiply(det) - TensorPoly.outer(det, det)
     assert oracle.contains_tensor(group_like)
@@ -364,12 +365,13 @@ def test_outer_rejects_legs_over_another_alphabet_or_mode():
             TensorPoly.outer(left, right)
 
 
-def test_tensor_membership_checks_every_row():
+@pytest.mark.parametrize("exact", [True, False])
+def test_tensor_membership_checks_every_row(exact):
     # z11^3 (x) r is a member and comes first; z22^3 (x) z33^3 is not, and
     # only a later surviving row carries it
     mode = ParamMode.multi(3)
     sp = QuantumSpace(3, mode)
-    oracle = IdealOracle(3, mode)
+    oracle = IdealOracle(3, mode, exact=exact, seed=4, draws=3)
     cube = [NCPoly.monomial(sp.z, mode, sp.z.z_word([(i, i)] * 3)) for i in (1, 2, 3)]
     r = cross_relation(mode, 3, 1, 2, 1, 2) * sp.z_gen(3, 3)
     member = TensorPoly.outer(cube[0], r)
@@ -428,19 +430,22 @@ def test_block_words_partition_each_degree():
 
 
 @pytest.mark.parametrize(
-    "n, degree, rank", [(2, 3, 8), (2, 4, 43), (2, 5, 196), (3, 3, 155), (3, 4, 1818)]
+    "n, degree, exact, rank",
+    [(2, 3, False, 8), (2, 4, False, 43), (2, 5, False, 196), (3, 3, False, 155),
+     (3, 4, False, 1818), (2, 4, True, 43), (3, 3, True, 155)],
 )
-def test_block_ranks_sum_to_the_global_rank(n, degree, rank):
+def test_block_ranks_sum_to_the_global_rank(n, degree, exact, rank):
     # the rank of the whole degree-d ideal, as eliminated over all n^(2d)
     # words at once with every relation (column ones included) as generator
-    oracle = IdealOracle(n, ParamMode.multi(n))
+    oracle = IdealOracle(n, ParamMode.multi(n), exact=exact, seed=0, draws=1)
     assert sum(oracle.basis(degree, block).rank for block in blocks(n, degree)) == rank
 
 
-def test_member_block_does_not_hide_another_block():
+@pytest.mark.parametrize("exact", [True, False])
+def test_member_block_does_not_hide_another_block(exact):
     mode = ParamMode.multi(3)
     sp = QuantumSpace(3, mode)
-    oracle = IdealOracle(3, mode)
+    oracle = IdealOracle(3, mode, exact=exact, seed=5, draws=3)
     from qmm import bos_series, ferm_series
 
     residual = (bos_series(sp, 3).body * ferm_series(sp, 3).body)[3]
@@ -453,13 +458,14 @@ def test_member_block_does_not_hide_another_block():
     assert not oracle.contains(residual + word)
 
 
-def test_member_block_pair_does_not_hide_another_pair():
+@pytest.mark.parametrize("exact", [True, False])
+def test_member_block_pair_does_not_hide_another_pair(exact):
     # a member spread over block pairs whose legs differ; its c (x) r part
     # survives the left leg, so only the right block's basis clears it.  A
     # non-member in a pair the member does not touch must still fail.
     mode = ParamMode.multi(2)
     sp = QuantumSpace(2, mode)
-    oracle = IdealOracle(2, mode)
+    oracle = IdealOracle(2, mode, exact=exact, seed=6, draws=3)
     rel = cross_relation(mode, 2, 1, 2, 1, 2)
     c = NCPoly.monomial(sp.z, mode, sp.z.z_word([(1, 1), (1, 2)]))
     member = comultiply(rel) + TensorPoly.outer(c, rel)
@@ -571,13 +577,14 @@ def _comultiply_term_by_term(p):
     return out
 
 
-def test_tensor_accumulation_matches_the_term_by_term_sum():
+@pytest.mark.parametrize("exact", [True, False])
+def test_tensor_accumulation_matches_the_term_by_term_sum(exact):
     mode = ParamMode.multi(3)
     det = qdet(QMatrix.generic(3, mode))
     delta = comultiply(det)
     assert delta == _comultiply_term_by_term(det)
     group_like = delta - TensorPoly.outer(det, det)
-    oracle = IdealOracle(3, mode)
+    oracle = IdealOracle(3, mode, exact=exact, seed=6, draws=2)
     assert oracle.contains_tensor(group_like) == oracle.contains_tensor(_summed_term_by_term(group_like))
     assert oracle.contains_tensor(group_like)
 
