@@ -31,9 +31,6 @@ from .right_quantum import (
     build_relations,
     column_reduce,
     comultiply,
-    counit,
-    counit_left,
-    is_right_quantum,
     qdet,
 )
 
@@ -60,12 +57,9 @@ __all__ = [
     "comodule_compat_check",
     "composites_vanish",
     "comultiply",
-    "counit",
-    "counit_left",
     "euler_characteristic",
     "ferm_series",
     "g_coefficient",
-    "is_right_quantum",
     "qdet",
     "twisted_bos_series",
     "twisted_ferm_series",

@@ -10,7 +10,9 @@ output prints ``[command] pass=...`` followed by the lines.  The config is
 built after the command has run, since a command may fill in a default.
 ``EXIT_CODES`` maps the verdict to the exit code: 0 pass, 1 verified false,
 3 inconclusive; 2 is a usage error.  Only bad command-line input is a usage
-error: numbers out of range are rejected before any work.  An internal
+error: numbers out of range are rejected before any work, ``koszul``'s
+``--ell`` and ``--degree`` above ``KOSZUL_MAX_DEGREE`` (1000) among them,
+since every K^l with l >= 2 reports the verdict of K^2.  An internal
 defect, any other exception, prints its traceback to stderr and is
 ``EXIT_INTERNAL_ERROR``, 70 (EX_SOFTWARE), so it never reads as a verdict
 or a usage error.  A report that cannot be written because stdout was
@@ -65,6 +67,7 @@ from .right_quantum import IdealOracle, QMatrix, qdet
 
 MAX_N = 16  # z-letters are stored one per byte, and there are n^2 of them
 KOSZUL_DEGREE = 3  # the koszul sweep's degree when neither --ell nor --degree is given
+KOSZUL_MAX_DEGREE = 1000  # the largest koszul --ell or --degree; K^l reads K^min(l, 2)
 CLASSICAL_N = 2  # the size of the classical --random matrices when --n is not given
 EXIT_CODES = {True: 0, False: 1, None: 3}
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout closed before the report was written
@@ -84,6 +87,10 @@ def _check_args(args) -> None:
         raise UsageError("--degree must be >= 0")
     if getattr(args, "ell", None) is not None and args.ell < 1:
         raise UsageError("--ell must be >= 1")
+    if hasattr(args, "ell"):  # koszul: its report grows with the degree
+        for flag, value in (("--ell", args.ell), ("--degree", args.degree)):
+            if value is not None and value > KOSZUL_MAX_DEGREE:
+                raise UsageError(f"{flag} must be at most {KOSZUL_MAX_DEGREE}")
     if getattr(args, "random", None) is not None and args.random < 1:
         raise UsageError("--random must be >= 1")
     if hasattr(args, "q_assign"):

@@ -102,59 +102,43 @@ per column rather than rows times columns, and an entry assigned in place
 is seen by every check as it stands.
 
 The comodule check asks whether d commutes with the coaction of B, on
-every basis vector (J, r), coefficientwise modulo the relation ideal.  Both
-routes live over the codomain's tensor pairs (x-word w of the wedge leg,
-affine multidegree r3): the wedge leg coacts by the free-level tensor
+every basis vector (J, r), coefficientwise modulo the relation ideal I.
+Both routes live over the codomain's tensor pairs (x-word w of the wedge
+leg, affine multidegree r3): the wedge leg coacts by the free-level tensor
 coaction, with L_I[w] the coefficient of wedge(I) at w, and the affine leg
-through its coefficients b_{r3,r2}.  Expanding a column in full costs
-|J|! n^|J| wedge words times the affine terms, so the check first certifies
-it leg by leg.  Let omega_J,j be the coefficient of wedge(J) at the word
-sorted(J - j) j.  When
+through the coaction on x^r.  Expanding a column in full costs
+|J|! n^|J| wedge words times the affine terms, so a column in the closed
+form is certified instead.  Write D(r) for the coaction on x^r by target
+multidegree, the words of ``coaction_affine(r)`` in the free algebra, and
+
+    M_i(X) = sum over l of z_i^l (x) x_l X,    x_l x^m = c_l(m) x^{m + e_l},
+
+with c_l(m) and the target read off ``affine_prepend``, and put
+
+    E(j, r) = M_j(D(r)) - c_j(r) D(r + e_j).
+
+Say E lies in I (x) A when its coefficient at every target does.  Let
+omega_J,j be the coefficient of wedge(J) at the word sorted(J - j) j.  When
 
     (F)  wedge(J) = sum over j in J of omega_J,j wedge(J - j) x_j
 
 holds in the free algebra, the free coaction, multiplicative on words,
 gives L_J[w x_last] = sum over j of omega_J,j L_{J-j}[w] z_j^last.  When
-also every stored row (I, r2) of the column has I = J - j for some j, the
-difference of the two routes at (w, r3) regroups as
+also the stored rows of the column are exactly the closed form
+{(J - j, r + e_j): omega_J,j c_j(r)}, the difference of the two routes at
+(w, r3) regroups as
 
-    Delta(w, r3) = sum over j in J of L_{J-j}[w] E_{J-j}(r3),
-    E_{J-j}(r3) = omega_J,j sum over r4 + e_last = r3 of
-                      z_j^last b_{r4,r} c_last(r4)
-                  - sum over stored rows (J - j, r2) of alpha b_{r3,r2},
+    Delta(w, r3) = sum over j in J of omega_J,j L_{J-j}[w] E(j, r)(r3).
 
-with c_last(r4) the factor of x_last x^r4 in A.  The ideal is two-sided, so
-if every E lies in it, so does every Delta of the column.  E / omega_J,j
-depends on the column only through (j, r) and the stored entries over
-omega_J,j, so one E serves every column that shares them.  Where the
-certificate does not apply ((F) fails, a row's leg is no J - j, or an E is
-not in the ideal, which a cancellation between the L_{J-j}[w] could still
-make up for), the column is expanded in full.  So the check still answers
-exactly whether every Delta lies in the ideal.
-
-On a valid complex almost no leg needs a normal form: every degree follows
-from degree 2, because the coaction is multiplicative (Manin's end(A)).
-Write D(r) for the coaction on x^r by target multidegree, the words of
-``coaction_affine(r)`` in the free algebra, and
-
-    M_i(X) = sum over l of z_i^l (x) x_l X,    x_l x^m = c_l(m) x^{m + e_l},
-
-with c_l(m) and the target read off ``affine_prepend``.  A leg (j, r) whose
-stored entries over omega_J,j are exactly {(r + e_j, c_j(r))} has
-
-    E(j, r) = M_j(D(r)) - c_j(r) D(r + e_j).
-
-Say E lies in I (x) A when its coefficient at every target does, I the
-ideal of B.  The relations of B are homogeneous in the upper-index counts,
-so I is graded by them; once (H1) and (H3) hold, the words of D(r) at a
-target t have upper counts t, so E lies in I (x) A exactly when its flat
-sum lies in I, which is what one ``contains_packed`` query decides.
+I is two-sided, so the column passes once every E(j, r) lies in I (x) A.
+On a valid complex every one does: every degree follows from degree 2,
+because the coaction is multiplicative (Manin's end(A)).
 
 Lemma.  Suppose that, up to degree l,
   (H1) D(0) = 1 (x) 1 and D(r) = M_i(D(r - e_i)) for i = min supp r,
        exactly in the free algebra;
-  (H2) (C): E(j, e_i) lies in I (x) A for every i < j, the C(n, 2) legs of
-       degree 2, which say that R_A is a subcomodule of V (x) V;
+  (H2) (C): E(j, e_i) lies in I (x) A for every i < j, the C(n, 2)
+       elements of degree 2, which say that R_A is a subcomodule of V (x) V;
   (H3) c is a character: c_l(m) is the product of c_l(e_k)^{m_k} over k,
        with target m + e_l, and c_l(e_k) = 1 for k >= l.
 Then E(j, r) lies in I (x) A for every j and every r with |r| < l.
@@ -178,11 +162,12 @@ multiplies on the left.  Hence, modulo I (x) A,
 
     E(j, r) = (c_j(e_i) c_j(r') - c_j(r)) M_i D(r' + e_j) = 0
 
-by (H3).  So a leg of that form with |r| < l lies in the ideal, which is
-what its normal form would have said.  The check decides (H3) and (H1) by
-building the factors and each M_i(D(r - e_i)) once and comparing, with no
-normal form, and (H2) by the C(n, 2) leg queries, once per call; a leg off
-that form, or any leg when a hypothesis fails, is decided as before.
+by (H3).  So a column in the closed form with |r| < l passes, which is
+what its full expansion would have said.  The check decides (H3) and (H1)
+by building the factors and each M_i(D(r - e_i)) once and comparing, with
+no normal form, and (H2) by expanding in full the C(n, 2) closed-form
+columns ((j,), e_i), i < j, whose differences are the targets of
+E(j, e_i); every other column is expanded in full.
 """
 
 from __future__ import annotations
@@ -452,10 +437,10 @@ def support_sweep(n: int, ells, mode: ParamMode) -> list[tuple[bool, bool]]:
 
 
 def _face_weights(space: QuantumSpace, J: tuple) -> dict | None:
-    """{J - j: (j, 1 / omega_J,j)} for j in J when (F) wedge(J) = sum over j
-    in J of omega_J,j wedge(J - j) x_j holds exactly in the free algebra,
+    """{J - j: (j, omega_J,j)} for j in J when (F) wedge(J) = sum over j in
+    J of omega_J,j wedge(J - j) x_j holds exactly in the free algebra,
     omega_J,j read off wedge(J) at the word sorted(J - j) j; None when (F)
-    fails or some omega_J,j is not a unit."""
+    fails."""
     x, mode = space.x, space.mode
     wedge = space.wedge_expand(J)
     rest = NCPoly.zero(x, mode)
@@ -464,10 +449,7 @@ def _face_weights(space: QuantumSpace, J: tuple) -> dict | None:
         face = tuple(a for a in J if a != j)
         omega = wedge.coefficient_of(x.x_word(face + (j,)))
         rest = rest + space.wedge_expand(face) * NCPoly.monomial(x, mode, x.x_word((j,)), omega)
-        try:
-            faces[face] = (j, omega.inv())
-        except ValueError:  # zero, or not a unit of the coefficient ring
-            return None
+        faces[face] = (j, omega)
     return faces if rest == wedge else None
 
 
@@ -492,28 +474,11 @@ def _expand_column(oracle: IdealOracle, space: QuantumSpace, affine, tensor, J, 
     return all(oracle.contains_packed(terms) for terms in diff.values() if any(terms.values()))
 
 
-def _leg_vanishes(oracle: IdealOracle, affine, prepend, j: int, r: tuple, entries) -> bool:
-    """Whether E / omega for the letter j, the domain multidegree r and the
-    stored entries {(r2, alpha / omega)} lies in the ideal: one
-    ``contains_packed`` query on the flat sum over every target."""
-    n = oracle.n
-    acc: dict = {}
-    for last in range(n):
-        letter = [(bytes([(j - 1) * n + last]), 0, 1)]
-        for r4, right in affine(r).items():
-            add_products(acc, letter, right, prepend(last, r4)[0].terms.items())
-    unit = [(b"", 0, 1)]
-    for r2, beta in entries:
-        scale = (-beta).terms.items()
-        for right in affine(r2).values():
-            add_products(acc, unit, right, scale)
-    return oracle.contains_packed(acc)
-
-
-def _lemma_holds(space: QuantumSpace, ell: int, coaction, prepend, leg) -> bool:
+def _lemma_holds(space: QuantumSpace, ell: int, coaction, prepend, expand) -> bool:
     """Whether (H3), (H2) and (H1) of the multiplicativity lemma (module
     docstring) hold up to degree ``ell``: the factors of ``prepend`` form a
-    character, each degree-2 leg E(j, e_i), i < j, passes ``leg``, and every
+    character, ``expand`` passes each closed-form column ((j,), e_i),
+    i < j, whose differences are the targets of E(j, e_i), and every
     ``coaction(r)`` with |r| <= ell is M_i of the one below it, exactly."""
     n, mode = space.n, space.mode
     one = mode.one()
@@ -542,7 +507,7 @@ def _lemma_holds(space: QuantumSpace, ell: int, coaction, prepend, leg) -> bool:
         for i in range(n):
             for j in range(i + 1, n):
                 c, target = prepend(j, e[i])
-                if not leg(j + 1, e[i], frozenset({(target, c)})):
+                if not expand((j + 1,), e[i], [(((), target), c)]):
                     return False
 
     # (H1): D(0) = 1 (x) 1 and D(r) = M_i(D(r - e_i)), i = min supp r
@@ -575,16 +540,11 @@ def comodule_compat_check(n: int, ell: int, oracle: IdealOracle) -> bool:
     """Whether coaction-then-differential and differential-then-coaction agree
     on every basis vector, coefficientwise modulo the relation ideal.
 
-    Each column (J, r) is first certified by the factorization of the module
-    docstring: (F) wedge(J) = sum over j of omega_J,j wedge(J - j) x_j holds
-    (``_face_weights``), every stored row's leg is some J - j, and every
-    E_{J-j} lies in the ideal.  A leg whose stored entries over omega_J,j
-    are exactly {(r + e_j, c_j(r))} is cleared by the multiplicativity
-    lemma once ``_lemma_holds`` has checked its hypotheses, at most once per
-    call; every other leg, and every leg when a hypothesis fails, is decided
-    by ``_leg_vanishes``, keyed by j, r and the stored entries over
-    omega_J,j and built once per call.  A column the certificate cannot
-    clear is expanded in full (``_expand_column``), so the verdict is True
+    A column (J, r) is cleared when (F) holds for J (``_face_weights``), its
+    stored rows are exactly the closed form {(J - j, r + e_j):
+    omega_J,j c_j(r)} for j in J, and the hypotheses of the multiplicativity
+    lemma hold (``_lemma_holds``, at most once per call).  Every other
+    column is expanded in full (``_expand_column``), so the verdict is True
     exactly when every difference lies in the ideal, with the maps read as
     they stand.  ``n`` must be the oracle's.
     """
@@ -597,39 +557,34 @@ def comodule_compat_check(n: int, ell: int, oracle: IdealOracle) -> bool:
     def flat(family: dict) -> dict:
         return {key: packed_triples(p) for key, p in family.items()}
 
-    # each coaction, face split, leg and the lemma once per call; the caches
-    # go with the call
+    # each coaction, face split and the lemma once per call; the caches go
+    # with the call
     coaction = cache(space.coaction_affine)
     affine = cache(lambda r: flat(coaction(r)))
     tensor = cache(lambda J: flat(space.coaction_tensor_poly(space.wedge_expand(J))))
     faces = cache(lambda J: _face_weights(space, J))
     prepend = cache(space.affine_prepend)
-    leg = cache(lambda j, r, entries: _leg_vanishes(oracle, affine, prepend, j, r, entries))
-    lemma = cache(lambda: _lemma_holds(space, ell, coaction, prepend, leg))
 
-    def certified(J, r, rows) -> bool:
+    def expand(J, r, rows) -> bool:
+        return _expand_column(oracle, space, affine, tensor, J, r, rows)
+
+    lemma = cache(lambda: _lemma_holds(space, ell, coaction, prepend, expand))
+
+    def closed_form(J, r) -> dict | None:
         split = faces(J)
         if split is None:
-            return False
-        legs = {j: set() for j, _ in split.values()}
-        for (I, r2), alpha in rows:
-            if I not in split:
-                return False
-            j, inverse = split[I]
-            legs[j].add((r2, alpha * inverse))
-        for j, entries in legs.items():
+            return None
+        entries = {}
+        for face, (j, omega) in split.items():
             c, target = prepend(j - 1, r)
-            if len(entries) == 1 and next(iter(entries)) == (target, c) and lemma():
-                continue
-            if not leg(j, r, frozenset(entries)):
-                return False
-        return True
+            entries[face, target] = omega * c
+        return entries
 
     for i in range(1, ell + 1):
         domain, codomain = complex.bases[i - 1], complex.bases[i]
         columns = _columns(complex.maps[i], len(domain))
         for col, (J, r) in enumerate(domain):
             rows = [(codomain[row], alpha) for row, alpha in columns[col]]
-            if not certified(J, r, rows) and not _expand_column(oracle, space, affine, tensor, J, r, rows):
+            if not (dict(rows) == closed_form(J, r) and lemma()) and not expand(J, r, rows):
                 return False
     return True

@@ -15,8 +15,8 @@ coefficients, or exact rationals in numeric mode.  The exponent vector e
 Packing is additive, so multiplying monomials adds their keys and inverting
 one negates its key, and it is injective while every |e_i| < 2^31 (balanced
 base-2^32 digits).  Exponent vectors are unpacked only to be shown
-(``sorted_terms``, ``to_jsonable``, ``str``) or evaluated (``specialize``,
-``to_single``).  Numeric scalars have the one key 0.
+(``sorted_terms``, ``to_jsonable``, ``str``) or evaluated
+(``specialize``).  Numeric scalars have the one key 0.
 
 So that packing can never alias, every scalar carries ``bound``, an upper
 bound on its largest |exponent|: a constructor sets it from the exponents
@@ -467,21 +467,6 @@ class ParamScalar:
                 term *= values[label] ** e
             total += term
         return total
-
-    def to_single(self) -> "ParamScalar":
-        """Collapse every q_ij to the one-parameter q; a ring homomorphism."""
-        if self.mode.kind != "multi":
-            raise ModeMismatchError("to_single expects a multiparameter scalar")
-        single = ParamMode.single()
-        terms: dict = {}
-        for exps, c in self._exponent_items():
-            key = pack((sum(exps),))
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-        return ParamScalar(single, terms, max_exponent(terms))
 
     # -- presentation ----------------------------------------------------------
 

@@ -560,40 +560,26 @@ class IdealOracle:
 
 
 class QMatrix:
-    """An n x n matrix: either the generic z-matrix Z, or entries from a
-    commutative ring with exact zero-test (ParamScalar values)."""
+    """The generic n x n z-matrix Z, with its parameter mode."""
 
-    __slots__ = ("n", "mode", "entries")
+    __slots__ = ("n", "mode")
 
-    def __init__(self, n: int, mode: ParamMode, entries=None):
+    def __init__(self, n: int, mode: ParamMode):
         self.n = n
         self.mode = mode
-        if entries is not None:
-            if len(entries) != n or any(len(row) != n for row in entries):
-                raise ValueError(f"need an {n}x{n} matrix")
-            entries = [[mode.scalar(e) for e in row] for row in entries]
-        self.entries = entries
 
     @classmethod
     def generic(cls, n: int, mode: ParamMode) -> "QMatrix":
-        return cls(n, mode, None)
-
-    @property
-    def is_generic(self) -> bool:
-        return self.entries is None
-
-    def entry(self, i: int, j: int) -> ParamScalar:
-        return self.entries[i - 1][j - 1]
+        return cls(n, mode)
 
 
-def qdet(Z: QMatrix, subset=None):
+def qdet(Z: QMatrix, subset=None) -> NCPoly:
     """The quantum determinant of the submatrix on ``subset`` (default all of
     1..n): wedge(J) relabeled, each word x_{pi_1} ... x_{pi_m} of
     ``wedge_expand(J)`` going with its weight to z_{pi_1}^{j_1} ...
     z_{pi_m}^{j_m}.  The relabeling is injective, so the sum is a dict fill.
-    Returns an NCPoly for the generic matrix, else the value of that NCPoly
-    at Z.  An empty subset is a ``ValueError`` here, and an index outside
-    1..n or a repeat one in ``wedge_expand``.
+    An empty subset is a ``ValueError`` here, and an index outside 1..n or a
+    repeat one in ``wedge_expand``.
     """
     n, mode = Z.n, Z.mode
     J = tuple(sorted(subset)) if subset is not None else tuple(range(1, n + 1))
@@ -601,28 +587,7 @@ def qdet(Z: QMatrix, subset=None):
         raise ValueError(f"need a nonempty subset of 1..{n}")
     space = QuantumSpace(n, mode)
     terms = {bytes(a * n + j - 1 for a, j in zip(u, J)): c for u, c in space.wedge_expand(J).terms.items()}
-    det = NCPoly(space.z, mode, terms)
-    return det if Z.is_generic else evaluate(det, Z)
-
-
-def evaluate(p: NCPoly, M: QMatrix) -> ParamScalar:
-    """The value of a z-polynomial at a matrix with commuting entries:
-    z_i^j -> M[i][j]."""
-    z = p.alphabet
-    total = M.mode.zero()
-    for word, coeff in p.terms.items():
-        term = coeff
-        for letter in word:
-            i, j = z.z_indices(letter)
-            term = term * M.entry(i, j)
-        total = total + term
-    return total
-
-
-def is_right_quantum(M: QMatrix) -> bool:
-    """Whether a matrix with commuting, zero-testable entries satisfies every
-    column and cross relation (the generic matrix does by construction)."""
-    return M.is_generic or all(evaluate(rel, M) == 0 for rel in build_relations(M.n, M.mode))
+    return NCPoly(space.z, mode, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -676,23 +641,3 @@ def comultiply(p: NCPoly) -> TensorPoly:
         for l in product(range(n), repeat=len(word)):
             terms[bytes(map(add, rows, l)), bytes(k * n + j for k, j in zip(l, cols))] = c
     return TensorPoly(p.alphabet, p.mode, terms)
-
-
-def counit(p: NCPoly) -> ParamScalar:
-    """epsilon(z_i^j) = delta_ij, extended multiplicatively."""
-    z = p.alphabet
-    total = p.mode.zero()
-    for word, coeff in p.terms.items():
-        if all(letter // z.n == letter % z.n for letter in word):
-            total = total + coeff
-    return total
-
-
-def counit_left(tp: TensorPoly) -> NCPoly:
-    """(epsilon (x) id) applied to an element of B (x) B."""
-    z = tp.alphabet
-    acc = NCPoly.zero(z, tp.mode)
-    for (wl, wr), c in tp.terms.items():
-        if all(letter // z.n == letter % z.n for letter in wl):
-            acc = acc + NCPoly.monomial(z, tp.mode, wr, c)
-    return acc

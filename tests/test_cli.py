@@ -10,7 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from qmm.cli import COMMANDS, EXIT_BROKEN_PIPE, EXIT_CODES, EXIT_INTERNAL_ERROR, build_parser, main
+from qmm.cli import (
+    COMMANDS,
+    EXIT_BROKEN_PIPE,
+    EXIT_CODES,
+    EXIT_INTERNAL_ERROR,
+    KOSZUL_MAX_DEGREE,
+    build_parser,
+    main,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -262,6 +270,28 @@ def test_n_beyond_byte_letters_is_usage_error():
     assert out == "" and "16" in err
 
 
+@pytest.mark.parametrize("flag", ["--ell", "--degree"])
+@pytest.mark.parametrize("value", [KOSZUL_MAX_DEGREE + 1, 100000000000])
+def test_koszul_degree_beyond_the_bound_is_usage_error(monkeypatch, flag, value):
+    # every K^l with l >= 2 reports K^2, so no verdict needs a larger l;
+    # the bound is checked before any complex is built
+    def refuse(*args):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr("qmm.koszul.support_sweep", refuse)
+    code, out, err = run(["koszul", "--n", "2", flag, str(value), "--output", "json"])
+    assert code == 2 and out == ""
+    assert f"{flag} must be at most {KOSZUL_MAX_DEGREE}" in err
+
+
+@pytest.mark.parametrize("flag", ["--ell", "--degree"])
+def test_koszul_degree_at_the_bound_runs(flag):
+    code, out, _ = run(["koszul", "--n", "2", flag, str(KOSZUL_MAX_DEGREE), "--output", "json"])
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert report["results"][-1]["ell"] == KOSZUL_MAX_DEGREE
+
+
 def test_koszul_specialize_requires_at_least_one_seed():
     # koszul certifies exactness with no specialization draws, so it takes no seed count
     code, out, err = run(["koszul", "--n", "2", "--ell", "2", "--seeds", "0"])
@@ -284,9 +314,8 @@ def test_internal_defect_is_not_a_usage_error(monkeypatch):
 
 
 def test_a_command_that_raises_exits_with_no_verdict(monkeypatch):
-    # a MemoryError, as from `koszul --degree 100000000000` building its
-    # list of degrees, is an internal error and never a verdict (0, 1, 3)
-    # or a usage error (2)
+    # a MemoryError raised inside a command is an internal error and never
+    # a verdict (0, 1, 3) or a usage error (2)
     def broken(args):
         raise MemoryError
 

@@ -178,16 +178,35 @@ CERTIFIED = [
 ] + [(2, ell, ParamMode.numeric(2, {(1, 2): 3})) for ell in range(1, 5)]
 
 
+def expanded_columns(monkeypatch) -> list:
+    """(J, r, rows) of every column ``_expand_column`` decides, in call
+    order."""
+    expanded = []
+    expand_column = koszul._expand_column
+
+    def recorded(*args):
+        expanded.append(args[4:])
+        return expand_column(*args)
+
+    monkeypatch.setattr("qmm.koszul._expand_column", recorded)
+    return expanded
+
+
+def condition_c_columns(n, ell) -> list:
+    """The C(n, 2) closed-form columns ((j,), e_i), i < j, whose expansion
+    decides (C), sorted; none when ell = 1, where the lemma needs no (C)."""
+    units = [tuple(int(a == i) for a in range(n)) for i in range(n)]
+    return sorted(((j + 1,), units[i]) for i, j in combinations(range(n), 2)) if ell >= 2 else []
+
+
 @pytest.mark.parametrize("n, ell, mode", CERTIFIED)
 def test_comodule_certificate_clears_every_column_of_a_valid_complex(monkeypatch, n, ell, mode):
-    # with the full expansion made to raise, a True verdict means that the
-    # leg-by-leg certificate cleared every column by itself
-    def expand(*args):
-        raise AssertionError(f"column {args[4:6]} was not certified")
-
-    oracle = IdealOracle(n, mode)
-    monkeypatch.setattr("qmm.koszul._expand_column", expand)
-    assert comodule_compat_check(n, ell, oracle)
+    # the closed form under (F) and the lemma clears every column of the
+    # complex, so the only full expansions are the (C) columns, each once
+    # (at ell = 2 a second expansion of one would be the complex's own)
+    expanded = expanded_columns(monkeypatch)
+    assert comodule_compat_check(n, ell, IdealOracle(n, mode))
+    assert sorted(call[:2] for call in expanded) == condition_c_columns(n, ell)
 
 
 def scaled_wedge_12(monkeypatch):
@@ -224,18 +243,12 @@ def test_comodule_check_and_full_expansion_reject_the_controls(monkeypatch, n, e
     splits = {J: koszul._face_weights(space, J) for m in range(1, n + 1) for J in combinations(range(1, n + 1), m)}
     # the scaled wedge(1, 2) breaks (F) for J = {1, 2, 3}; every split of a
     # J with at most two elements holds whatever the wedges, and the
-    # inverted prepend leaves every wedge alone, so E must catch the rest
+    # inverted prepend leaves every wedge alone, so the closed form or the
+    # lemma must catch the rest
     broken = {J for J, split in splits.items() if split is None}
     assert broken == ({(1, 2, 3)} if control is scaled_wedge_12 and n == 3 else set())
 
-    expanded = []
-    expand_column = koszul._expand_column
-
-    def counted(*args):
-        expanded.append(args[4:6])
-        return expand_column(*args)
-
-    monkeypatch.setattr("qmm.koszul._expand_column", counted)
+    expanded = expanded_columns(monkeypatch)
     assert not comodule_compat_check(n, ell, oracle)
     assert expanded  # the certificate refused, and the fallback decided
     monkeypatch.setattr("qmm.koszul._face_weights", lambda space, J: None)
@@ -353,7 +366,7 @@ CONTROLS = [
 @pytest.mark.parametrize("kind", list(MODES))
 def test_the_lemma_route_returns_the_leg_by_leg_verdicts(monkeypatch, kind, control):
     # every verdict for n <= 3, ell <= 5 is the same with the lemma patched
-    # off, when every leg goes through a normal form
+    # off, when every column is expanded in full
     cases = [(n, ell) for n in range(1 if control is None else 2, 4) for ell in range(1, 6)]
     if control is not None:
         control(monkeypatch)
@@ -369,24 +382,18 @@ LEMMA_CASES = [(n, ell, kind) for n in (1, 2, 3) for ell in range(1, 6) for kind
 
 @pytest.mark.parametrize("n, ell, kind", LEMMA_CASES)
 def test_a_valid_complex_decides_only_the_degree_2_legs(monkeypatch, n, ell, kind):
-    # the lemma clears every leg above degree 2, so the only normal forms
-    # are those of (C), the C(n, 2) legs E(j, e_i) with i < j, each once
-    decided = []
-    leg_vanishes = koszul._leg_vanishes
-
-    def recorded(oracle, affine, prepend, j, r, entries):
-        decided.append((j, r))
-        return leg_vanishes(oracle, affine, prepend, j, r, entries)
-
-    def expand(*args):
-        raise AssertionError(f"column {args[4:6]} was not certified")
-
-    monkeypatch.setattr("qmm.koszul._leg_vanishes", recorded)
-    monkeypatch.setattr("qmm.koszul._expand_column", expand)
-    assert comodule_compat_check(n, ell, IdealOracle(n, MODES[kind](n)))
-    units = [tuple(int(a == i) for a in range(n)) for i in range(n)]
-    pairs = [(j + 1, units[i]) for i, j in combinations(range(n), 2)]
-    assert sorted(decided) == (sorted(pairs) if ell >= 2 else [])
+    # the lemma clears every column of the complex, so the only normal
+    # forms are those of (C): each column ((j,), e_i), i < j, once, with
+    # its one closed-form entry c_j(e_i) at e_i + e_j
+    mode = MODES[kind](n)
+    space = QuantumSpace(n, mode)
+    expanded = expanded_columns(monkeypatch)
+    assert comodule_compat_check(n, ell, IdealOracle(n, mode))
+    expected = []
+    for J, r in condition_c_columns(n, ell):
+        c, target = space.affine_prepend(J[0] - 1, r)
+        expected.append((J, r, [(((), target), c)]))
+    assert sorted(expanded, key=lambda call: call[:2]) == expected
 
 
 @pytest.mark.parametrize("n, ell", [(2, 3), (3, 3), (3, 4)])
@@ -394,24 +401,22 @@ def test_a_valid_complex_decides_only_the_degree_2_legs(monkeypatch, n, ell, kin
 def test_the_lemma_controls_are_rejected_through_the_fallback(monkeypatch, n, ell, control):
     control(monkeypatch)
     oracle = IdealOracle(n, ParamMode.multi(n))
-    lemma, expanded = [], []
-    lemma_holds, expand_column = koszul._lemma_holds, koszul._expand_column
+    domains = {column for basis in koszul.build_complex(n, ell, oracle.mode).bases[:-1] for column in basis}
+    lemma = []
+    lemma_holds = koszul._lemma_holds
 
     def recorded(*args):
         lemma.append(lemma_holds(*args))
         return lemma[-1]
 
-    def counted(*args):
-        expanded.append(args[4:6])
-        return expand_column(*args)
-
     monkeypatch.setattr("qmm.koszul._lemma_holds", recorded)
-    monkeypatch.setattr("qmm.koszul._expand_column", counted)
+    expanded = expanded_columns(monkeypatch)
     assert not comodule_compat_check(n, ell, oracle)
-    # a broken hypothesis turns the lemma off; an entry off its form keeps
-    # the lemma on and takes its leg to a normal form
+    # a broken hypothesis turns the lemma off; an entry off the closed form
+    # keeps the lemma on; either way a column of the complex itself, not
+    # only a (C) column, is expanded in full
     assert lemma == [control is moved_entry]
-    assert expanded
+    assert any(call[:2] in domains for call in expanded)
 
 
 def recursive_coaction(monkeypatch, unit=1):
@@ -485,8 +490,8 @@ HYPOTHESIS_CONTROLS = [doubled_unit, scaled_prepend_recursively, diagonal_prepen
 @pytest.mark.parametrize("control", HYPOTHESIS_CONTROLS)
 def test_each_hypothesis_is_checked_where_the_others_hold(monkeypatch, n, ell, control):
     # with (H1) made to hold by construction, each failing part of a
-    # hypothesis must turn the lemma off on its own, and the legs then
-    # decide the verdict, whatever it is
+    # hypothesis must turn the lemma off on its own, and the full expansion
+    # then decides the verdict, whatever it is
     control(monkeypatch)
     oracle = IdealOracle(n, ParamMode.multi(n))
     lemma = []

@@ -59,15 +59,6 @@ def test_specialize_rejects_missing_and_zero():
         q.specialize({(1, 2): 0})
 
 
-def test_to_single_examples():
-    mode = ParamMode.multi(4)
-    single = ParamMode.single()
-    q = single.q(1, 2)
-    assert (mode.q(1, 2) * mode.q(1, 3)).to_single() == q * q
-    assert mode.q(1, 2).inv().to_single() == q.inv()
-    assert (mode.q(1, 2) - mode.q(3, 4)).to_single().is_zero()
-
-
 def test_q_convention():
     # q_ab for a > b is q_ba^{-1}; q_aa = 1; nothing else is ever stored
     mode = ParamMode.multi(3)
@@ -121,16 +112,6 @@ def test_specialize_is_ring_homomorphism():
         b = random_scalar(mode, rng)
         assert (a * b).specialize(assignment) == a.specialize(assignment) * b.specialize(assignment)
         assert (a + b).specialize(assignment) == a.specialize(assignment) + b.specialize(assignment)
-
-
-def test_to_single_is_ring_homomorphism():
-    rng = Random(20242)
-    mode = ParamMode.multi(3)
-    for _ in range(40):
-        a = random_scalar(mode, rng)
-        b = random_scalar(mode, rng)
-        assert (a * b).to_single() == a.to_single() * b.to_single()
-        assert (a + b).to_single() == a.to_single() + b.to_single()
 
 
 def test_no_stored_zero_terms():

@@ -18,12 +18,10 @@ from qmm import (
     build_relations,
     column_reduce,
     comultiply,
-    counit,
-    counit_left,
-    is_right_quantum,
     qdet,
 )
 from qmm.free_algebra import word_rank
+from qmm.macmahon import evaluate_z_poly
 from qmm.param_ring import ParamScalar
 from qmm.right_quantum import (
     SymbolicEchelon,
@@ -291,14 +289,20 @@ def test_comultiply_generator():
 
 
 def test_counit_is_counit_for_delta():
+    # epsilon(z_i^j) = delta_ij, so (epsilon (x) id) delta keeps the pairs
+    # whose left word is diagonal, and (id (x) epsilon) delta those whose
+    # right word is
     mode = ParamMode.multi(2)
     sp = QuantumSpace(2, mode)
-    for i in (1, 2):
-        for j in (1, 2):
-            gen = sp.z_gen(i, j)
-            assert counit_left(comultiply(gen)) == gen
-    assert counit(sp.z_gen(1, 1)) == mode.one()
-    assert counit(sp.z_gen(1, 2)).is_zero()
+    z = sp.z
+
+    def diagonal(word):
+        return all(a // z.n == a % z.n for a in word)
+
+    for p in [sp.z_gen(i, j) for i in (1, 2) for j in (1, 2)] + [sp.z_gen(1, 1) * sp.z_gen(1, 2)]:
+        delta = comultiply(p).terms
+        assert NCPoly(z, mode, {wr: c for (wl, wr), c in delta.items() if diagonal(wl)}) == p
+        assert NCPoly(z, mode, {wl: c for (wl, wr), c in delta.items() if diagonal(wr)}) == p
 
 
 def test_comultiply_empty_word():
@@ -377,30 +381,6 @@ def test_tensor_membership_checks_every_row(exact):
     member = TensorPoly.outer(cube[0], r)
     assert oracle.contains_tensor(member)
     assert not oracle.contains_tensor(member + TensorPoly.outer(cube[1], cube[2]))
-
-
-def test_is_right_quantum_all_q_one():
-    mode = ParamMode.numeric(2, {(1, 2): 1})
-    M = QMatrix(2, mode, [[2, 3], [Fraction(1, 2), 5]])
-    assert is_right_quantum(M)
-
-
-def test_is_right_quantum_diagonal_generic():
-    mode = ParamMode.multi(2)
-    a = mode.q(1, 2) + mode.one()
-    b = mode.q(1, 2) ** 2
-    M = QMatrix(2, mode, [[a, mode.zero()], [mode.zero(), b]])
-    assert is_right_quantum(M)
-
-
-def test_is_right_quantum_ones_matrix_fails():
-    mode = ParamMode.numeric(2, {(1, 2): 2})
-    M = QMatrix(2, mode, [[1, 1], [1, 1]])
-    assert not is_right_quantum(M)
-
-
-def test_generic_matrix_is_right_quantum_by_construction():
-    assert is_right_quantum(QMatrix.generic(3, ParamMode.multi(3)))
 
 
 def test_echelon_invariant():
@@ -534,12 +514,11 @@ def test_scalar_qdet_is_the_evaluated_minor():
     # at q = 1 the quantum minor of a commuting matrix is its determinant
     mode = ParamMode.numeric(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
     entries = [[2, Fraction(1, 3), 0], [5, -1, 4], [Fraction(-3, 2), 7, 1]]
-    M = QMatrix(3, mode, entries)
-    assert qdet(M) == mode.scalar(Fraction(-185, 3))
-    assert qdet(M, (1, 3)) == mode.scalar(2)
+    assert evaluate_z_poly(qdet(QMatrix.generic(3, mode)), entries) == Fraction(-185, 3)
+    assert evaluate_z_poly(qdet(QMatrix.generic(3, mode), (1, 3)), entries) == 2
     # with q12 = 2 the 2x2 minor is z11 z22 - q12^{-1} z21 z12
     mode = ParamMode.numeric(2, {(1, 2): 2})
-    assert qdet(QMatrix(2, mode, [[1, 3], [5, 7]])) == mode.scalar(Fraction(-1, 2))
+    assert evaluate_z_poly(qdet(QMatrix.generic(2, mode)), [[1, 3], [5, 7]]) == Fraction(-1, 2)
 
 
 def test_membership_does_not_specialize_scalars(monkeypatch):

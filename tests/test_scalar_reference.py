@@ -77,12 +77,6 @@ class TupleScalar:
             total += term
         return total
 
-    def to_single(self):
-        out = {}
-        for exps, c in self.terms.items():
-            out[(sum(exps),)] = out.get((sum(exps),), 0) + c
-        return TupleScalar(ParamMode.single(), out)
-
     def to_jsonable(self):
         return [{"exponents": list(e), "coeff": str(c)} for e, c in sorted(self.terms.items())]
 
@@ -159,9 +153,6 @@ def test_packed_arithmetic_matches_the_tuple_reference(seed, mode):
         assert a == a + b - b and a * u * u.inv() == a
         assert (a == 3) == (ra.terms == TupleScalar(mode, {(0,) * mode.nvars: 3}).terms)
         assert a.specialize(point) == ra.specialize(point)
-        if mode.kind == "multi":
-            assert_same(a.to_single(), ra.to_single())
-            assert_same((a * b).to_single(), (ra * rb).to_single())
 
 
 @pytest.mark.parametrize("mode", [ParamMode.multi(3), ParamMode.single()], ids=repr)
