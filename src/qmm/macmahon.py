@@ -32,7 +32,6 @@ from itertools import combinations, product
 from math import lcm, prod
 
 from .free_algebra import NCPoly, TruncSeries
-from .param_ring import ParamMode
 from .quantum_spaces import QuantumSpace
 from .right_quantum import IdealOracle, QMatrix, add_products, packed_triples, qdet
 
@@ -269,56 +268,79 @@ def _char_poly_of_identity_minus_tz(entries) -> list:
 
 @lru_cache(maxsize=8)
 def _classical_recursion(n: int, degree: int) -> tuple:
-    """For each l <= degree and each m with |m| = l (in PBW order), the
-    states of the coaction recursion for G(m) at q = 1.
+    """The states of the q = 1 coaction recursion for every G(m) with
+    |m| <= degree at once, and per degree l the positions that sum to
+    S_l = sum_{|m|=l} G(m).
 
-    The pass of ``QuantumSpace._upper_sequences(m, m)`` reads the sorted
-    word of x^m left to right and appends an upper index j while its count
-    c_j is below m_j.  With every q_ij = 1 and commuting entries, the sum
-    over the completions of a prefix depends only on its count vector
-    c <= m, so the pass collapses to
+    At q = 1 with commuting entries, G(m) is the sum, over the rearrangements
+    u of the upper indices of m, of the products of z_{w_t}^{u_t}, w the
+    sorted word of x^m.  Summed over |m| = l, that is the sum over the
+    sorted lower words w of length l and the upper words u with the same
+    index counts.  A prefix's future depends only on (i, delta): i is its
+    last lower letter and delta its upper-index counts minus its lower-index
+    counts.  So one forward pass reads all the sorted words at once,
 
-        V(m) = 1,   V(c) = sum over j with c_j < m_j of z_{lower(|c|)}^j V(c + e_j),
+        F_0(1, 0) = 1,   F_{t+1}(i', delta + e_j - e_{i'}) += z_{i'}^j F_t(i, delta)  for i' >= i,
 
-    with G(m) = V(0) and lower(t) the t-th letter of the sorted word.  The
-    states c <= m are listed from c = m down in mixed-radix order, so every
-    c + e_j comes before c; each state after the first is the tuple of its
-    transitions (letter id of z_{lower(|c|)}^j, position of c + e_j).
-    Degree l has C(l + 2n - 1, 2n - 1) states over all m, with at most n
-    transitions each, against the n^l words of the expansion.  They depend
-    only on (n, degree), so every matrix checked at that size shares them
-    and pays only for their evaluation.
+    with i = 1 before the first letter, and S_l = sum_i F_l(i, 0).  A state
+    at step t is kept only while it can still balance: delta_k <= 0 for
+    k < i, since no later lower letter lowers delta_k, and P = sum_k
+    max(delta_k, 0) <= degree - t, since one step cancels at most one
+    positive unit.  Every kept state does balance within P steps: delta sums
+    to 0 and every positive unit sits at a letter >= i, so reading the
+    lowest positive letter with an upper index of negative count cancels one
+    unit of each sign.  The kept states are thus exactly those that reach
+    some S_l, C(degree + n, n) of them in all, against C(l + 2n - 1,
+    2n - 1) per degree l for one recursion per m.
+
+    States are listed level by level from the root F_0, position 0; each
+    state after it is the tuple of its transitions (letter id (i'-1) n +
+    (j-1) of z_{i'}^j, position of the predecessor).  They depend only on
+    (n, degree), so every matrix checked at that size shares them and pays
+    only for their evaluation.
     """
-    space = QuantumSpace(n, ParamMode.single())
-    recursion = []
-    for l in range(degree + 1):
-        programs = []
-        for m in space.affine_basis(l):
-            lowers = [i * n for i, e in enumerate(m) for _ in range(e)]
-            # per upper index j: its digit in the reversed counts, its stride, its cap
-            digits = [(n - 1 - j, j, prod(e + 1 for e in m[:j]), e) for j, e in enumerate(m)]
-            # c reversed, c_1 the fastest digit; position 0 holds c = m
-            counts = product(*(range(e, -1, -1) for e in reversed(m)))
-            next(counts)
-            states = []
-            for s, c in enumerate(counts, 1):
-                base = lowers[sum(c)]
-                states.append(tuple([(base + j, s - stride) for r, j, stride, e in digits if c[r] < e]))
-            programs.append(tuple(states))
-        recursion.append(tuple(programs))
-    return tuple(recursion)
+    states, leaves = [], [(0,)]
+    level = [(0, 0, (0,) * n, 0)]  # (position, last lower letter, delta, P)
+    for room in range(degree - 1, -1, -1):
+        successors = {}
+        for position, i, delta, mass in level:
+            # the next lower letter is at most the first positive one
+            top = next((k for k in range(i, n) if delta[k] > 0), n - 1)
+            for lower in range(i, top + 1):
+                for j, dj in enumerate(delta):
+                    if j == lower:
+                        if mass > room:
+                            continue
+                        key = (lower, delta, mass)
+                    elif j < lower and not dj:  # would leave a positive unit below the new last letter
+                        continue
+                    else:
+                        moved = mass + (dj >= 0) - (delta[lower] > 0)
+                        if moved > room:
+                            continue
+                        counts = list(delta)
+                        counts[j] += 1
+                        counts[lower] -= 1
+                        key = (lower, tuple(counts), moved)
+                    successors.setdefault(key, []).append((lower * n + j, position))
+        level = []
+        for (lower, delta, mass), moves in successors.items():
+            states.append(tuple(moves))
+            level.append((len(states), lower, delta, mass))
+        leaves.append(tuple(p for p, _, _, mass in level if not mass))
+    return tuple(states), tuple(leaves)
 
 
-def _recursion_value(states: tuple, flat: list):
-    """V(0) of one G(m) recursion, ``flat`` listing the value of each letter
-    id."""
+def _recursion_value(states: tuple, flat: list) -> list:
+    """The value of every state of ``_classical_recursion``, ``flat``
+    listing the value of each letter id."""
     values = [1]
     for state in states:
         v = 0
         for letter, s in state:
             v += flat[letter] * values[s]
         values.append(v)
-    return values[-1]
+    return values
 
 
 def classical_check(entries, degree: int) -> bool:
@@ -326,15 +348,20 @@ def classical_check(entries, degree: int) -> bool:
     sum_l (sum_{|m|=l} G(m)(Z)) t^l times det(I - tZ) is 1 + O(t^{degree+1}).
 
     Runs with every q_ij fixed to 1; the two sides come from independent code
-    paths (the coaction recursion of ``_classical_recursion``, memoized on
-    the upper-index counts, versus the commutative determinant).  Both run
-    over Z at Z' = D Z, D the lcm of the entry denominators: G(m)(Z') =
-    D^|m| G(m)(Z) and the t^j coefficient of det(I - tZ') is D^j times that
-    of det(I - tZ), so the degree-k coefficient of the product is D^k times
-    the one of the identity, and the test sum_j S'_{k-j} det'_j = delta_k0
-    is the identity itself.
+    paths (the coaction recursion of ``_classical_recursion``, one forward
+    pass over every sorted lower word on the states (last lower letter,
+    upper minus lower index counts), versus the commutative determinant).
+    A state is kept exactly while it can still balance, so the pass has
+    C(degree + n, n) states.  Both sides run over Z at Z' = D Z, D the lcm
+    of the entry denominators: G(m)(Z') = D^|m| G(m)(Z) and the t^j
+    coefficient of det(I - tZ') is D^j times that of det(I - tZ), so the
+    degree-k coefficient of the product is D^k times the one of the
+    identity, and the test sum_j S'_{k-j} det'_j = delta_k0 is the identity
+    itself.
     """
     n = len(entries)
+    if n < 1:
+        raise ValueError("need a nonempty matrix")
     entries = [[Fraction(e) for e in row] for row in entries]
     if any(len(row) != n for row in entries):
         raise ValueError("need a square matrix")
@@ -343,7 +370,9 @@ def classical_check(entries, degree: int) -> bool:
     denom = lcm(*(e.denominator for row in entries for e in row))
     scaled = [[e.numerator * (denom // e.denominator) for e in row] for row in entries]
     flat = [e for row in scaled for e in row]  # letter id (i - 1) n + (j - 1) of z_i^j
-    gsums = [sum(_recursion_value(states, flat) for states in ms) for ms in _classical_recursion(n, degree)]
+    states, leaves = _classical_recursion(n, degree)
+    values = _recursion_value(states, flat)
+    gsums = [sum(map(values.__getitem__, level)) for level in leaves]
     det = _char_poly_of_identity_minus_tz(scaled)
     for k in range(degree + 1):
         acc = sum(gsums[k - j] * det[j] for j in range(min(k, n) + 1))

@@ -8,15 +8,18 @@ Both are the code the integer paths replaced; they share no arithmetic with
 Berkowitz's algorithm or with the int letter products, so agreement on
 seeded matrices is a differential check of both rewrites.
 
-The recursion of ``classical_check``, memoized on the upper-index counts,
-is checked per m against ``g_coefficient`` in numeric mode at q = 1, which
-multiplies out every q factor, and per degree against ``reference_g_sums``:
-the word route it replaced, which expands each G(m) into the words of the
-coaction pass and multiplies every word out letter by letter.
+The recursion of ``classical_check``, one forward pass over every sorted
+lower word, is checked per degree against two references.
+``reference_recursion`` is the pass it replaced: one program per m,
+memoized on the upper-index counts, itself checked per m against
+``g_coefficient`` in numeric mode at q = 1, which multiplies out every q
+factor.  ``reference_g_sums`` is the word route before it, which expands
+each G(m) into the words of the coaction pass and multiplies every word out
+letter by letter.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, lcm, prod
 from random import Random
 
@@ -116,6 +119,50 @@ def test_integer_evaluation_matches_the_fraction_reference(n, degree):
                     assert got == reference_evaluate_z_poly(g, entries), (mode, m, entries)
 
 
+def reference_recursion(n, degree) -> tuple:
+    """For each l <= degree and each m with |m| = l (in PBW order), the
+    states of the coaction recursion for G(m) at q = 1.
+
+    The pass of ``QuantumSpace._upper_sequences(m, m)`` appends an upper
+    index j while its count c_j is below m_j; at q = 1 the sum over the
+    completions of a prefix depends only on c, so V(m) = 1 and V(c) = sum
+    over j with c_j < m_j of z_{lower(|c|)}^j V(c + e_j), with G(m) = V(0).
+    The states c <= m are listed from c = m down in mixed-radix order; each
+    after the first is the tuple of its transitions (letter id, position of
+    c + e_j).
+    """
+    space = QuantumSpace(n, ParamMode.single())
+    recursion = []
+    for l in range(degree + 1):
+        programs = []
+        for m in space.affine_basis(l):
+            lowers = [i * n for i, e in enumerate(m) for _ in range(e)]
+            # per upper index j: its digit in the reversed counts, its stride, its cap
+            digits = [(n - 1 - j, j, prod(e + 1 for e in m[:j]), e) for j, e in enumerate(m)]
+            # c reversed, c_1 the fastest digit; position 0 holds c = m
+            counts = product(*(range(e, -1, -1) for e in reversed(m)))
+            next(counts)
+            states = []
+            for s, c in enumerate(counts, 1):
+                base = lowers[sum(c)]
+                states.append(tuple([(base + j, s - stride) for r, j, stride, e in digits if c[r] < e]))
+            programs.append(tuple(states))
+        recursion.append(tuple(programs))
+    return tuple(recursion)
+
+
+def reference_recursion_value(states, flat):
+    """V(0) of one ``reference_recursion`` program."""
+    values = [1]
+    for state in states:
+        values.append(sum(flat[letter] * values[s] for letter, s in state))
+    return values[-1]
+
+
+def reference_recursion_sums(n, degree, flat) -> list:
+    return [sum(reference_recursion_value(states, flat) for states in ms) for ms in reference_recursion(n, degree)]
+
+
 def reference_g_sums(n, degree, entries) -> list:
     """For each l <= degree, the sum over |m| = l of G(m) at a commutative
     matrix, from the words of the coaction pass, each multiplied out."""
@@ -125,6 +172,13 @@ def reference_g_sums(n, degree, entries) -> list:
         sum(prod(flat[letter] for letter in word) for m in sp.affine_basis(l) for word in sp._upper_sequences(m, m)[m])
         for l in range(degree + 1)
     ]
+
+
+def recursion_sums(n, degree, flat) -> list:
+    """S'_l for l <= degree from the one-pass recursion of ``classical_check``."""
+    states, leaves = macmahon._classical_recursion(n, degree)
+    values = macmahon._recursion_value(states, flat)
+    return [sum(values[p] for p in level) for level in leaves]
 
 
 def scaled_flat(entries):
@@ -143,9 +197,12 @@ def recursion_matrices(rng, n):
 
 @pytest.mark.parametrize("n,degree", [(1, 5), (2, 5), (3, 5)])
 def test_q_one_recursion_matches_the_numeric_g_coefficients(n, degree):
+    # the per-m reference: C(l + 2n - 1, 2n - 1) states over all m of degree l
     sp = QuantumSpace(n, q_one(n))
-    recursion = macmahon._classical_recursion(n, degree)
+    recursion = reference_recursion(n, degree)
     assert len(recursion) == degree + 1
+    for l, ms in enumerate(recursion):
+        assert sum(1 + len(states) for states in ms) == comb(l + 2 * n - 1, 2 * n - 1)
     rng = Random(900 + n)
     for entries in recursion_matrices(rng, n):
         flat, denom = scaled_flat(entries)
@@ -154,7 +211,7 @@ def test_q_one_recursion_matches_the_numeric_g_coefficients(n, degree):
             assert len(recursion[l]) == len(ms)
             for m, states in zip(ms, recursion[l]):
                 expected = evaluate_z_poly(g_coefficient(sp, m), entries)
-                got = macmahon._recursion_value(states, flat)
+                got = reference_recursion_value(states, flat)
                 assert type(got) is int, "integer input left Z"
                 assert got == denom**l * expected, (m, entries)
 
@@ -164,16 +221,60 @@ def test_recursion_sums_match_the_word_route(n, degree):
     rng = Random(950 + n)
     for entries in recursion_matrices(rng, n):
         flat, _ = scaled_flat(entries)
-        got = [sum(macmahon._recursion_value(states, flat) for states in ms) for ms in macmahon._classical_recursion(n, degree)]
+        got = recursion_sums(n, degree, flat)
+        assert all(type(v) is int for v in got), "integer input left Z"
         assert got == reference_g_sums(n, degree, [flat[i : i + n] for i in range(0, n * n, n)]), entries
 
 
+@pytest.mark.parametrize("n,degree", [(4, 8), (5, 6), (3, 12)])
+def test_recursion_sums_match_the_per_multidegree_reference(n, degree):
+    # sizes where the word route has too many words
+    rng = Random(970 + n)
+    for entries in recursion_matrices(rng, n) + [positive_matrix(rng, n)]:
+        flat, _ = scaled_flat(entries)
+        assert recursion_sums(n, degree, flat) == reference_recursion_sums(n, degree, flat), entries
+
+
+def trimmed_forward_pass(n, degree):
+    """States and transitions of the unpruned forward pass on (last lower
+    letter, delta) that reach delta = 0 by step ``degree``, found backwards
+    from the balanced states."""
+    levels = [{(0, (0,) * n)}]
+    moves = []
+    for _ in range(degree):
+        edges = set()
+        for i, delta in levels[-1]:
+            for lower in range(i, n):
+                for j in range(n):
+                    counts = list(delta)
+                    counts[j] += 1
+                    counts[lower] -= 1
+                    edges.add(((i, delta), (lower, tuple(counts))))
+        moves.append(edges)
+        levels.append({target for _, target in edges})
+    alive = {(degree, s) for s in levels[degree] if not any(s[1])}
+    count = 0
+    for t in range(degree - 1, -1, -1):
+        for source, target in moves[t]:
+            if (t + 1, target) in alive:
+                alive.add((t, source))
+                count += 1
+        alive |= {(t, s) for s in levels[t] if not any(s[1])}
+    return len(alive), count
+
+
 def test_recursion_state_count():
-    # C(l + 2n - 1, 2n - 1) states over all m of degree l, against n^l words
-    for n in (1, 2, 3):
-        recursion = macmahon._classical_recursion(n, 6)
-        for l, ms in enumerate(recursion):
-            assert sum(1 + len(states) for states in ms) == comb(l + 2 * n - 1, 2 * n - 1)
+    # C(degree + n, n) states in all, each of them on a path to a balanced state
+    for n in (1, 2, 3, 4):
+        for degree in range(7 if n < 4 else 5):
+            states, leaves = macmahon._classical_recursion(n, degree)
+            assert len(states) + 1 == comb(degree + n, n)
+            assert (len(states) + 1, sum(map(len, states))) == trimmed_forward_pass(n, degree), (n, degree)
+            assert [len(level) for level in leaves] == [1] + [n] * degree
+    transitions = {(3, 6): 250, (4, 12): 8521, (5, 10): 15948, (8, 8): 85399}
+    for (n, degree), total in transitions.items():
+        states, _ = macmahon._classical_recursion(n, degree)
+        assert (len(states) + 1, sum(map(len, states))) == (comb(degree + n, n), total)
 
 
 def test_evaluation_rejects_coefficients_with_parameters():
@@ -221,30 +322,46 @@ def test_raised_determinant_coefficient_is_rejected(n, degree, monkeypatch, fres
         monkeypatch.undo()
 
 
+def distinct_rows(rng, n):
+    """A positive matrix whose rows have distinct entries, so moving a
+    transition to another letter of its row changes its value."""
+    while True:
+        entries = positive_matrix(rng, n)
+        if all(len(set(row)) == n for row in entries):
+            return entries
+
+
 @pytest.mark.parametrize("n,degree", CONTROLS)
 def test_dropped_g_coefficient_is_rejected(n, degree, monkeypatch, fresh_g_cache):
-    entries = positive_matrix(Random(20 * n + degree), n)
+    # every state lies on a path to a leaf and every value is positive here,
+    # so each perturbation moves some S'_l
+    entries = distinct_rows(Random(20 * n + degree), n)
     assert classical_check(entries, degree)
-    true_recursion = macmahon._classical_recursion(n, degree)
+    states, leaves = macmahon._classical_recursion(n, degree)
 
-    def rejects(l, ms):
-        perturbed = true_recursion[:l] + (ms,) + true_recursion[l + 1 :]
-        monkeypatch.setattr(macmahon, "_classical_recursion", lambda *_: perturbed)
+    def rejects(perturbed_states, perturbed_leaves):
+        monkeypatch.setattr(macmahon, "_classical_recursion", lambda *_: (perturbed_states, perturbed_leaves))
         rejected = not classical_check(entries, degree)
         monkeypatch.undo()
         return rejected
 
-    for l in range(1, degree + 1):
-        ms = true_recursion[l]
-        for drop in range(len(ms)):
-            # one G(m) missing from the degree's sum
-            assert rejects(l, ms[:drop] + ms[drop + 1 :]), (l, drop)
-            # one transition missing from one state of G(m)
-            states = ms[drop]
-            for s, state in enumerate(states):
-                for t in range(len(state)):
-                    cut = states[:s] + (state[:t] + state[t + 1 :],) + states[s + 1 :]
-                    assert rejects(l, ms[:drop] + (cut,) + ms[drop + 1 :]), (l, drop, s, t)
+    def replaced(seq, index, item):
+        return seq[:index] + (item,) + seq[index + 1 :]
+
+    for l, level in enumerate(leaves):
+        for drop in range(len(level)):
+            # one leaf missing from the degree's sum
+            assert rejects(states, replaced(leaves, l, level[:drop] + level[drop + 1 :])), (l, drop)
+    for s, state in enumerate(states):
+        for t, (letter, source) in enumerate(state):
+            # one transition missing from one state
+            assert rejects(replaced(states, s, state[:t] + state[t + 1 :]), leaves), (s, t)
+            # one transition moved to another letter of the same row
+            row = letter - letter % n
+            for other in range(row, row + n):
+                if other != letter:
+                    moved = replaced(state, t, (other, source))
+                    assert rejects(replaced(states, s, moved), leaves), (s, t, other)
     assert classical_check(entries, degree)
 
 

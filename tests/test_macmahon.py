@@ -23,6 +23,7 @@ from qmm import (
     verify_qdet_coaction,
     verify_twisted,
 )
+from qmm import macmahon
 from qmm.macmahon import bos_twist_exponent, evaluate_z_poly, ferm_twist_exponent
 from test_twisted_reference import TorusElement, special_torus, torus_act
 
@@ -353,6 +354,14 @@ def test_classical_zero_matrix():
 def test_classical_rejects_non_square_matrix():
     with pytest.raises(ValueError):
         classical_check([[1, 0, 0], [0, 1, 0]], 3)
+
+
+@pytest.mark.parametrize("degree", [0, 3])
+def test_classical_rejects_an_empty_matrix(degree, monkeypatch):
+    # the one-pass recursion at n = 0 would be a vacuous pass; no state is built
+    monkeypatch.setattr(macmahon, "_classical_recursion", None)
+    with pytest.raises(ValueError, match="nonempty"):
+        classical_check([], degree)
 
 
 def test_classical_rejects_negative_degree():
