@@ -2,7 +2,6 @@
 
 from .free_algebra import Alphabet, NCPoly, TruncSeries, word_rank
 from .koszul import (
-    ExactnessReport,
     KoszulComplex,
     build_complex,
     check_exactness,
@@ -37,7 +36,6 @@ from .right_quantum import (
 __all__ = [
     "Alphabet",
     "CharacterSeries",
-    "ExactnessReport",
     "IdealOracle",
     "KoszulComplex",
     "ModeMismatchError",

@@ -24,12 +24,15 @@ most once per sweep and checks d o d = 0 and the contracting homotopy on
 it (``koszul.support_sweep``), whatever l.  The module docstring of
 ``koszul`` proves that the cube e_S decides every cube on the support S,
 that the pairs inside S decide e_S, and that K^2 holds the cubes of every
-support with |S| <= 2.  Each K^l reports the checks of K^min(l, 2), and
-its ``dims`` in closed form, so the report matches the one the full
-complexes give, byte for byte.  Likewise ``twisted`` builds no twisted
-series: it decides the plain residual and the integer twist-exponent
-identities that make the twisted residual its torus image
-(``macmahon.verify_twisted``; the ``macmahon`` docstring proves it).
+support with |S| <= 2.  Each K^l reports the two bools of K^min(l, 2),
+``d_squared_zero`` and ``conclusive``, and ``cmd_koszul`` writes the rest
+of the entry itself: ``dims`` and ``euler_characteristic`` in closed form,
+and ``homology``, zero at every position when ``conclusive`` and null
+otherwise.  So the report matches the one the full complexes give, byte
+for byte.  Likewise ``twisted`` builds no twisted series: it decides the
+plain residual and the integer twist-exponent identities that make the
+twisted residual its torus image (``macmahon.verify_twisted``; the
+``macmahon`` docstring proves it).
 
 Identical configuration and seeds produce byte-identical output.  The one
 random choice, the matrices of ``classical --random``, flows from
@@ -175,11 +178,11 @@ def cmd_koszul(args):
         raise UsageError("give --ell or a positive --degree to sweep")
     results = []
     for ell, (d2, conclusive) in zip(ells, koszul_mod.support_sweep(args.n, ells, mode)):
-        dims = koszul_mod.component_dims(args.n, ell)
-        entry = koszul_mod.ExactnessReport(args.n, ell, dims, conclusive).to_jsonable()
-        entry["d_squared_zero"] = d2
-        entry["euler_characteristic"] = koszul_mod.euler_characteristic(args.n, ell)
-        results.append(entry)
+        results.append({
+            "n": args.n, "ell": ell, "dims": koszul_mod.component_dims(args.n, ell),
+            "conclusive": conclusive, "homology": [0] * (ell + 1) if conclusive else None,
+            "d_squared_zero": d2, "euler_characteristic": koszul_mod.euler_characteristic(args.n, ell),
+        })
     # an uncertified complex makes the sweep inconclusive, whatever d o d is
     verdict = all(r["d_squared_zero"] for r in results) if all(r["conclusive"] for r in results) else None
     line = "ell {ell}: dims={dims} homology={homology} d2=0:{d_squared_zero} conclusive={conclusive}"

@@ -173,7 +173,7 @@ E(j, e_i); every other column is expanded in full.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
@@ -348,29 +348,11 @@ def euler_characteristic(n: int, ell: int) -> int:
 # exactness
 
 
-@dataclass
-class ExactnessReport:
-    """The exactness verdict on one complex: ``conclusive`` when the
-    contracting homotopy certified it, and the homology is then zero at
-    every position.  Otherwise nothing is known and ``homology`` is None."""
-
-    n: int
-    ell: int
-    dims: list[int]
-    conclusive: bool
-
-    @property
-    def homology(self) -> list | None:
-        return [0] * (self.ell + 1) if self.conclusive else None
-
-    def to_jsonable(self):
-        return {**asdict(self), "homology": self.homology}
-
-
-def check_exactness(complex: KoszulComplex) -> ExactnessReport:
-    """Certify exactness by the contracting homotopy of the module
-    docstring: dh + hd = id on every component, exactly, with each entry h
-    divides by read from the maps as they stand.
+def check_exactness(complex: KoszulComplex) -> bool:
+    """Whether the contracting homotopy of the module docstring certifies
+    exactness: dh + hd = id on every component, exactly, with each entry h
+    divides by read from the maps as they stand.  True means the homology
+    is zero at every position; False leaves it unknown.
 
     (I + j0, r - e_j0) determines (I, r), since j0 is its smallest index, so
     h is injective: ``back[i][t] = (p, s)`` when h sends basis vector p of
@@ -380,7 +362,6 @@ def check_exactness(complex: KoszulComplex) -> ExactnessReport:
     """
     bases, maps, ell, dims = complex.bases, complex.maps, complex.ell, complex.dims
     zero, one = complex.mode.zero(), complex.mode.one()
-    report = ExactnessReport(complex.n, ell, dims, conclusive=False)
     back: list = [{}]
     for i in range(1, ell + 1):
         index = {key: pos for pos, key in enumerate(bases[i - 1])}
@@ -393,7 +374,7 @@ def check_exactness(complex: KoszulComplex) -> ExactnessReport:
             try:
                 inverse[t] = (p, maps[i][p][t].inv())
             except ValueError:  # zero, or not a unit of the coefficient ring
-                return report
+                return False
         back.append(inverse)
     back.append({})  # no component above ell
     for i in range(ell + 1):
@@ -413,22 +394,21 @@ def check_exactness(complex: KoszulComplex) -> ExactnessReport:
                     y = acc.get(p)
                     acc[p] = x * s if y is None else y + x * s
             if acc.pop(a, zero) != one or any(acc.values()):
-                return report
-    report.conclusive = True
-    return report
+                return False
+    return True
 
 
 def support_sweep(n: int, ells, mode: ParamMode) -> list[tuple[bool, bool]]:
-    """(d o d = 0, certified by the homotopy) for each K^ell in ``ells``,
-    read off K^min(ell, 2): K^1 holds the cube of each singleton support,
-    and K^2 the cube of every support S with |S| <= 2, which by the module
-    docstring decides every K^ell with ell >= 2.  Each of K^1 and K^2 is
-    built at most once and goes through ``composites_vanish`` and
-    ``check_exactness``."""
+    """(d o d = 0, certified by the homotopy), two bools, for each K^ell in
+    ``ells``, read off K^min(ell, 2): K^1 holds the cube of each singleton
+    support, and K^2 the cube of every support S with |S| <= 2, which by
+    the module docstring decides every K^ell with ell >= 2.  Each of K^1
+    and K^2 is built at most once and goes through ``composites_vanish``
+    and ``check_exactness``, the bools of ``cli.cmd_koszul``'s report."""
     verdicts = {}
     for k in sorted({min(ell, 2) for ell in ells}):
         complex = build_complex(n, k, mode)
-        verdicts[k] = (composites_vanish(complex), check_exactness(complex).conclusive)
+        verdicts[k] = (composites_vanish(complex), check_exactness(complex))
     return [verdicts[min(ell, 2)] for ell in ells]
 
 

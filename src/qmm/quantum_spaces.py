@@ -84,7 +84,11 @@ class QuantumSpace:
 
     def affine_prepend(self, letter: int, m) -> tuple[ParamScalar, tuple[int, ...]]:
         """x_j * x^m = c * x^{m + e_j} in A for the letter id of x_j: the
-        same count rule, so c is the product of q_kj^{m_k} over k < j."""
+        same count rule, so c is the product of q_kj^{m_k} over k < j.  A
+        letter id outside 0..n-1 or an m of another length than n is a
+        ``ValueError``."""
+        if not 0 <= letter < self.n or len(m) != self.n:
+            raise ValueError(f"need a letter id in 0..{self.n - 1} and a multidegree of length {self.n}")
         exps = [0] * self._npairs
         for k, slot in self._below[letter]:
             exps[slot] = m[k]
@@ -114,10 +118,11 @@ class QuantumSpace:
         """One factor (-q_ab)^{-1} per inversion of a sequence of distinct
         indices in 1..n, a < b the inverted values: (-1)^{sum e} q^{-e} for
         the per-pair inversion counts e of ``_inversions``; 1 for a sequence
-        with no inversion, such as a sorted or a one-index one."""
+        with no inversion, such as a sorted or a one-index one.  A repeated
+        or out-of-range index is a ``ValueError``, as in ``wedge_expand``."""
         seq = tuple(indices)
-        if seq and (min(seq) < 1 or max(seq) > self.n):
-            raise ValueError(f"need indices in 1..{self.n}, got {seq}")
+        if seq and (min(seq) < 1 or max(seq) > self.n or len(set(seq)) != len(seq)):
+            raise ValueError(f"need distinct indices in 1..{self.n}, got {seq}")
         if all(map(le, seq, seq[1:])):
             return self.mode.one()
         exps, _ = self._inversions([j - 1 for j in seq])

@@ -108,7 +108,7 @@ def test_criterion_06_koszul_exactness():
         for ell in range(1, 5):
             complex = build_complex(n, ell, mode)
             ok &= composites_vanish(complex)
-            ok &= check_exactness(complex).conclusive
+            ok &= check_exactness(complex)
     for n in range(1, 6):
         for ell in range(1, 9):
             ok &= euler_characteristic(n, ell) == 0

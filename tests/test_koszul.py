@@ -21,7 +21,6 @@ from qmm import (
 )
 from qmm import koszul
 from qmm.free_algebra import NCPoly
-from qmm.koszul import ExactnessReport
 
 
 def test_dimension_formula():
@@ -41,7 +40,7 @@ def test_n1_complex_is_multiplication_by_x():
         assert complex.dims == [0] * (ell - 1) + [1, 1]
         matrix = complex.maps[ell]
         assert matrix == [[mode.one()]]
-        assert check_exactness(complex).conclusive
+        assert check_exactness(complex)
         assert reference_rank(matrix) == 1
 
 
@@ -61,7 +60,7 @@ def test_n2_ell2_shape_and_first_differential():
         ((2,), (1, 0)): -mode.q(1, 2).inv(),
     }
     assert [reference_rank(m) for m in complex.maps[1:]] == [1, 3]
-    assert check_exactness(complex).homology == [0, 0, 0]
+    assert check_exactness(complex)
 
 
 def test_d_squared_zero_exactly_over_laurent_ring():
@@ -75,9 +74,7 @@ def test_exactness_sweep_exact_mode():
     for n in (1, 2, 3):
         mode = ParamMode.multi(n)
         for ell in range(1, 5):
-            report = check_exactness(build_complex(n, ell, mode))
-            assert report.conclusive, (n, ell, report)
-            assert report.homology == [0] * (ell + 1)
+            assert check_exactness(build_complex(n, ell, mode)), (n, ell)
 
 
 def test_exactness_specialized_agrees_with_exact():
@@ -88,8 +85,7 @@ def test_exactness_specialized_agrees_with_exact():
         for ell in (2, 3):
             spec = check_exactness(build_complex(n, ell, numeric))
             exact = check_exactness(build_complex(n, ell, ParamMode.multi(n)))
-            assert spec.conclusive and exact.conclusive
-            assert spec.homology == exact.homology
+            assert spec is exact is True
 
 
 def test_single_parameter_complex_also_exact():
@@ -98,7 +94,7 @@ def test_single_parameter_complex_also_exact():
         for ell in (1, 2, 3):
             complex = build_complex(n, ell, mode)
             assert composites_vanish(complex)
-            assert check_exactness(complex).conclusive
+            assert check_exactness(complex)
 
 
 def test_euler_characteristic_vanishes():
@@ -113,13 +109,6 @@ def test_euler_characteristic_matches_dims():
             complex = build_complex(n, ell, ParamMode.multi(n))
             alt = sum((-1) ** i * d for i, d in enumerate(complex.dims))
             assert alt == euler_characteristic(n, ell) == 0
-
-
-def test_inconclusive_report_shape():
-    report = ExactnessReport(2, 2, [1, 4, 3], False)
-    assert not report.conclusive
-    data = report.to_jsonable()
-    assert data == {"n": 2, "ell": 2, "dims": [1, 4, 3], "homology": None, "conclusive": False}
 
 
 def test_comodule_compat_small():
@@ -581,4 +570,4 @@ def test_no_parameters_to_draw_is_one_exact_run():
     report = verify_master(oracle, 3)
     assert report["pass"] and all(r["residual_terms_before_reduction"] == 0 for r in report["results"])
     assert comodule_compat_check(1, 3, oracle)
-    assert check_exactness(build_complex(1, 3, mode)).conclusive
+    assert check_exactness(build_complex(1, 3, mode))

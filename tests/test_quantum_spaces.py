@@ -331,6 +331,19 @@ def test_exterior_weight_rejects_an_index_outside_1_to_n(mode):
             sp.exterior_weight(indices)
 
 
+@pytest.mark.parametrize("indices", [(2, 2), (2, 1, 2), (3, 1, 3), (1, 1, 1)])
+def test_exterior_weight_rejects_a_repeated_index(indices):
+    # a weight is defined on distinct indices only, as wedge_expand requires
+    with pytest.raises(ValueError, match="distinct"):
+        space(3).exterior_weight(indices)
+
+
+@pytest.mark.parametrize("letter,m", [(0, (0, 0)), (0, (0, 0, 0, 0)), (1, ()), (5, (0, 0, 0)), (3, (1, 0, 0)), (-1, (0, 0, 0))])
+def test_affine_prepend_rejects_a_bad_letter_or_multidegree_length(letter, m):
+    with pytest.raises(ValueError, match="letter id in 0..2 and a multidegree of length 3"):
+        space(3).affine_prepend(letter, m)
+
+
 def test_inversion_weight_identity_permutation():
     # w(pi) is the exterior weight of the word J o pi
     sp = space(3)
