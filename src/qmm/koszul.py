@@ -180,7 +180,7 @@ from itertools import combinations
 from .free_algebra import NCPoly
 from .param_ring import EXPONENT_LIMIT, ParamMode
 from .quantum_spaces import QuantumSpace
-from .right_quantum import IdealOracle, add_products, packed_triples
+from .right_quantum import IdealOracle
 
 
 class SparseRow:
@@ -436,22 +436,23 @@ def _face_weights(space: QuantumSpace, J: tuple) -> dict | None:
 def _expand_column(oracle: IdealOracle, space: QuantumSpace, affine, tensor, J, r, rows) -> bool:
     """Whether every difference of the column (J, r) lies in the ideal, with
     both routes expanded over the codomain's tensor pairs (x-word of the
-    wedge leg, affine multidegree): one ``contains_packed`` query per pair.
-    ``rows`` holds the column's stored entries as ((I, r2), alpha)."""
+    wedge leg, affine multidegree) and summed as ``NCPoly`` products: one
+    ``contains`` query per pair whose difference is nonzero.  ``rows``
+    holds the column's stored entries as ((I, r2), alpha)."""
+    zero = NCPoly.zero(space.z, space.mode)
     diff: dict = {}
     affine_family = affine(r)
     for w4, left in tensor(J).items():
         prefix, last = w4[:-1], w4[-1]
         for r4, right in affine_family.items():
             c, r3 = space.affine_prepend(last, r4)
-            add_products(diff.setdefault((prefix, r3), {}), left, right, c.terms.items())
+            diff[prefix, r3] = diff.get((prefix, r3), zero) + (left * right).scale(c)
     for (I, r2), alpha in rows:
-        scale = (-alpha).terms.items()
         affine_i = affine(r2)
         for w, left in tensor(I).items():
             for r3, right in affine_i.items():
-                add_products(diff.setdefault((w, r3), {}), left, right, scale)
-    return all(oracle.contains_packed(terms) for terms in diff.values() if any(terms.values()))
+                diff[w, r3] = diff.get((w, r3), zero) + (left * right).scale(-alpha)
+    return all(oracle.contains(p) for p in diff.values() if not p.is_zero())
 
 
 def _lemma_holds(space: QuantumSpace, ell: int, coaction, prepend, expand) -> bool:
@@ -534,19 +535,15 @@ def comodule_compat_check(n: int, ell: int, oracle: IdealOracle) -> bool:
     space = QuantumSpace(n, mode)
     complex = build_complex(n, ell, mode)
 
-    def flat(family: dict) -> dict:
-        return {key: packed_triples(p) for key, p in family.items()}
-
     # each coaction, face split and the lemma once per call; the caches go
     # with the call
     coaction = cache(space.coaction_affine)
-    affine = cache(lambda r: flat(coaction(r)))
-    tensor = cache(lambda J: flat(space.coaction_tensor_poly(space.wedge_expand(J))))
+    tensor = cache(lambda J: space.coaction_tensor_poly(space.wedge_expand(J)))
     faces = cache(lambda J: _face_weights(space, J))
     prepend = cache(space.affine_prepend)
 
     def expand(J, r, rows) -> bool:
-        return _expand_column(oracle, space, affine, tensor, J, r, rows)
+        return _expand_column(oracle, space, coaction, tensor, J, r, rows)
 
     lemma = cache(lambda: _lemma_holds(space, ell, coaction, prepend, expand))
 

@@ -33,7 +33,7 @@ from math import lcm, prod
 
 from .free_algebra import NCPoly, TruncSeries
 from .quantum_spaces import QuantumSpace
-from .right_quantum import IdealOracle, QMatrix, add_products, packed_triples, qdet
+from .right_quantum import IdealOracle, QMatrix, qdet
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +138,17 @@ def verify_qdet_coaction(oracle: IdealOracle) -> bool:
     qdet (x) wedge in B: subtracting det_q times the wedge expansion leaves
     every tensor-word coefficient in the relation ideal.  (The wedge spans a
     one-dimensional subcomodule, so everything off its expansion must die.)
-    Each coefficient is built flat and decided by one ``contains_packed``
-    query."""
+    Each coefficient is decided by one ``contains`` query."""
     n = oracle.n
     space = QuantumSpace(n, oracle.mode)
     J = tuple(range(1, n + 1))
     wedge = space.wedge_expand(J)
     family = space.coaction_tensor_poly(wedge)
-    det = packed_triples(qdet(QMatrix.generic(n, oracle.mode), J))
+    det = qdet(QMatrix.generic(n, oracle.mode), J)
     for jword in product(range(1, n + 1), repeat=n):
         w = space.x.x_word(jword)
-        terms = {u: dict(c.terms) for u, c in family[w].terms.items()}
         weight = wedge.coefficient_of(w)
-        if not weight.is_zero():
-            add_products(terms, det, [(b"", 0, 1)], (-weight).terms.items())
-        if not oracle.contains_packed(terms):
+        if not oracle.contains(family[w] if weight.is_zero() else family[w] - det.scale(weight)):
             return False
     return True
 

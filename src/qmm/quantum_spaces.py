@@ -85,16 +85,23 @@ class QuantumSpace:
     def affine_prepend(self, letter: int, m) -> tuple[ParamScalar, tuple[int, ...]]:
         """x_j * x^m = c * x^{m + e_j} in A for the letter id of x_j: the
         same count rule, so c is the product of q_kj^{m_k} over k < j.  A
-        letter id outside 0..n-1 or an m of another length than n is a
-        ``ValueError``."""
-        if not 0 <= letter < self.n or len(m) != self.n:
-            raise ValueError(f"need a letter id in 0..{self.n - 1} and a multidegree of length {self.n}")
+        letter id other than an integer in 0..n-1, or an m other than n
+        non-negative integers, is a ``ValueError``."""
+        if not (isinstance(letter, int) and 0 <= letter < self.n and self._is_multidegree(m)):
+            raise ValueError(
+                f"need a letter id in 0..{self.n - 1} and a multidegree of length {self.n}, "
+                f"{self.n} non-negative integers; got {letter!r} and {m!r}"
+            )
         exps = [0] * self._npairs
         for k, slot in self._below[letter]:
             exps[slot] = m[k]
         r = list(m)
         r[letter] += 1
         return self.mode.q_monomial(exps), tuple(r)
+
+    def _is_multidegree(self, m) -> bool:
+        """Whether m is n non-negative integers."""
+        return len(m) == self.n and all(isinstance(e, int) and e >= 0 for e in m)
 
     def affine_basis(self, degree: int) -> list[tuple[int, ...]]:
         """All multidegrees of total degree ``degree``, in PBW word order."""
@@ -118,24 +125,27 @@ class QuantumSpace:
         """One factor (-q_ab)^{-1} per inversion of a sequence of distinct
         indices in 1..n, a < b the inverted values: (-1)^{sum e} q^{-e} for
         the per-pair inversion counts e of ``_inversions``; 1 for a sequence
-        with no inversion, such as a sorted or a one-index one.  A repeated
-        or out-of-range index is a ``ValueError``, as in ``wedge_expand``."""
-        seq = tuple(indices)
-        if seq and (min(seq) < 1 or max(seq) > self.n or len(set(seq)) != len(seq)):
-            raise ValueError(f"need distinct indices in 1..{self.n}, got {seq}")
+        with no inversion, such as a sorted or a one-index one.  Anything but
+        distinct integers in 1..n is a ``ValueError``, as in ``wedge_expand``."""
+        seq = self._checked_indices(indices)
         if all(map(le, seq, seq[1:])):
             return self.mode.one()
         exps, _ = self._inversions([j - 1 for j in seq])
         w = self.mode.q_monomial([-e for e in exps])
         return -w if sum(exps) % 2 else w
 
+    def _checked_indices(self, indices) -> tuple:
+        """``indices`` as a tuple, which must hold distinct integers in 1..n."""
+        seq = tuple(indices)
+        if not all(isinstance(j, int) and 1 <= j <= self.n for j in seq) or len(set(seq)) != len(seq):
+            raise ValueError(f"need distinct integers in 1..{self.n}, a subset in some order; got {seq}")
+        return seq
+
     def wedge_expand(self, subset) -> NCPoly:
         """The wedge basis vector of a subset of {1..n}, as its expansion in
         the free algebra: homogeneous of degree |J|, with the increasing word
         at coefficient exactly 1.  The empty subset gives 1."""
-        J = tuple(sorted(subset))
-        if any(not 1 <= j <= self.n for j in J) or len(set(J)) != len(J):
-            raise ValueError(f"need a subset of 1..{self.n} without repeats")
+        J = tuple(sorted(self._checked_indices(subset)))
         terms = {self.x.x_word(word): self.exterior_weight(word) for word in permutations(J)}
         return NCPoly(self.x, self.mode, terms)
 
@@ -167,8 +177,8 @@ class QuantumSpace:
         each leaf's factor is built once from its exponents.
         """
         n = self.n
-        if len(m) != n or any(e < 0 for e in m):
-            raise ValueError(f"need a multidegree of length {n}")
+        if not self._is_multidegree(m):
+            raise ValueError(f"need a multidegree of length {n}, {n} non-negative integers; got {m!r}")
         lowers = [i * n for i, e in enumerate(m) for _ in range(e)]
         d = len(lowers)
         limit = [d] * n if cap is None else list(cap)

@@ -221,33 +221,6 @@ def normal_form(terms: dict, rules: RewritingRules) -> dict:
     return out
 
 
-def add_products(acc: dict, left, right, scale) -> None:
-    """acc[u + v][k + l + s] += a * b * c over the (word, packed, coefficient)
-    triples (u, k, a) of ``left`` and (v, l, b) of ``right`` and the flat
-    terms (s, c) of ``scale``: a product of two polynomials given term by
-    term (``packed_triples``) times a scalar, summed into flat coefficients."""
-    for s, c in scale:
-        for u, k, a in left:
-            k += s
-            a *= c
-            for v, l, b in right:
-                coeff = acc.get(u + v)
-                if coeff is None:
-                    coeff = acc[u + v] = {}
-                e = k + l
-                t = coeff.get(e, 0) + a * b
-                if t:
-                    coeff[e] = t
-                else:
-                    del coeff[e]
-
-
-def packed_triples(p: NCPoly) -> list:
-    """The terms of p as (word, packed exponent, coefficient) triples, one per
-    monomial of each coefficient."""
-    return [(w, k, a) for w, c in p.terms.items() for k, a in c.terms.items()]
-
-
 def certify_confluence(rules: RewritingRules) -> int:
     """Resolve every degree-3 overlap abc (ab and bc both leading): the two
     one-step rewrites of abc must have the same normal form.  Returns the
@@ -262,8 +235,8 @@ def certify_confluence(rules: RewritingRules) -> int:
             a, c = ab[:1], bc[1:]
             # both rewrites at once: the words they share cancel unrewritten
             diff: dict = {}
-            add_products(diff, left, [(c, 0, 1)], [(0, 1)])
-            add_products(diff, [(a, 0, 1)], rules[bc], [(0, -1)])
+            for word, k, r in [(w + c, k, r) for w, k, r in left] + [(a + w, k, -r) for w, k, r in rules[bc]]:
+                _accumulate(diff.setdefault(word, {}), k, r)
             if normal_form(diff, rules):
                 raise ConfluenceError(f"the overlap {list(ab + c)} does not resolve")
     return overlaps
@@ -500,19 +473,6 @@ class IdealOracle:
         if d is None:
             raise ValueError("membership is graded: input must be homogeneous")
         return d
-
-    def contains_packed(self, terms: dict) -> bool:
-        """Whether sum c*w vanishes in B, for words of one length with flat
-        coefficients over this oracle's mode (``ParamScalar.terms`` dicts,
-        built from exponents below 2^31 in magnitude), which ``normal_form``
-        takes over.  The verdict is the one ``contains`` gives for the same
-        element."""
-        lengths = {len(w) for w in terms}
-        if len(lengths) > 1:
-            raise ValueError("membership is graded: input must be homogeneous")
-        if not lengths or lengths.pop() < 2:
-            return not any(terms.values())
-        return not normal_form(terms, self.rules)
 
     def contains(self, p: NCPoly) -> bool:
         """Whether p vanishes in B, i.e. its normal form is zero.  Nonzero

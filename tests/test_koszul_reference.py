@@ -23,8 +23,10 @@ zeroed as inconclusive.
 
 ``reference_comodule_compat`` is the comodule check as it was first written:
 both routes as sums of ``NCPoly`` products, one ``contains`` per tensor
-pair.  ``comodule_compat_check`` sums flat packed coefficients instead, so
-the two agreeing on intact and perturbed differentials checks that rewrite.
+pair, every column expanded.  ``comodule_compat_check`` clears the columns
+in closed form by the multiplicativity lemma and expands the others through
+per-call caches, so the two agreeing on intact and perturbed differentials
+checks that route.
 """
 
 import io

@@ -344,6 +344,26 @@ def test_affine_prepend_rejects_a_bad_letter_or_multidegree_length(letter, m):
         space(3).affine_prepend(letter, m)
 
 
+@pytest.mark.parametrize("letter,m", [(1, (-2, 0, 0)), (0, (0.5, 0, 0)), (0, (0, 0, -1)), (0.5, (0, 0, 0))])
+def test_affine_prepend_rejects_a_negative_or_non_integer_entry(letter, m):
+    with pytest.raises(ValueError, match="3 non-negative integers"):
+        space(3).affine_prepend(letter, m)
+
+
+@pytest.mark.parametrize("m", [(-1, 0, 0), (1.5, 0, 0), (0, 0), (1, 0, 0, 0)])
+def test_coaction_affine_rejects_anything_but_n_non_negative_integers(m):
+    with pytest.raises(ValueError, match="length 3, 3 non-negative integers"):
+        space(3).coaction_affine(m)
+
+
+@pytest.mark.parametrize("indices", [(1.5,), (2, 1.5), (1, 2.0), ("1",)])
+def test_exterior_weight_and_wedge_reject_a_non_integer_index(indices):
+    sp = space(3)
+    for call in (sp.exterior_weight, sp.wedge_expand):
+        with pytest.raises(ValueError, match=r"distinct integers in 1\.\.3"):
+            call(indices)
+
+
 def test_inversion_weight_identity_permutation():
     # w(pi) is the exterior weight of the word J o pi
     sp = space(3)

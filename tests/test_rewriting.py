@@ -198,7 +198,6 @@ def test_a_coefficient_vanishing_at_one_point_is_not_a_member(point):
     assert not oracle.contains(p)
     assert not reference_contains(oracle, p, {})
     assert not oracle.contains_tensor(TensorPoly.outer(p, word))
-    assert not oracle.contains_packed(packed(p))
 
 
 def _normal_word_in(p, oracle):
@@ -351,7 +350,6 @@ def test_an_exponent_near_the_limit_raises_instead_of_a_verdict(exact):
         queries = (
             lambda: oracle.contains(p),
             lambda: oracle.contains_tensor(TensorPoly.outer(p, p)),
-            lambda: oracle.contains_packed(packed(p)),
         )
         for query in queries:
             if safe:
